@@ -2,7 +2,7 @@
 
 A numpy library providing:
 
-* clocked/reset recurrent cells (Elman, LSTM) with analytic gradients,
+* clocked/reset LSTM cells with analytic gradients,
 * two-timescale character/word LSTM stacks and a mono baseline,
 * truncated-BPTT training with ADADELTA + Nesterov momentum,
 * bits-per-character / word-perplexity evaluation and text sampling,
@@ -13,10 +13,9 @@ from .corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, TokenSequence,
                      Vocabulary, build_vocab, byte_vocab, detokenize,
                      load_vocab, save_vocab, split_heldout, tokenize,
                      tokenize_lines)
-from .cells import (ElmanCell, ElmanParams, ElmanState, LstmCell, LstmParams,
-                    LstmState, cell_backward, clocked_reset_step,
-                    clocked_step, elman_step, init_elman_params,
-                    init_lstm_params, lstm_step, sigmoid, softmax)
+from .cells import (LstmCell, LstmParams, LstmState, cell_backward,
+                    clocked_reset_step, clocked_step, init_lstm_params,
+                    lstm_step, sigmoid, softmax)
 from .hierarchy import (ClockPlan, Network, NetworkSpec, NetworkState,
                         build_network, derive_clocks)
 from .training import (Batch, GradCheckReport, OptimizerState, TrainConfig,
@@ -37,9 +36,8 @@ __all__ = [
     "SENTENCE_BOUNDARY", "WORD_BOUNDARY", "TokenSequence", "Vocabulary",
     "build_vocab", "byte_vocab", "detokenize", "load_vocab", "save_vocab",
     "split_heldout", "tokenize", "tokenize_lines",
-    "ElmanCell", "ElmanParams", "ElmanState", "LstmCell", "LstmParams",
-    "LstmState", "cell_backward", "clocked_reset_step", "clocked_step",
-    "elman_step", "init_elman_params", "init_lstm_params", "lstm_step",
+    "LstmCell", "LstmParams", "LstmState", "cell_backward",
+    "clocked_reset_step", "clocked_step", "init_lstm_params", "lstm_step",
     "sigmoid", "softmax",
     "ClockPlan", "Network", "NetworkSpec", "NetworkState", "build_network",
     "derive_clocks",

@@ -1,4 +1,4 @@
-"""Recurrent cell kernels: Elman and LSTM with external clock/reset gating.
+"""Recurrent cell kernel: LSTM with external clock/reset gating.
 
 All math is double precision numpy.  Kernels accept a single time step for
 either one sequence (inputs shaped ``(d,)``, states ``(h,)``) or a batch
@@ -114,15 +114,6 @@ class LstmParams:
         for f in fields(self):
             yield f.name, getattr(self, f.name)
 
-    def validate(self) -> None:
-        h, d = self.W_ix.shape
-        for name, arr in self.blocks():
-            want = ((h, d) if name.endswith("x") else
-                    (h, h) if name.endswith("h") else (h,))
-            if arr.shape != want:
-                raise DimensionError(f"{name} has shape {arr.shape}, "
-                                     f"expected {want}")
-
 
 def init_lstm_params(input_dim: int, hidden_dim: int,
                      rng: np.random.Generator, scale: float = 0.08) -> LstmParams:
@@ -167,10 +158,6 @@ class LstmState:
     def zeros(cls, hidden_dim: int, batch: Optional[int] = None) -> "LstmState":
         shape = (hidden_dim,) if batch is None else (batch, hidden_dim)
         return cls(np.zeros(shape), np.zeros(shape))
-
-    @classmethod
-    def zeros_like(cls, other: "LstmState") -> "LstmState":
-        return cls(np.zeros_like(other.m), np.zeros_like(other.h))
 
 
 @dataclass
@@ -309,114 +296,11 @@ def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState,
 
 
 # ---------------------------------------------------------------------------
-# Elman
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ElmanParams:
-    """One Elman layer: h = sigmoid(W_hx x + W_hh h_prev + b_h)."""
-
-    W_hx: np.ndarray
-    W_hh: np.ndarray
-    b_h: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_hx.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_hx.shape[0]
-
-    def blocks(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
-
-def init_elman_params(input_dim: int, hidden_dim: int,
-                      rng: np.random.Generator, scale: float = 0.08) -> ElmanParams:
-    return ElmanParams(
-        W_hx=rng.uniform(-scale, scale, size=(hidden_dim, input_dim)),
-        W_hh=rng.uniform(-scale, scale, size=(hidden_dim, hidden_dim)),
-        b_h=rng.uniform(-scale, scale, size=hidden_dim),
-    )
-
-
-@dataclass
-class ElmanState:
-    h: np.ndarray
-
-    def copy(self) -> "ElmanState":
-        return ElmanState(self.h.copy())
-
-    @classmethod
-    def zeros(cls, hidden_dim: int, batch: Optional[int] = None) -> "ElmanState":
-        shape = (hidden_dim,) if batch is None else (batch, hidden_dim)
-        return cls(np.zeros(shape))
-
-    @classmethod
-    def zeros_like(cls, other: "ElmanState") -> "ElmanState":
-        return cls(np.zeros_like(other.h))
-
-
-@dataclass
-class ElmanTape:
-    x: Optional[np.ndarray]
-    h_in: Optional[np.ndarray]
-    h_new: Optional[np.ndarray]
-    clock: object
-    reset: object
-    skipped: bool = False
-
-
-def elman_step(params: ElmanParams, x, state: ElmanState,
-               clock=True, reset=False) -> tuple[ElmanState, ElmanTape]:
-    """One (optionally gated) Elman step; same gating contract as lstm_step."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != params.input_dim:
-        raise DimensionError(
-            f"input width {x.shape[-1]} != expected {params.input_dim}")
-    if state.h.shape[-1] != params.hidden_dim:
-        raise DimensionError(
-            f"state width {state.h.shape[-1]} != expected {params.hidden_dim}")
-    cm = _mask(clock, state.h)
-    rm = _mask(reset, state.h)
-    h_in = np.where(rm, 0.0, state.h)
-    if not np.any(cm):
-        return ElmanState(h_in), ElmanTape(x=None, h_in=None, h_new=None,
-                                           clock=cm, reset=rm, skipped=True)
-    h_new = sigmoid(x @ params.W_hx.T + h_in @ params.W_hh.T + params.b_h)
-    h = np.where(cm, h_new, h_in)
-    return ElmanState(h), ElmanTape(x=x, h_in=h_in, h_new=h_new,
-                                    clock=cm, reset=rm)
-
-
-def elman_backward_step(params: ElmanParams, tape: ElmanTape,
-                        d_state: ElmanState, grads: Optional[dict] = None,
-                        prefix: str = "") -> tuple[Optional[np.ndarray], ElmanState]:
-    cm, rm = tape.clock, tape.reset
-    if tape.skipped:
-        return None, ElmanState(np.where(rm, 0.0, d_state.h))
-    d_h_new = np.where(cm, d_state.h, 0.0)
-    d_h_in = np.where(cm, 0.0, d_state.h)
-    d_z = d_h_new * tape.h_new * (1.0 - tape.h_new)
-    d_h_in = d_h_in + d_z @ params.W_hh
-    d_x = d_z @ params.W_hx
-    if grads is not None:
-        _acc(grads, prefix + "W_hx", _outer(d_z, tape.x))
-        _acc(grads, prefix + "W_hh", _outer(d_z, tape.h_in))
-        _acc(grads, prefix + "b_h", _sum_rows(d_z))
-    return d_x, ElmanState(np.where(rm, 0.0, d_h_in))
-
-
-# ---------------------------------------------------------------------------
-# Generic cell wrappers
+# Cell wrapper
 # ---------------------------------------------------------------------------
 
 class LstmCell:
     """An LSTM layer bundling parameters with its step/backward kernels."""
-
-    state_cls = LstmState
 
     def __init__(self, params: LstmParams):
         self.params = params
@@ -439,34 +323,6 @@ class LstmCell:
         if d_state is None:
             return LstmState(np.zeros_like(d_y), np.array(d_y, dtype=np.float64))
         return LstmState(d_state.m, d_state.h + d_y)
-
-    def blocks(self):
-        return self.params.blocks()
-
-
-class ElmanCell:
-    state_cls = ElmanState
-
-    def __init__(self, params: ElmanParams):
-        self.params = params
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.params.hidden_dim
-
-    def zero_state(self, batch: Optional[int] = None) -> ElmanState:
-        return ElmanState.zeros(self.hidden_dim, batch)
-
-    def step(self, x, state, clock=True, reset=False):
-        return elman_step(self.params, x, state, clock, reset)
-
-    def backward_step(self, tape, d_state, grads=None, prefix=""):
-        return elman_backward_step(self.params, tape, d_state, grads, prefix)
-
-    def output_grad_to_state(self, d_y, d_state=None) -> ElmanState:
-        if d_state is None:
-            return ElmanState(np.array(d_y, dtype=np.float64))
-        return ElmanState(d_state.h + d_y)
 
     def blocks(self):
         return self.params.blocks()

@@ -27,8 +27,6 @@ from .training import TrainConfig, gradient_check, load_checkpoint, \
 # key -> (type, default, help); shared across config files and flags
 _COMMON_KEYS = {
     "seed": (int, 0, "seed for all randomness"),
-    "threads": (int, 1, "worker cap; batch math is vectorized, so this is "
-                        "validated but effectively 1"),
     "output_dir": (str, ".", "directory for produced artifacts"),
 }
 
@@ -152,8 +150,6 @@ def _resolve(args, command: str) -> dict:
         raw = getattr(args, key)
         if raw is not None:
             values[key] = _parse_value(key, raw, typ)
-    if values["threads"] < 1:
-        raise ConfigError("threads must be at least 1")
     return values
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,10 @@ _BYTE_SENTENCE_ID = 256
 _BYTE_WORD_ID = 0x20
 
 _WORD_RE = re.compile(r"\S+")
+# A backslash, then a backslash or x/u/U and exactly 2/4/8 hex digits; a
+# backslash followed by anything else matches with group 1 unset.
+_ESCAPE_RE = re.compile(
+    r"\\(\\|x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})?")
 
 
 @dataclass
@@ -54,6 +59,19 @@ class Vocabulary:
                 raise ConfigError(f"{name} boundary id {i} out of range")
         if self.word_boundary_id == self.sentence_boundary_id:
             raise ConfigError("boundary ids must be distinct")
+
+    @classmethod
+    def from_symbols(cls, symbols) -> "Vocabulary":
+        """A char-mode vocabulary over ``symbols`` in id order; both boundary
+        tokens must be among them."""
+        symbols = tuple(symbols)
+        for token in (WORD_BOUNDARY, SENTENCE_BOUNDARY):
+            if token not in symbols:
+                raise DataError(f"char vocabulary lacks the {token} token")
+        return cls(symbols=symbols,
+                   word_boundary_id=symbols.index(WORD_BOUNDARY),
+                   sentence_boundary_id=symbols.index(SENTENCE_BOUNDARY),
+                   mode="char")
 
     @property
     def size(self) -> int:
@@ -132,9 +150,7 @@ def build_vocab(text: str, mode: str = "char") -> Vocabulary:
     chars = sorted({c for c in text if not c.isspace()})
     if not chars:
         raise EmptyCorpusError("corpus contains no non-whitespace characters")
-    symbols = tuple(chars) + (WORD_BOUNDARY, SENTENCE_BOUNDARY)
-    return Vocabulary(symbols=symbols, word_boundary_id=len(chars),
-                      sentence_boundary_id=len(chars) + 1, mode="char")
+    return Vocabulary.from_symbols(chars + [WORD_BOUNDARY, SENTENCE_BOUNDARY])
 
 
 def _line_ids(line: str, vocab: Vocabulary, line_no: int) -> list[int]:
@@ -229,7 +245,10 @@ def split_heldout(sequences: list[TokenSequence],
     return train, heldout
 
 
-def _escape_symbol(sym: str) -> str:
+def escape_symbol(sym: str) -> str:
+    """Escape a symbol to one line without whitespace: backslash, whitespace
+    and non-printable characters become backslash escapes; the boundary
+    tokens stay literal."""
     if sym in (WORD_BOUNDARY, SENTENCE_BOUNDARY):
         return sym
     out = []
@@ -238,45 +257,35 @@ def _escape_symbol(sym: str) -> str:
             out.append("\\\\")
         elif ch.isspace() or not ch.isprintable():
             code = ord(ch)
-            out.append(f"\\x{code:02x}" if code <= 0xFF else f"\\u{code:04x}")
+            out.append(f"\\x{code:02x}" if code <= 0xFF else
+                       f"\\u{code:04x}" if code <= 0xFFFF else
+                       f"\\U{code:08x}")
         else:
             out.append(ch)
     return "".join(out)
 
 
-def _unescape_symbol(line: str) -> str:
+def unescape_symbol(line: str) -> str:
+    """Inverse of escape_symbol; raises DataError on a malformed escape."""
     if line in (WORD_BOUNDARY, SENTENCE_BOUNDARY):
         return line
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(line):
-            raise DataError(f"dangling escape in vocabulary line {line!r}")
-        kind = line[i + 1]
-        if kind == "\\":
-            out.append("\\")
-            i += 2
-        elif kind == "x":
-            out.append(chr(int(line[i + 2:i + 4], 16)))
-            i += 4
-        elif kind == "u":
-            out.append(chr(int(line[i + 2:i + 6], 16)))
-            i += 6
-        else:
-            raise DataError(f"unknown escape in vocabulary line {line!r}")
-    return "".join(out)
+
+    def unescape(m: re.Match) -> str:
+        esc = m.group(1)
+        if esc == "\\":
+            return "\\"
+        if esc is None or int(esc[1:], 16) > sys.maxunicode:
+            raise DataError(f"bad escape in symbol {line!r}")
+        return chr(int(esc[1:], 16))
+
+    return _ESCAPE_RE.sub(unescape, line)
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
     """Persist a vocabulary as one (escaped) symbol per line, in id order."""
     with open(path, "w", encoding="utf-8") as f:
         for sym in vocab.symbols:
-            f.write(_escape_symbol(sym) + "\n")
+            f.write(escape_symbol(sym) + "\n")
 
 
 def load_vocab(path) -> Vocabulary:
@@ -286,16 +295,11 @@ def load_vocab(path) -> Vocabulary:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    symbols = tuple(_unescape_symbol(line) for line in lines)
+    symbols = tuple(unescape_symbol(line) for line in lines)
     if not symbols:
         raise DataError(f"vocabulary file {path} is empty")
     if WORD_BOUNDARY in symbols:
-        if SENTENCE_BOUNDARY not in symbols:
-            raise DataError("char vocabulary lacks a sentence boundary token")
-        return Vocabulary(symbols=symbols,
-                          word_boundary_id=symbols.index(WORD_BOUNDARY),
-                          sentence_boundary_id=symbols.index(SENTENCE_BOUNDARY),
-                          mode="char")
+        return Vocabulary.from_symbols(symbols)
     expected = byte_vocab()
     if symbols != expected.symbols:
         raise DataError("vocabulary file is neither char mode nor the fixed "

@@ -23,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Vocabulary, detokenize
+from .corpus import Vocabulary, detokenize, escape_symbol, unescape_symbol
 from .errors import ConfigError, DataError, PosteriorFormatError
-from .corpus import _escape_symbol, _unescape_symbol  # shared symbol escaping
 from .hierarchy import Network, NetworkState
 
 BLANK_LABEL = "<blank>"
@@ -48,7 +47,7 @@ class PosteriorMatrix:
             raise PosteriorFormatError("posterior shape does not match labels")
         if BLANK_LABEL not in self.labels:
             raise PosteriorFormatError(f"no {BLANK_LABEL} column")
-        if np.any(self.probs < 0.0) or np.any(self.probs > 1.0):
+        if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):  # NaN too
             raise PosteriorFormatError("posterior values outside [0, 1]")
         sums = self.probs.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > 1e-6)[0]
@@ -68,40 +67,47 @@ class PosteriorMatrix:
 def write_posteriors_text(path, post: PosteriorMatrix) -> None:
     """Header line "T L <labels...>" then one space-separated row per frame."""
     with open(path, "w", encoding="utf-8") as f:
-        labels = " ".join(_escape_symbol(s) for s in post.labels)
+        labels = " ".join(escape_symbol(s) for s in post.labels)
         f.write(f"{post.frames} {len(post.labels)} {labels}\n")
         for row in post.probs:
             f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_posteriors_text(path) -> PosteriorMatrix:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) < 2:
-            raise PosteriorFormatError(f"bad posterior header in {path}")
-        try:
-            frames, n_labels = int(header[0]), int(header[1])
-        except ValueError:
-            raise PosteriorFormatError(
-                f"bad posterior header in {path}") from None
-        if len(header) != 2 + n_labels:
-            raise PosteriorFormatError(
-                f"expected {n_labels} labels in header, got "
-                f"{len(header) - 2}")
-        labels = [_unescape_symbol(s) for s in header[2:]]
-        rows = []
-        for line in f:
-            if line.strip():
-                rows.append([float(v) for v in line.split()])
-        if len(rows) != frames:
-            raise PosteriorFormatError(
-                f"expected {frames} rows, got {len(rows)}")
-    return PosteriorMatrix(labels=labels, probs=np.asarray(rows))
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise PosteriorFormatError(
+            f"posterior file {path} is not UTF-8") from None
+    header = lines[0].split() if lines else []
+    if len(header) < 2:
+        raise PosteriorFormatError(f"bad posterior header in {path}")
+    try:
+        frames, n_labels = int(header[0]), int(header[1])
+    except ValueError:
+        raise PosteriorFormatError(
+            f"bad posterior header in {path}") from None
+    if len(header) != 2 + n_labels:
+        raise PosteriorFormatError(
+            f"expected {n_labels} labels in header, got "
+            f"{len(header) - 2}")
+    labels = [unescape_symbol(s) for s in header[2:]]
+    rows = [line.split() for line in lines[1:] if line.strip()]
+    if len(rows) != frames:
+        raise PosteriorFormatError(
+            f"expected {frames} rows, got {len(rows)}")
+    try:  # a ragged row or a non-numeric cell
+        probs = np.array([[float(v) for v in row] for row in rows])
+    except ValueError:
+        raise PosteriorFormatError(
+            f"malformed posterior row in {path}") from None
+    return PosteriorMatrix(labels=labels, probs=probs)
 
 
 def write_posteriors_binary(path, post: PosteriorMatrix) -> None:
     """Binary variant: magic, frame/label counts, labels, little-endian f32."""
-    labels = " ".join(_escape_symbol(s) for s in post.labels).encode("utf-8")
+    labels = " ".join(escape_symbol(s) for s in post.labels).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_BIN_MAGIC)
         f.write(struct.pack("<II", post.frames, len(post.labels)))
@@ -110,19 +116,28 @@ def write_posteriors_binary(path, post: PosteriorMatrix) -> None:
         f.write(post.probs.astype("<f4").tobytes())
 
 
+def _read_exact(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise PosteriorFormatError("posterior file truncated")
+    return data
+
+
 def read_posteriors_binary(path) -> PosteriorMatrix:
     with open(path, "rb") as f:
         if f.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
             raise PosteriorFormatError(f"bad posterior magic in {path}")
-        frames, n_labels = struct.unpack("<II", f.read(8))
-        (llen,) = struct.unpack("<I", f.read(4))
-        labels = [_unescape_symbol(s)
-                  for s in f.read(llen).decode("utf-8").split(" ")]
+        frames, n_labels, llen = struct.unpack("<III", _read_exact(f, 12))
+        try:
+            text = _read_exact(f, llen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise PosteriorFormatError(
+                f"posterior labels in {path} are not UTF-8") from None
+        labels = [unescape_symbol(s) for s in text.split(" ")]
         if len(labels) != n_labels:
             raise PosteriorFormatError("label count mismatch")
-        data = np.frombuffer(f.read(frames * n_labels * 4), dtype="<f4")
-        if data.size != frames * n_labels:
-            raise PosteriorFormatError("posterior file truncated")
+        data = np.frombuffer(_read_exact(f, frames * n_labels * 4),
+                             dtype="<f4")
         probs = data.reshape(frames, n_labels).astype(np.float64)
     # f32 rounding can push row sums slightly past the tolerance; renormalize.
     probs = probs / probs.sum(axis=1, keepdims=True)

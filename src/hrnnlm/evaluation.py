@@ -2,10 +2,14 @@
 
 BPC averages -log2 p(next token) over every prediction a sequence affords:
 a sequence of N tokens yields N - 1 predictions from a fresh zero state,
-with states (and clocks/resets) carried across the whole sequence.  Word
-perplexity converts BPC through the character-per-word ratio:
-ppl = 2 ** (bpc * n_chars / n_words), where boundary tokens count as both
-characters and words per the corpus counting rule.
+with states (and clocks/resets) carried across the whole sequence.  The
+scoring itself is ``training.sequence_bits``, the batched window loop that
+also scores the held-out set during training.  Word perplexity converts
+BPC through the character-per-word ratio:
+ppl = 2 ** (bpc * n_chars / n_words), where every token, boundaries
+included, counts as a character, and words are the runs of non-boundary
+tokens plus one word per <s> (``TokenSequence.from_ids``); <w> separates
+words but is not one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from .corpus import TokenSequence, Vocabulary, detokenize, tokenize_fragment
 from .errors import ConfigError
 from .hierarchy import Network
+from .training import bpc, sequence_bits  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -45,36 +50,10 @@ def ppl_from_bpc(bpc: float, n_chars: int, n_words: int) -> float:
     return 2.0 ** (bpc * n_chars / n_words)
 
 
-def _as_seq_list(text) -> list[TokenSequence]:
-    return [text] if isinstance(text, TokenSequence) else list(text)
-
-
-def bpc(net: Network, text) -> float:
-    """Bits per character of one TokenSequence or a list of them."""
-    bits, preds = sequence_bits(net, text)
-    if preds == 0:
-        raise ConfigError("no predictions: every sequence has < 2 tokens")
-    return bits / preds
-
-
-def sequence_bits(net: Network, text) -> tuple[float, int]:
-    """Total -log2 likelihood and prediction count over the sequences."""
-    total_bits = 0.0
-    total = 0
-    for seq in _as_seq_list(text):
-        ids = seq.ids if isinstance(seq, TokenSequence) else np.asarray(seq)
-        if len(ids) < 2:
-            continue
-        probs, _, _ = net.forward(ids[:-1])
-        picked = probs[np.arange(len(ids) - 1), ids[1:]]
-        total_bits += float(-np.log2(picked).sum())
-        total += len(ids) - 1
-    return total_bits, total
-
-
 def evaluate(net: Network, sequences, n_params: Optional[int] = None,
              size_label: str = "") -> EvalReport:
-    seqs = _as_seq_list(sequences)
+    seqs = ([sequences] if isinstance(sequences, TokenSequence)
+            else list(sequences))
     n_chars = sum(s.n_chars for s in seqs)
     n_words = sum(s.n_words for s in seqs)
     b = bpc(net, seqs)

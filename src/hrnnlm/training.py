@@ -4,7 +4,8 @@ Multiple sequences are trained in parallel: the corpus is dealt round-robin
 onto ``batch_size`` independent streams, each stream runs consecutive
 fixed-length windows over one sequence at a time with cell states carried
 across windows, and a stream that exhausts a sequence starts the next one
-behind a state reset.  Gradients never cross window boundaries.
+behind a state reset.  Gradients never cross window boundaries.  Scoring
+(``sequence_bits``, ``bpc``) runs the same window loop without tapes.
 
 Also here: the full-network finite-difference gradient check and the binary
 checkpoint format (magic + version + JSON header + named float64 blocks,
@@ -23,8 +24,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .corpus import TokenSequence, Vocabulary, byte_vocab
-from .errors import (CheckpointError, ConfigError, DimensionError,
-                     DivergenceError, NumericError)
+from .errors import (CheckpointError, ConfigError, DataError,
+                     DimensionError, DivergenceError, NumericError)
 from .hierarchy import Network, NetworkSpec, build_network
 
 LN2 = math.log(2.0)
@@ -121,10 +122,6 @@ class Batch:
     active: np.ndarray   # (batch, window) bool
     reset: np.ndarray    # (batch,) bool
 
-    @property
-    def n_targets(self) -> int:
-        return int(self.active.sum())
-
 
 def batch_sequences(sequences: list[TokenSequence], batch_size: int,
                     bptt_length: int) -> Iterator[Batch]:
@@ -174,6 +171,27 @@ def batch_sequences(sequences: list[TokenSequence], batch_size: int,
         yield Batch(inputs=inputs, targets=targets, active=active, reset=reset)
 
 
+def _forward_windows(net: Network, sequences, batch_size: int,
+                     bptt_length: int, collect_tape: bool = False
+                     ) -> Iterator[tuple[Batch, np.ndarray, Optional[list]]]:
+    """Run ``net`` over the windows of ``batch_sequences``.
+
+    Yields (batch, probs, tape) per window.  Cell states carry from one
+    window to the next on every stream and are zeroed on the streams the
+    batch restarts, so each sequence is read from a zero state.  The
+    forward pass of a window runs only when the caller asks for it, so a
+    caller may update the parameters between windows.
+    """
+    state = net.init_state(batch_size)
+    for batch in batch_sequences(sequences, batch_size, bptt_length):
+        if batch.reset.any():
+            state = state.reset_where(batch.reset)
+        probs, state, tape = net.forward(
+            batch.inputs, state=state, active=batch.active,
+            collect_tape=collect_tape)
+        yield batch, probs, tape
+
+
 def cross_entropy(probs: np.ndarray, targets: np.ndarray,
                   active: np.ndarray) -> tuple[float, int, np.ndarray]:
     """Summed negative log likelihood (nats) over active positions.
@@ -216,24 +234,45 @@ class TrainResult:
     network: Network
     metrics: list[EpochMetrics]
     best_heldout_bpc: Optional[float]
-    diverged: bool = False
 
 
-def _corpus_bpc(net: Network, sequences: list[TokenSequence]) -> float:
-    """Held-out BPC: fresh zero state per sequence, states carried within."""
+# Scoring deals sequences onto at most this many streams and runs windows of
+# this length (TrainConfig's defaults), which bounds its memory at
+# streams x window x vocabulary probabilities.
+_SCORE_STREAMS = TrainConfig.batch_size
+_SCORE_WINDOW = TrainConfig.bptt_length
+
+
+def sequence_bits(net: Network, text) -> tuple[float, int]:
+    """Total -log2 likelihood and prediction count of one TokenSequence or
+    a list of them.
+
+    A sequence of N tokens affords N - 1 predictions from a zero state,
+    with states carried across the whole sequence.  Sequences are scored in
+    masked batched windows; only the rounding of the sums depends on how
+    they are dealt onto streams.
+    """
+    seqs = [text] if isinstance(text, TokenSequence) else list(text)
+    seqs = [s for s in seqs if len(s) >= 2]
+    if not seqs:
+        return 0.0, 0
     total_bits = 0.0
-    total_preds = 0
-    for seq in sequences:
-        ids = seq.ids
-        if len(ids) < 2:
-            continue
-        probs, _, _ = net.forward(ids[:-1])
-        picked = probs[np.arange(len(ids) - 1), ids[1:]]
-        total_bits += float(-np.log2(picked).sum())
-        total_preds += len(ids) - 1
-    if total_preds == 0:
-        raise ConfigError("no predictions in evaluation corpus")
-    return total_bits / total_preds
+    total = 0
+    for batch, probs, _ in _forward_windows(
+            net, seqs, min(len(seqs), _SCORE_STREAMS), _SCORE_WINDOW):
+        bi, ti = np.nonzero(batch.active)
+        total_bits += float(-np.log2(probs[bi, ti, batch.targets[bi, ti]])
+                            .sum())
+        total += len(bi)
+    return total_bits, total
+
+
+def bpc(net: Network, text) -> float:
+    """Bits per character of one TokenSequence or a list of them."""
+    bits, preds = sequence_bits(net, text)
+    if preds == 0:
+        raise ConfigError("no predictions: every sequence has < 2 tokens")
+    return bits / preds
 
 
 def train(spec: NetworkSpec, sequences: list[TokenSequence],
@@ -266,16 +305,11 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        state = net.init_state(config.batch_size)
         epoch_nats = 0.0
         epoch_preds = 0
-        for batch in batch_sequences(sequences, config.batch_size,
-                                     config.bptt_length):
-            if batch.reset.any():
-                state = state.reset_where(batch.reset)
-            probs, state, tape = net.forward(
-                batch.inputs, state=state, active=batch.active,
-                collect_tape=True)
+        for batch, probs, tape in _forward_windows(
+                net, sequences, config.batch_size, config.bptt_length,
+                collect_tape=True):
             loss, n, d_logits = cross_entropy(probs, batch.targets,
                                               batch.active)
             if not math.isfinite(loss):
@@ -290,7 +324,7 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
         if diverged:
             break
         train_bpc = epoch_nats / LN2 / max(epoch_preds, 1)
-        heldout_bpc = _corpus_bpc(net, heldout) if heldout else None
+        heldout_bpc = bpc(net, heldout) if heldout else None
         seconds = time.perf_counter() - t0 if record_timing else 0.0
         row = EpochMetrics(epoch, train_bpc, heldout_bpc, seconds)
         metrics.append(row)
@@ -341,17 +375,15 @@ def gradient_check(net: Network, ids, h: float = 1e-5,
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1 or len(ids) < 2:
         raise ConfigError("gradient check needs one sequence of >= 2 tokens")
-    inputs, targets = ids[:-1], ids[1:]
-    t_idx = np.arange(len(targets))
+    inputs, targets = ids[None, :-1], ids[None, 1:]
+    active = np.ones(targets.shape, dtype=bool)
 
-    def loss_probs_tape(collect):
+    def loss_grad_tape(collect):
         probs, _, tape = net.forward(inputs, collect_tape=collect)
-        loss = float(-np.log(probs[t_idx, targets]).sum())
-        return loss, probs, tape
+        loss, _, d_logits = cross_entropy(probs, targets, active)
+        return loss, d_logits, tape
 
-    _, probs, tape = loss_probs_tape(True)
-    d_logits = probs.copy()
-    d_logits[t_idx, targets] -= 1.0
+    _, d_logits, tape = loss_grad_tape(True)
     grads = net.backward(tape, d_logits)
 
     report = GradCheckReport(0.0, "", 0, tolerance)
@@ -362,9 +394,9 @@ def gradient_check(net: Network, ids, h: float = 1e-5,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _, _ = loss_probs_tape(False)
+            lp, _, _ = loss_grad_tape(False)
             flat[i] = orig - h
-            lm, _, _ = loss_probs_tape(False)
+            lm, _, _ = loss_grad_tape(False)
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * h)
             rel = abs(numeric - g[i]) / max(abs(numeric), abs(g[i]), 1e-5)
@@ -429,18 +461,17 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
             raise CheckpointError(f"bad checkpoint header: {e}") from None
         vocab = None
         if "vocab" in header:
-            v = header["vocab"]
-            if v["mode"] == "byte":
-                vocab = byte_vocab()
-            else:
-                from .corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY,
-                                     Vocabulary as Vocab)
-                symbols = tuple(v["symbols"])
-                vocab = Vocab(symbols=symbols,
-                              word_boundary_id=symbols.index(WORD_BOUNDARY),
-                              sentence_boundary_id=symbols.index(
-                                  SENTENCE_BOUNDARY),
-                              mode="char")
+            try:
+                v = header["vocab"]
+                vocab = (byte_vocab() if v["mode"] == "byte"
+                         else Vocabulary.from_symbols(v["symbols"]))
+            except (ConfigError, DataError, KeyError, TypeError) as e:
+                raise CheckpointError(
+                    f"bad checkpoint vocabulary: {e}") from None
+            if vocab.size != spec.vocab_size:
+                raise CheckpointError(
+                    f"checkpoint vocabulary has {vocab.size} symbols, "
+                    f"network needs {spec.vocab_size}")
         net = build_network(spec, rng_seed=0)
         blocks = net.named_blocks()
         (n_blocks,) = struct.unpack("<I", _read_exact(f, 4))

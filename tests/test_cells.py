@@ -3,20 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hrnnlm.cells import (ElmanCell, ElmanParams, ElmanState, LstmCell,
-                          LstmState, cell_backward, clocked_reset_step,
-                          clocked_step, elman_step, init_elman_params,
-                          init_lstm_params, lstm_step, softmax,
-                          zero_lstm_params)
+from hrnnlm.cells import (LstmCell, LstmState, cell_backward,
+                          clocked_reset_step, clocked_step, init_lstm_params,
+                          lstm_step, softmax, zero_lstm_params)
 from hrnnlm.errors import DimensionError, NumericError
 
 
 def random_lstm(rng, input_dim=4, hidden_dim=3):
     return LstmCell(init_lstm_params(input_dim, hidden_dim, rng, scale=0.4))
-
-
-def random_elman(rng, input_dim=3, hidden_dim=2):
-    return ElmanCell(init_elman_params(input_dim, hidden_dim, rng, scale=0.4))
 
 
 class TestSoftmax:
@@ -46,37 +40,6 @@ class TestSoftmax:
             softmax(np.array([0.0, np.inf]))
         with pytest.raises(NumericError):
             softmax(np.array([np.nan, 0.0]))
-
-
-class TestElmanStep:
-    def test_zero_params_give_half(self):
-        p = ElmanParams(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
-        state, _ = elman_step(p, np.array([1.0, -2.0, 0.5]),
-                              ElmanState.zeros(2))
-        np.testing.assert_array_equal(state.h, [0.5, 0.5])
-
-    def test_identity_weight_zero_input(self):
-        p = ElmanParams(np.eye(1), np.zeros((1, 1)), np.zeros(1))
-        state, _ = elman_step(p, np.array([0.0]), ElmanState.zeros(1))
-        np.testing.assert_array_equal(state.h, [0.5])
-
-    def test_matches_per_component_evaluation(self):
-        # independent oracle: scalar math on each component
-        rng = np.random.default_rng(3)
-        p = init_elman_params(3, 2, rng, scale=0.7)
-        x = rng.normal(size=3)
-        h_prev = rng.normal(size=2)
-        state, _ = elman_step(p, x, ElmanState(h_prev.copy()))
-        for k in range(2):
-            z = sum(p.W_hx[k][j] * x[j] for j in range(3)) \
-                + sum(p.W_hh[k][j] * h_prev[j] for j in range(2)) + p.b_h[k]
-            expect = 1.0 / (1.0 + math.exp(-z))
-            assert abs(state.h[k] - expect) < 1e-12
-
-    def test_shape_mismatch(self):
-        p = ElmanParams(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(DimensionError):
-            elman_step(p, np.zeros(4), ElmanState.zeros(2))
 
 
 class TestLstmStep:
@@ -298,15 +261,6 @@ class TestBackward:
         xs = rng.normal(size=(7, 4))
         clocks = [1, 0, 1, 1, 0, 1, 1]
         resets = [0, 0, 1, 0, 0, 0, 1]
-        worst, _, _ = _fd_check_cell(cell, xs, clocks, resets, rng)
-        assert worst <= 1e-4
-
-    def test_elman_gradients(self):
-        rng = np.random.default_rng(23)
-        cell = random_elman(rng)
-        xs = rng.normal(size=(6, 3))
-        clocks = [1, 1, 0, 1, 1, 1]
-        resets = [0, 0, 0, 1, 0, 0]
         worst, _, _ = _fd_check_cell(cell, xs, clocks, resets, rng)
         assert worst <= 1e-4
 

@@ -3,7 +3,7 @@ import pytest
 from hrnnlm.cli import main
 from hrnnlm.corpus import build_vocab
 from hrnnlm.decoding import BLANK_LABEL, PosteriorMatrix, \
-    write_posteriors_text
+    write_posteriors_binary, write_posteriors_text
 from hrnnlm.hierarchy import NetworkSpec, build_network
 from hrnnlm.training import save_checkpoint
 
@@ -177,6 +177,19 @@ class TestDecode:
         post_path.write_text("1 2 a <blank>\n0.7 0.7\n")
         code = main(["decode", "--checkpoint",
                      str(trained_dir / "checkpoint.bin"),
+                     "--posterior", str(post_path)])
+        assert code == 2
+
+    def test_posterior_cut_inside_header_is_data_error(self, tmp_path):
+        vocab = build_vocab("ab")
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, build_network(
+            NetworkSpec.for_vocab("hlstm_b", vocab, 4)), vocab)
+        post_path = tmp_path / "post.bin"
+        write_posteriors_binary(post_path, PosteriorMatrix(
+            labels=["a", BLANK_LABEL], probs=[[0.5, 0.5]]))
+        post_path.write_bytes(post_path.read_bytes()[:9])
+        code = main(["decode", "--checkpoint", str(ckpt),
                      "--posterior", str(post_path)])
         assert code == 2
 

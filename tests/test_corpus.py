@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from hrnnlm.corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY,
-                           build_vocab, byte_vocab, detokenize, load_vocab,
-                           save_vocab, split_heldout, tokenize,
-                           tokenize_lines)
-from hrnnlm.errors import ConfigError, EmptyCorpusError, OovError
+from hrnnlm.corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, Vocabulary,
+                           build_vocab, byte_vocab, detokenize,
+                           escape_symbol, load_vocab, save_vocab,
+                           split_heldout, tokenize, tokenize_lines,
+                           unescape_symbol)
+from hrnnlm.errors import ConfigError, DataError, EmptyCorpusError, OovError
 
 
 class TestBuildVocab:
@@ -203,6 +205,39 @@ class TestVocabFile:
         lines = p.read_text().splitlines()
         assert len(lines) == v.size
         assert lines[v.word_boundary_id] == WORD_BOUNDARY
+
+
+class TestFromSymbols:
+    def test_boundary_ids_follow_positions(self):
+        v = Vocabulary.from_symbols(["<s>", "x", "<w>"])
+        assert (v.mode, v.word_boundary_id, v.sentence_boundary_id) == \
+            ("char", 2, 0)
+
+    @pytest.mark.parametrize("symbols", [["a", "<s>"], ["a", "<w>"]])
+    def test_missing_boundary_is_data_error(self, symbols):
+        with pytest.raises(DataError):
+            Vocabulary.from_symbols(symbols)
+
+
+class TestSymbolEscapes:
+    @given(st.text())
+    def test_round_trip(self, sym):
+        assert unescape_symbol(escape_symbol(sym)) == sym
+
+    @given(st.text(st.one_of(st.sampled_from("\\xuU09afAFZg+_ "),
+                             st.characters())))
+    def test_unescape_returns_or_raises_data_error(self, line):
+        try:
+            unescape_symbol(line)
+        except DataError:
+            pass
+
+    @pytest.mark.parametrize("line", ["\\xZZ", "\\x4", "a\\u12",
+                                      "\\u12g4", "\\x+1", "\\U00110000",
+                                      "\\", "\\q"])
+    def test_malformed_escape_is_data_error(self, line):
+        with pytest.raises(DataError):
+            unescape_symbol(line)
 
 
 class TestCounts:

@@ -140,6 +140,21 @@ class TestPosteriorFiles:
         with pytest.raises(PosteriorFormatError):
             read_posteriors_text(p)
 
+    def test_binary_cut_inside_header(self, tmp_path):
+        p = tmp_path / "post.bin"
+        write_posteriors_binary(p, self._post())
+        p.write_bytes(p.read_bytes()[:9])
+        with pytest.raises(PosteriorFormatError):
+            read_posteriors(p)
+
+    @pytest.mark.parametrize("row", [b"0.5 half", b"nan 0.5", b"0.5",
+                                     b"\xff\xfe 0.5"])
+    def test_bad_text_row(self, tmp_path, row):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"1 2 a <blank>\n" + row + b"\n")
+        with pytest.raises(PosteriorFormatError):
+            read_posteriors_text(p)
+
 
 class TestBeamSearchBasics:
     def test_single_frame_argmax(self):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hrnnlm.corpus import build_vocab, byte_vocab, tokenize, tokenize_lines
 from hrnnlm.errors import ConfigError
 from hrnnlm.evaluation import (bpc, evaluate, format_report_table,
-                               ppl_from_bpc, sample)
-from hrnnlm.hierarchy import NetworkSpec, build_network
+                               ppl_from_bpc, sample, sequence_bits)
+from hrnnlm.hierarchy import VARIANTS, NetworkSpec, build_network
 from hrnnlm.training import TrainConfig, train
 
 
@@ -36,7 +37,6 @@ class TestBpc:
         assert abs(bpc(net, seq) - math.log2(257)) < 1e-9
 
     def test_prediction_count_is_length_minus_one(self, vocab4):
-        from hrnnlm.evaluation import sequence_bits
         net = zeroed(build_network(NetworkSpec.for_vocab("hlstm_b", vocab4,
                                                          4)))
         seq = tokenize("ab ba", vocab4)
@@ -49,7 +49,6 @@ class TestBpc:
                             rng_seed=4)
         seq = tokenize("ab ba ab aa bb", vocab4)
         whole = bpc(net, seq)
-        from hrnnlm.evaluation import sequence_bits
         bits = 0.0
         state = net.init_state(1)
         ids = seq.ids
@@ -68,6 +67,46 @@ class TestBpc:
         only_boundary = tokenize("", vocab4)
         with pytest.raises(ConfigError):
             bpc(net, only_boundary)
+
+
+VOCAB5 = build_vocab("abc")  # a, b, c, <w>, <s>
+NETS5 = {v: build_network(NetworkSpec.for_vocab(v, VOCAB5, 3), rng_seed=7)
+         for v in VARIANTS}
+# Scoring runs windows of TrainConfig's default bptt_length on at most its
+# default batch_size streams.
+LONGER_THAN_WINDOW = [[0, 1, 3, 2, 4] * (TrainConfig.bptt_length // 5 + 2)]
+MORE_THAN_STREAMS = [[0, 3, 1, 4], [2, 2, 4]] * (TrainConfig.batch_size // 2
+                                                 + 3)
+
+
+def per_sequence_bits(net, seqs):
+    """Reference: each sequence on its own from a zero state."""
+    bits, preds = 0.0, 0
+    for ids in seqs:
+        if len(ids) < 2:
+            continue
+        ids = np.asarray(ids)
+        probs, _, _ = net.forward(ids[:-1])
+        bits -= float(np.log2(probs[np.arange(len(ids) - 1), ids[1:]]).sum())
+        preds += len(ids) - 1
+    return bits, preds
+
+
+@settings(max_examples=30, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       seqs=st.lists(st.lists(st.integers(0, VOCAB5.size - 1), max_size=15),
+                     min_size=1, max_size=10))
+@example(variant="hlstm_b", seqs=LONGER_THAN_WINDOW)
+@example(variant="hlstm_a", seqs=MORE_THAN_STREAMS)
+@example(variant="mono", seqs=[[], [4], [0, 1, 4], [3], [2, 4]])
+def test_batched_scoring_equals_per_sequence(variant, seqs):
+    net = NETS5[variant]
+    arrays = [np.asarray(s, dtype=np.int64) for s in seqs]
+    bits, preds = sequence_bits(net, arrays)
+    ref_bits, ref_preds = per_sequence_bits(net, arrays)
+    assert preds == ref_preds
+    # batched GEMMs may round differently from one-row ones
+    assert abs(bits - ref_bits) <= 1e-12 * abs(ref_bits)
 
 
 class TestPplFromBpc:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from hrnnlm.corpus import build_vocab, tokenize, tokenize_lines
 from hrnnlm.errors import (CheckpointError, ConfigError, DivergenceError,
                            NumericError)
-from hrnnlm.evaluation import bpc
+from hrnnlm.evaluation import bpc, evaluate
 from hrnnlm.hierarchy import NetworkSpec, build_network
 from hrnnlm.training import (OptimizerState, TrainConfig,
                              adadelta_nesterov_update, batch_sequences,
@@ -220,6 +222,15 @@ class TestTrainingLoop:
                   checkpoint_path=path)
         assert path.read_bytes() == before  # last good checkpoint retained
 
+    def test_heldout_bpc_is_evaluate_bpc(self):
+        v, seqs = seqs_from("ab cd ef\ncd ab\nef gh ab cd\ngh\nab ef\n")
+        config = TrainConfig(bptt_length=4, batch_size=2, max_epochs=2,
+                             seed=1)
+        result = train(NetworkSpec.for_vocab("hlstm_a", v, 5), seqs[:3],
+                       config, heldout=seqs[3:])
+        assert result.metrics[-1].heldout_bpc == \
+            evaluate(result.network, seqs[3:]).bpc
+
     def test_metrics_csv_written(self, vocab, tmp_path):
         _, seqs = seqs_from("ab cd\nef gh\nab ef\n")
         spec = NetworkSpec.for_vocab("hlstm_b", build_vocab("ab cd ef gh"), 4)
@@ -301,3 +312,25 @@ class TestCheckpoints:
         _, loaded_vocab = load_checkpoint(path)
         assert loaded_vocab.mode == "byte"
         assert loaded_vocab.size == 257
+
+    @pytest.mark.parametrize("entry", [
+        {"mode": "char", "symbols": ["a", "b", "<s>", "c"]},  # no <w>
+        {"mode": "char", "symbols": ["a", "<w>", "b", "c"]},  # no <s>
+        {"mode": "char"},
+        {"symbols": ["a", "<w>", "<s>", "b"]},
+        {"mode": "char", "symbols": ["a", "<w>", "<s>"]},  # too few
+        "char",
+    ])
+    def test_bad_vocabulary_rejected(self, vocab, tmp_path, entry):
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4))
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, net, vocab)
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<I", data[12:16])
+        header = json.loads(data[16:16 + hlen])
+        header["vocab"] = entry
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob
+                         + data[16 + hlen:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
