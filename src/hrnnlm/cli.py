@@ -20,6 +20,7 @@ from .corpus import build_vocab, save_vocab, split_heldout, \
 from .decoding import DecodeConfig, DecodeResult, beam_search, read_posteriors
 from .errors import ConfigError, DataError, HrnnlmError, NumericError
 from .evaluation import evaluate, format_report_table, sample
+from .files import atomic_write
 from .hierarchy import NetworkSpec, build_network
 from .training import TrainConfig, gradient_check, load_checkpoint, \
     train
@@ -257,7 +258,7 @@ def _cmd_decode(values: dict) -> int:
         out = values["output_dir"]
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "nbest.csv")
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             f.write(DecodeResult.csv_header() + "\n")
             for r in results[:values["nbest"]]:
                 f.write(r.csv_row() + "\n")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyCorpusError, OovError
+from .files import atomic_write
 
 WORD_BOUNDARY = "<w>"
 SENTENCE_BOUNDARY = "<s>"
@@ -283,7 +284,7 @@ def unescape_symbol(line: str) -> str:
 
 def save_vocab(vocab: Vocabulary, path) -> None:
     """Persist a vocabulary as one (escaped) symbol per line, in id order."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         for sym in vocab.symbols:
             f.write(escape_symbol(sym) + "\n")
 

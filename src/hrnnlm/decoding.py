@@ -4,18 +4,26 @@ the character language model.
 Each beam entry is a label prefix with separate log masses for alignments
 ending in blank vs. non-blank, the usual prefix bookkeeping: a blank (or a
 repeated label with no blank in between) extends the alignment but not the
-prefix; a new label extends the prefix, advances a cloned network state by
-that character, and pays/earns
+prefix; a new label extends the prefix and pays/earns
 
     score = log(p_blank + p_nonblank) + lm_weight * log p_LM + bonus * |prefix|
 
 with the insertion bonus applied per emitted character.  Width pruning
 drops frame labels below a posterior threshold; depth pruning caps the
 prefix length.  Ties break lexicographically on the prefix ids.
+
+A new prefix's LM term needs only its parent's next-character
+distribution, so candidates are scored without running the network.  The
+beam's LM states live in one stacked NetworkState (one row per surviving
+hypothesis) with the matching log distributions; after each frame's
+pruning, the survivors that end in a new label and can still grow are
+advanced together by one batched Network.forward step, so the LM runs at
+most beam_width rows per frame.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 from dataclasses import dataclass
@@ -32,6 +40,7 @@ BLANK_LABEL = "<blank>"
 _BIN_MAGIC = b"HPOST\n"
 
 NEG_INF = float("-inf")
+_LOG2 = math.log(2.0)
 
 
 @dataclass
@@ -169,19 +178,20 @@ class DecodeConfig:
             raise ConfigError("depth_prune must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class Hypothesis:
-    """One beam entry: a label prefix with its CTC masses and LM attachment."""
+    """One beam entry: a label prefix with its CTC masses and its row in the
+    beam's LM arena."""
 
     prefix: tuple[int, ...]          # vocabulary ids
     p_blank: float                   # log mass of alignments ending in blank
     p_nonblank: float                # log mass ending in the last label
     lm_logp: float                   # sum of LM log probs over the prefix
-    lm_state: NetworkState
-    lm_logprobs: np.ndarray          # log next-char distribution after prefix
+    row: int                         # arena row of the prefix's LM state
+    pending: Optional[int] = None    # last label while row is the parent's
 
     def ctc_logp(self) -> float:
-        return float(np.logaddexp(self.p_blank, self.p_nonblank))
+        return _logaddexp(self.p_blank, self.p_nonblank)
 
     def score(self, config: DecodeConfig) -> float:
         return (self.ctc_logp() + config.lm_weight * self.lm_logp
@@ -232,77 +242,125 @@ def map_labels(labels: list[str], vocab: Vocabulary) -> list[Optional[int]]:
     return out
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp of two floats, computed the same way in plain Python."""
+    if x == NEG_INF:  # the common case of a new candidate; exact
+        return y
+    if x == y:
+        return x + _LOG2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d))
+
+
+def _attach(nxt: dict, prefix: tuple[int, ...], lm_logp: float, row: int,
+            pending: Optional[int]) -> Hypothesis:
+    """The candidate for prefix, created with no CTC mass on first use."""
+    hyp = nxt.get(prefix)
+    if hyp is None:
+        hyp = nxt[prefix] = Hypothesis(prefix, NEG_INF, NEG_INF, lm_logp,
+                                       row, pending)
+    return hyp
+
+
+def _set_rows(state: NetworkState, rows: list[int], src: NetworkState):
+    """Overwrite the given batch rows of state in place with src's rows."""
+    for name, cell in src.layers.items():
+        state.layers[name].m[rows] = cell.m
+        state.layers[name].h[rows] = cell.h
+    if state.delay is not None:
+        state.delay[rows] = src.delay
+
+
 def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
                 config: Optional[DecodeConfig] = None) -> list[DecodeResult]:
     """Decode frame posteriors into a ranked transcript list."""
     if config is None:
         config = DecodeConfig()
     label_ids = map_labels(post.labels, vocab)
+    col_of: dict[int, int] = {}
+    for col, label_id in enumerate(label_ids):
+        if label_id is not None:
+            col_of.setdefault(label_id, col)
     blank_col = post.blank_index
-    start_state, start_logp = _lm_start(net, vocab)
-    start = Hypothesis(prefix=(), p_blank=0.0, p_nonblank=NEG_INF,
-                       lm_logp=0.0, lm_state=start_state,
-                       lm_logprobs=start_logp)
-    beam: list[Hypothesis] = [start]
+    depth = config.depth_prune
+    # The LM arena: row k of state/logprobs serves the hypotheses whose row
+    # is k.  A new prefix is scored from its parent's row and stepped only
+    # if it survives pruning.
+    state, start_logp = _lm_start(net, vocab)
+    logprobs = start_logp[None, :]
+    beam = [Hypothesis(prefix=(), p_blank=0.0, p_nonblank=NEG_INF,
+                       lm_logp=0.0, row=0)]
 
     for t in range(post.frames):
         row = post.probs[t]
         log_blank = math.log(row[blank_col]) if row[blank_col] > 0 else NEG_INF
+        extensions = [(label_id, math.log(p))
+                      for label_id, p in zip(label_ids, row)
+                      if label_id is not None and p > 0.0
+                      and p >= config.width_prune]
+        in_beam = {hyp.prefix: hyp for hyp in beam}
         nxt: dict[tuple[int, ...], Hypothesis] = {}
 
-        def entry(prefix, parent, last_id) -> Hypothesis:
-            hyp = nxt.get(prefix)
-            if hyp is None:
-                if last_id is None:  # same prefix as parent: reuse attachment
-                    hyp = Hypothesis(prefix, NEG_INF, NEG_INF, parent.lm_logp,
-                                     parent.lm_state, parent.lm_logprobs)
-                else:
-                    lm_logp = parent.lm_logp + float(
-                        parent.lm_logprobs[last_id])
-                    lm_probs, new_state = net.step(parent.lm_state, last_id)
-                    with np.errstate(divide="ignore"):
-                        hyp = Hypothesis(prefix, NEG_INF, NEG_INF, lm_logp,
-                                         new_state, np.log(lm_probs))
-                nxt[prefix] = hyp
-            return hyp
-
         for hyp in beam:
-            total = np.logaddexp(hyp.p_blank, hyp.p_nonblank)
+            prefix = hyp.prefix
+            total = _logaddexp(hyp.p_blank, hyp.p_nonblank)
             # blank keeps the prefix
             if log_blank != NEG_INF:
-                keep = entry(hyp.prefix, hyp, None)
-                keep.p_blank = np.logaddexp(keep.p_blank, total + log_blank)
+                keep = _attach(nxt, prefix, hyp.lm_logp, hyp.row, hyp.pending)
+                keep.p_blank = _logaddexp(keep.p_blank, total + log_blank)
             # repeated last label without a separating blank keeps the prefix
-            if hyp.prefix:
-                last = hyp.prefix[-1]
-                col = label_ids.index(last)
-                if row[col] > 0.0 and row[col] >= config.width_prune:
-                    keep = entry(hyp.prefix, hyp, None)
-                    keep.p_nonblank = np.logaddexp(
-                        keep.p_nonblank, hyp.p_nonblank + math.log(row[col]))
-            if (config.depth_prune is not None
-                    and len(hyp.prefix) >= config.depth_prune):
+            if prefix:
+                p = row[col_of[prefix[-1]]]
+                if p > 0.0 and p >= config.width_prune:
+                    keep = _attach(nxt, prefix, hyp.lm_logp, hyp.row,
+                                   hyp.pending)
+                    keep.p_nonblank = _logaddexp(
+                        keep.p_nonblank, hyp.p_nonblank + math.log(p))
+            if depth is not None and len(prefix) >= depth:
                 continue
-            for col, label_id in enumerate(label_ids):
-                if label_id is None:
-                    continue
-                p = row[col]
-                if p <= 0.0 or p < config.width_prune:
-                    continue
+            lm_row = logprobs[hyp.row]
+            for label_id, log_p in extensions:
                 # extending by the last label needs a blank in between
-                mass = (hyp.p_blank if hyp.prefix and label_id == hyp.prefix[-1]
+                mass = (hyp.p_blank if prefix and label_id == prefix[-1]
                         else total)
                 if mass == NEG_INF:
                     continue
-                ext = entry(hyp.prefix + (label_id,), hyp, label_id)
-                ext.p_nonblank = np.logaddexp(ext.p_nonblank,
-                                              mass + math.log(p))
+                child = prefix + (label_id,)
+                same = in_beam.get(child)
+                if same is not None:  # its LM state is already in the arena
+                    ext = _attach(nxt, child, same.lm_logp, same.row,
+                                  same.pending)
+                else:
+                    ext = _attach(nxt, child,
+                                  hyp.lm_logp + float(lm_row[label_id]),
+                                  hyp.row, label_id)
+                ext.p_nonblank = _logaddexp(ext.p_nonblank, mass + log_p)
 
-        ranked = sorted(nxt.values(),
-                        key=lambda h: (-h.score(config), h.prefix))
-        beam = ranked[:config.beam_width]
+        beam = heapq.nsmallest(config.beam_width, nxt.values(),
+                               key=lambda h: (-h.score(config), h.prefix))
         if not beam:
             raise DataError("beam emptied; posteriors are degenerate")
+        if t == post.frames - 1:
+            break
+        # Gather the survivors' rows, then step the ones that will be read:
+        # pending labels of prefixes that may still grow, in one batch.
+        rows = [hyp.row for hyp in beam]
+        state, logprobs = state.take(rows), logprobs[rows]
+        live = [k for k, hyp in enumerate(beam) if hyp.pending is not None
+                and (depth is None or len(hyp.prefix) < depth)]
+        if live:
+            ids = np.array([beam[k].pending for k in live])
+            probs, stepped, _ = net.forward(ids[:, None],
+                                            state=state.take(live))
+            _set_rows(state, live, stepped)
+            with np.errstate(divide="ignore"):
+                logprobs[live] = np.log(probs[:, 0])
+            for k in live:
+                beam[k].pending = None
+        for k, hyp in enumerate(beam):
+            hyp.row = k
 
     results = [DecodeResult(prefix=h.prefix,
                             text=detokenize(h.prefix, vocab).rstrip("\n"),

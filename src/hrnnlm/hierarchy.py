@@ -241,6 +241,14 @@ class NetworkState:
         delay = None if self.delay is None else np.where(m, 0.0, self.delay)
         return NetworkState(layers=layers, delay=delay)
 
+    def take(self, rows) -> "NetworkState":
+        """A new state of the given batch rows, in order (copies)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        layers = {k: LstmState(v.m[rows], v.h[rows])
+                  for k, v in self.layers.items()}
+        delay = None if self.delay is None else self.delay[rows]
+        return NetworkState(layers=layers, delay=delay)
+
 
 @dataclass
 class StepTape:

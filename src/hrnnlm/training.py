@@ -26,6 +26,7 @@ import numpy as np
 from .corpus import TokenSequence, Vocabulary, byte_vocab
 from .errors import (CheckpointError, ConfigError, DataError,
                      DimensionError, DivergenceError, NumericError)
+from .files import atomic_write
 from .hierarchy import Network, NetworkSpec, build_network
 
 LN2 = math.log(2.0)
@@ -424,7 +425,7 @@ def save_checkpoint(path, net: Network, vocab: Optional[Vocabulary] = None
                            else list(vocab.symbols)}
     blob = json.dumps(header).encode("utf-8")
     blocks = net.named_blocks()
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _FORMAT_VERSION))
         f.write(struct.pack("<I", len(blob)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hrnnlm import corpus
 from hrnnlm.corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, Vocabulary,
                            build_vocab, byte_vocab, detokenize,
                            escape_symbol, load_vocab, save_vocab,
@@ -205,6 +206,25 @@ class TestVocabFile:
         lines = p.read_text().splitlines()
         assert len(lines) == v.size
         assert lines[v.word_boundary_id] == WORD_BOUNDARY
+
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "vocab.txt"
+        save_vocab(build_vocab("ab"), p)
+        before = p.read_bytes()
+        calls = []
+
+        def failing_escape(sym):
+            calls.append(sym)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return escape_symbol(sym)
+
+        monkeypatch.setattr(corpus, "escape_symbol", failing_escape)
+        with pytest.raises(OSError, match="disk full"):
+            save_vocab(build_vocab("xyz"), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["vocab.txt"]
 
 
 class TestFromSymbols:

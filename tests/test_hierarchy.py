@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hrnnlm.cells import LstmState, lstm_step, softmax
 from hrnnlm.corpus import build_vocab
 from hrnnlm.errors import ConfigError, DimensionError
-from hrnnlm.hierarchy import NetworkSpec, build_network, derive_clocks
+from hrnnlm.hierarchy import (VARIANTS, NetworkSpec, NetworkState,
+                              build_network, derive_clocks)
 
 
 @pytest.fixture
@@ -338,3 +340,67 @@ class TestWiring:
         for layer in reset.layers.values():
             assert np.array_equal(layer.h[0], np.zeros_like(layer.h[0]))
             assert np.any(layer.h[1] != 0)
+
+    def test_state_take(self, vocab):
+        net = build_network(tiny_spec(vocab, "hlstm_b"), rng_seed=1)
+        ids = np.stack([random_sequence(vocab, np.random.default_rng(s), 8)
+                        for s in (1, 2, 3)])
+        _, state, _ = net.forward(ids)
+        taken = state.take([2, 0, 2])
+        for name, layer in taken.layers.items():
+            src = state.layers[name]
+            assert np.array_equal(layer.m, src.m[[2, 0, 2]])
+            assert np.array_equal(layer.h, src.h[[2, 0, 2]])
+        assert np.array_equal(taken.delay, state.delay[[2, 0, 2]])
+        taken.layers["char1"].h[...] = 0.0  # a copy, not a view
+        assert np.any(state.layers["char1"].h != 0)
+
+
+VOCAB_ABC = build_vocab("abc")  # a, b, c, <w>, <s>
+STEP_NETS = {v: build_network(tiny_spec(VOCAB_ABC, v, 3), rng_seed=9)
+             for v in VARIANTS}
+ABC_TOKENS = st.integers(0, VOCAB_ABC.size - 1)
+
+
+def _stack_states(states):
+    return NetworkState(
+        layers={k: LstmState(np.concatenate([s.layers[k].m for s in states]),
+                             np.concatenate([s.layers[k].h for s in states]))
+                for k in states[0].layers},
+        delay=(None if states[0].delay is None
+               else np.concatenate([s.delay for s in states])))
+
+
+def _assert_close(got, want):
+    # batched GEMMs may round differently from one-row ones
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       rows=st.lists(st.tuples(st.lists(ABC_TOKENS, max_size=8), ABC_TOKENS),
+                     min_size=1, max_size=6))
+@example(variant="hlstm_b", rows=[([0, 3, 1], 3), ([2], 4), ([], 0),
+                                  ([1, 4, 2, 2], 1)])
+@example(variant="hlstm_a", rows=[([0, 1], 4), ([3, 2], 3), ([4], 2)])
+@example(variant="mono", rows=[([], 3), ([0, 0, 4], 1)])
+def test_batched_step_equals_per_row_steps(variant, rows):
+    """One forward step over K stacked rows in different states equals K
+    separate Network.step calls; ids 3 and 4 are <w> and <s>."""
+    net = STEP_NETS[variant]
+    states = []
+    for history, _ in rows:
+        state = net.init_state(1)
+        for tok in history:
+            _, state = net.step(state, tok)
+        states.append(state)
+    ids = np.array([tok for _, tok in rows])
+    probs, batched, _ = net.forward(ids[:, None], state=_stack_states(states))
+    for k, (state, tok) in enumerate(zip(states, ids)):
+        want_probs, want = net.step(state, tok)
+        _assert_close(probs[k, 0], want_probs)
+        for name, cell in want.layers.items():
+            _assert_close(batched.layers[name].m[k], cell.m[0])
+            _assert_close(batched.layers[name].h[k], cell.h[0])
+        if want.delay is not None:
+            _assert_close(batched.delay[k], want.delay[0])

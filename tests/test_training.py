@@ -303,6 +303,33 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_failed_save_keeps_previous_checkpoint(self, vocab, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "checkpoint.bin"
+        first = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4),
+                              rng_seed=1)
+        save_checkpoint(path, first, vocab)
+        before = path.read_bytes()
+
+        class Unwritable:  # the last block: fails after the rest is written
+            ndim, shape = 1, (1,)
+
+            def __array__(self, *args, **kw):
+                raise OSError("disk full")
+
+        second = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4),
+                               rng_seed=2)
+        blocks = {**second.named_blocks(), "softmax.b": Unwritable()}
+        monkeypatch.setattr(second, "named_blocks", lambda: blocks)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, second, vocab)
+        assert path.read_bytes() == before
+        loaded, _ = load_checkpoint(path)
+        for a, b in zip(first.named_blocks().values(),
+                        loaded.named_blocks().values()):
+            assert np.array_equal(a, b)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
     def test_byte_mode_vocab_round_trip(self, tmp_path):
         from hrnnlm.corpus import byte_vocab
         bv = byte_vocab()
