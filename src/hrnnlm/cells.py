@@ -8,66 +8,92 @@ either one sequence (inputs shaped ``(d,)``, states ``(h,)``) or a batch
     s_t = (1 - c_t)(1 - r_t) s_{t-1} + c_t f(x_t, (1 - r_t) s_{t-1})
 
 realized with mask selection rather than arithmetic blending so that a low
-clock preserves the previous state bit for bit.  Every forward step returns
-a tape holding exactly what the matching backward step needs; gradients are
-accumulated into a caller-supplied dict keyed by parameter name.
+clock preserves the previous state bit for bit.  A mask that is the same on
+every row selects without copying, so a layer whose clock is low on every
+row returns the (reset-masked) previous state arrays themselves.  Every
+forward step returns a tape holding exactly what the matching backward step
+needs.
+
+Parameter layout.  A layer with input width D and H units is one packed
+float64 buffer, ``LstmParams.flat``, of 4H(D + H) + 3H + 4H numbers:
+
+* ``W`` (4H x (D + H)): the rows of the input, forget, write and output
+  gates (i, f, m, o) in that order, each with the D input columns x
+  followed by the H recurrent columns h;
+* ``peep`` (3 x H): the peepholes w_im, w_fm, w_om;
+* ``b`` (4H): the biases b_i, b_f, b_m, b_o.
+
+One step is one GEMM of [x, h'] against W for all four gates; one backward
+step is one ``dz @ W`` and one ``dz.T @ [x, h']``.  In between, the gates
+are held gate-major, (4, b, h), so that each gate's elementwise work runs
+over one contiguous block.  The 15 named blocks
+(``W_ix``, ``W_ih``, ``w_im``, ``b_i``, ...) are views into the buffer, so a
+write through a block changes the layer; the blocks' names, shapes and
+order (``LstmParams.blocks``) are those of checkpoint format v1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
 
+# Block names in checkpoint and initialization order.
+BLOCK_NAMES = ("W_ix", "W_ih", "w_im", "b_i", "W_fx", "W_fh", "w_fm", "b_f",
+               "W_mx", "W_mh", "b_m", "W_ox", "W_oh", "w_om", "b_o")
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, stable for large |z|."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+
+def sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic sigmoid exp(-log(1 + e^-z)), stable for large |z|; may be
+    computed in place by passing ``out=z``."""
+    out = np.negative(z, out=out, dtype=np.float64)
+    np.logaddexp(0.0, out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with max subtraction; rejects non-finite input."""
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericError("softmax input contains non-finite values")
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=axis, keepdims=True))
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def _mask(flag, state_arr: np.ndarray):
-    """Normalize a clock/reset flag to a bool mask broadcastable over a state."""
+    """A clock/reset flag as True or False when it is the same on every row,
+    else as a (b, 1) bool mask broadcastable over a state."""
+    if flag is True or flag is False:
+        return flag
     m = np.asarray(flag, dtype=bool)
     if m.ndim == 0:
-        return m
+        return bool(m)
     if m.ndim != state_arr.ndim - 1 or m.shape[0] != state_arr.shape[0]:
         raise DimensionError(
             f"clock/reset shape {m.shape} does not match state batch "
             f"{state_arr.shape}")
+    if m.all():
+        return True
+    if not m.any():
+        return False
     return m[:, None]
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    return a if a.ndim == 1 else a.sum(axis=0)
+def _zero_where(mask, a: np.ndarray) -> np.ndarray:
+    """a with the rows under the mask zeroed; a itself when no row is."""
+    if mask is False:
+        return a
+    if mask is True:
+        return np.zeros_like(a)
+    return np.where(mask, 0.0, a)
 
 
-def _outer(dz: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Parameter-gradient outer product, summed over any batch rows."""
-    return np.outer(dz, x) if dz.ndim == 1 else dz.T @ x
-
-
-def _acc(grads: Optional[dict], key: str, value: np.ndarray) -> None:
-    if grads is None:
-        return
+def _acc(grads: dict, key: str, value: np.ndarray) -> None:
     if key in grads:
         grads[key] += value
     else:
@@ -78,70 +104,69 @@ def _acc(grads: Optional[dict], key: str, value: np.ndarray) -> None:
 # LSTM
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LstmParams:
-    """One LSTM layer: gate weights, recurrent weights, peepholes, biases.
+    """One LSTM layer packed into one buffer (see the module docstring).
 
-    Peepholes (w_im, w_fm from the previous memory cell, w_om from the fresh
-    one) are per-unit vectors, i.e. diagonal peephole matrices.
+    ``flat`` is a contiguous float64 vector of ``size(input_dim,
+    hidden_dim)`` numbers, zeroed when omitted; a given ``flat`` (say, a
+    slice of a network's buffer) is used in place, not copied.  ``W``,
+    ``peep``, ``b`` and the 15 named blocks are views into it.  Peepholes
+    (w_im, w_fm from the previous memory cell, w_om from the fresh one) are
+    per-unit vectors, i.e. diagonal peephole matrices.
     """
 
-    W_ix: np.ndarray
-    W_ih: np.ndarray
-    w_im: np.ndarray
-    b_i: np.ndarray
-    W_fx: np.ndarray
-    W_fh: np.ndarray
-    w_fm: np.ndarray
-    b_f: np.ndarray
-    W_mx: np.ndarray
-    W_mh: np.ndarray
-    b_m: np.ndarray
-    W_ox: np.ndarray
-    W_oh: np.ndarray
-    w_om: np.ndarray
-    b_o: np.ndarray
+    def __init__(self, input_dim: int, hidden_dim: int,
+                 flat: Optional[np.ndarray] = None):
+        D, H = int(input_dim), int(hidden_dim)
+        n = self.size(D, H)
+        if flat is None:
+            flat = np.zeros(n)
+        elif (flat.shape != (n,) or flat.dtype != np.float64
+              or not flat.flags.c_contiguous):
+            raise DimensionError(
+                f"an LSTM layer of {D} inputs and {H} units needs a "
+                f"contiguous float64 buffer of {n} numbers")
+        self.input_dim, self.hidden_dim = D, H
+        self.flat = flat
+        nw = 4 * H * (D + H)
+        self.W = flat[:nw].reshape(4 * H, D + H)
+        self.peep = flat[nw:nw + 3 * H].reshape(3, H)
+        self.b = flat[nw + 3 * H:]
+        # Shaped to broadcast over gate-major (4, b, h) pre-activations.
+        self.b4 = self.b.reshape(4, 1, H)
+        self.peep_if4 = self.peep[:2].reshape(2, 1, H)
+        for k, gate in enumerate("ifmo"):
+            rows = slice(k * H, (k + 1) * H)
+            setattr(self, f"W_{gate}x", self.W[rows, :D])
+            setattr(self, f"W_{gate}h", self.W[rows, D:])
+            setattr(self, f"b_{gate}", self.b[rows])
+        self.w_im, self.w_fm, self.w_om = self.peep
 
-    @property
-    def input_dim(self) -> int:
-        return self.W_ix.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_ix.shape[0]
+    @staticmethod
+    def size(input_dim: int, hidden_dim: int) -> int:
+        """Numbers in the packed buffer of one layer."""
+        return 4 * hidden_dim * (input_dim + hidden_dim) + 7 * hidden_dim
 
     def blocks(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        for name in BLOCK_NAMES:
+            yield name, getattr(self, name)
+
+    def fill_uniform(self, rng: np.random.Generator, scale: float) -> None:
+        """Uniform [-scale, scale] draw of every block, in block order."""
+        for _, arr in self.blocks():
+            arr[...] = rng.uniform(-scale, scale, size=arr.shape)
 
 
 def init_lstm_params(input_dim: int, hidden_dim: int,
                      rng: np.random.Generator, scale: float = 0.08) -> LstmParams:
     """Uniform [-scale, scale] initialization of every block."""
-    def mat(rows, cols):
-        return rng.uniform(-scale, scale, size=(rows, cols))
-
-    def vec():
-        return rng.uniform(-scale, scale, size=hidden_dim)
-
-    return LstmParams(
-        W_ix=mat(hidden_dim, input_dim), W_ih=mat(hidden_dim, hidden_dim),
-        w_im=vec(), b_i=vec(),
-        W_fx=mat(hidden_dim, input_dim), W_fh=mat(hidden_dim, hidden_dim),
-        w_fm=vec(), b_f=vec(),
-        W_mx=mat(hidden_dim, input_dim), W_mh=mat(hidden_dim, hidden_dim),
-        b_m=vec(),
-        W_ox=mat(hidden_dim, input_dim), W_oh=mat(hidden_dim, hidden_dim),
-        w_om=vec(), b_o=vec(),
-    )
+    p = LstmParams(input_dim, hidden_dim)
+    p.fill_uniform(rng, scale)
+    return p
 
 
 def zero_lstm_params(input_dim: int, hidden_dim: int) -> LstmParams:
-    rng = np.random.default_rng(0)
-    p = init_lstm_params(input_dim, hidden_dim, rng)
-    for _, arr in p.blocks():
-        arr[...] = 0.0
-    return p
+    return LstmParams(input_dim, hidden_dim)
 
 
 @dataclass
@@ -162,20 +187,33 @@ class LstmState:
 
 @dataclass
 class LstmTape:
-    """Everything needed to reverse one LSTM step."""
+    """Everything needed to reverse one LSTM step.
 
-    x: Optional[np.ndarray]
+    ``xh`` is the GEMM input [x, h'] and ``gates`` the activations of the
+    i, f, g and o gates, gate-major: shape (4, b, h), so that each gate is
+    one contiguous (b, h) block.  Unbatched steps are taped with b = 1 and
+    ``single`` set.  A step skipped under a low clock keeps only its masks.
+    """
+
+    xh: Optional[np.ndarray]
     m_in: Optional[np.ndarray]  # previous state after reset masking
-    h_in: Optional[np.ndarray]
-    i: Optional[np.ndarray]
-    f: Optional[np.ndarray]
-    g: Optional[np.ndarray]
-    o: Optional[np.ndarray]
+    gates: Optional[np.ndarray]
     m_new: Optional[np.ndarray]
     tanh_m: Optional[np.ndarray]
     clock: object
     reset: object
     skipped: bool = False
+    single: bool = False
+
+    def _gate(self, k: int):
+        if self.skipped:
+            return None
+        return self.gates[k, 0] if self.single else self.gates[k]
+
+    i = property(lambda self: self._gate(0))
+    f = property(lambda self: self._gate(1))
+    g = property(lambda self: self._gate(2))
+    o = property(lambda self: self._gate(3))
 
 
 def lstm_step(params: LstmParams, x, state: LstmState,
@@ -191,107 +229,136 @@ def lstm_step(params: LstmParams, x, state: LstmState,
         h = o * tanh(m)
 
     where (m', h') is the previous state zeroed wherever the reset is high.
-    With the clock low the (reset-masked) previous state is kept untouched.
+    All four pre-activations come from one GEMM of [x, h'] against the
+    packed W.  With the clock low the (reset-masked) previous state is kept
+    untouched.
     """
     x = np.asarray(x, dtype=np.float64)
+    H = params.hidden_dim
     if x.shape[-1] != params.input_dim:
         raise DimensionError(
             f"input width {x.shape[-1]} != expected {params.input_dim}")
-    if state.h.shape[-1] != params.hidden_dim:
+    if state.h.shape[-1] != H:
         raise DimensionError(
-            f"state width {state.h.shape[-1]} != expected {params.hidden_dim}")
+            f"state width {state.h.shape[-1]} != expected {H}")
     cm = _mask(clock, state.h)
     rm = _mask(reset, state.h)
-    m_in = np.where(rm, 0.0, state.m)
-    h_in = np.where(rm, 0.0, state.h)
+    m_in = _zero_where(rm, state.m)
+    h_in = _zero_where(rm, state.h)
 
-    if not np.any(cm):
+    if cm is False:
         # Clock low everywhere: nothing to compute, state passes through.
-        tape = LstmTape(x=None, m_in=None, h_in=None, i=None, f=None, g=None,
-                        o=None, m_new=None, tanh_m=None, clock=cm, reset=rm,
+        tape = LstmTape(xh=None, m_in=None, gates=None,
+                        m_new=None, tanh_m=None, clock=cm, reset=rm,
                         skipped=True)
         return LstmState(m_in, h_in), tape
 
-    i = sigmoid(x @ params.W_ix.T + h_in @ params.W_ih.T
-                + m_in * params.w_im + params.b_i)
-    f = sigmoid(x @ params.W_fx.T + h_in @ params.W_fh.T
-                + m_in * params.w_fm + params.b_f)
-    g = np.tanh(x @ params.W_mx.T + h_in @ params.W_mh.T + params.b_m)
-    m_new = f * m_in + i * g
-    o = sigmoid(x @ params.W_ox.T + h_in @ params.W_oh.T
-                + m_new * params.w_om + params.b_o)
+    single = x.ndim == 1
+    if single:
+        x, m_in, h_in = x[None], m_in[None], h_in[None]
+    xh = np.concatenate([x, h_in], axis=1)
+    # One GEMM for all gates, then bias and a gate-major copy in one pass:
+    # ufuncs over contiguous (b, h) gate blocks cost about half as much as
+    # over strided column slices at small sizes.
+    z = np.empty((4,) + m_in.shape)
+    np.add((xh @ params.W.T).reshape(-1, 4, H).transpose(1, 0, 2),
+           params.b4, out=z)
+    z_if = z[:2]
+    z_if += m_in * params.peep_if4
+    sigmoid(z_if, out=z_if)
+    i, f, g, o = z
+    np.tanh(g, out=g)
+    m_new = f * m_in
+    m_new += i * g
+    o += m_new * params.w_om
+    sigmoid(o, out=o)
     tanh_m = np.tanh(m_new)
     h_new = o * tanh_m
 
-    m = np.where(cm, m_new, m_in)
-    h = np.where(cm, h_new, h_in)
-    tape = LstmTape(x=x, m_in=m_in, h_in=h_in, i=i, f=f, g=g, o=o,
-                    m_new=m_new, tanh_m=tanh_m, clock=cm, reset=rm)
+    if cm is True:
+        m, h = m_new, h_new
+    else:
+        m, h = np.where(cm, m_new, m_in), np.where(cm, h_new, h_in)
+    tape = LstmTape(xh=xh, m_in=m_in, gates=z, m_new=m_new,
+                    tanh_m=tanh_m, clock=cm, reset=rm, single=single)
+    if single:
+        m, h = m[0], h[0]
     return LstmState(m, h), tape
 
 
 def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState,
-                       grads: Optional[dict] = None, prefix: str = ""
+                       grads=None, prefix: str = ""
                        ) -> tuple[Optional[np.ndarray], LstmState]:
     """Reverse one LSTM step.
 
     d_state holds gradients w.r.t. the step's output state (m, h).  Returns
-    (d_x, d_state_prev) and accumulates parameter gradients into ``grads``
-    under ``prefix + field_name`` keys.  Steps taken with the clock low
-    contribute nothing to parameters or inputs; a high reset cuts the
-    gradient path to the pre-reset state.
+    (d_x, d_state_prev) and accumulates parameter gradients into ``grads``:
+    either a dict keyed by ``prefix + block name`` (a block is created on
+    first use) or an ``LstmParams`` of the layer's shape, whose packed
+    buffer receives them with one update per part.  Steps taken with the
+    clock low contribute nothing to parameters or inputs; a high reset cuts
+    the gradient path to the pre-reset state.
     """
     cm, rm = tape.clock, tape.reset
     if tape.skipped:
-        d_prev = LstmState(np.where(rm, 0.0, d_state.m),
-                           np.where(rm, 0.0, d_state.h))
+        d_prev = LstmState(_zero_where(rm, d_state.m),
+                           _zero_where(rm, d_state.h))
         return None, d_prev
 
-    d_m_new = np.where(cm, d_state.m, 0.0)
-    d_h_new = np.where(cm, d_state.h, 0.0)
-    d_m_in = np.where(cm, 0.0, d_state.m)
-    d_h_in = np.where(cm, 0.0, d_state.h)
+    H, D = params.hidden_dim, params.input_dim
+    d_m_out, d_h_out = d_state.m, d_state.h
+    if tape.single:
+        d_m_out, d_h_out = d_m_out[None], d_h_out[None]
+    all_high = cm is True
+    if all_high:
+        d_m_new, d_h_new = d_m_out, d_h_out
+    else:
+        d_m_new = np.where(cm, d_m_out, 0.0)
+        d_h_new = np.where(cm, d_h_out, 0.0)
+    gates, tanh_m = tape.gates, tape.tanh_m
+    i, f, g, o = gates
+    d_sig = gates * (1.0 - gates)  # sigmoid' in the i, f and o blocks
+    dz = np.empty_like(gates)
+    dz_i, dz_f, dz_g, dz_o = dz
 
-    # h = o * tanh(m)
-    d_o = d_h_new * tape.tanh_m
-    d_m_new = d_m_new + d_h_new * tape.o * (1.0 - tape.tanh_m ** 2)
-    d_zo = d_o * tape.o * (1.0 - tape.o)
-    d_m_new = d_m_new + d_zo * params.w_om  # output-gate peephole sees fresh m
+    # h = o * tanh(m);  the output-gate peephole sees the fresh m
+    np.multiply(d_h_new, tanh_m, out=dz_o)
+    dz_o *= d_sig[3]
+    d_m = d_h_new * o
+    d_m *= 1.0 - tanh_m * tanh_m
+    d_m += d_m_new
+    d_m += dz_o * params.w_om
 
-    # m = f * m_in + i * g
-    d_f = d_m_new * tape.m_in
-    d_i = d_m_new * tape.g
-    d_g = d_m_new * tape.i
-    d_m_in = d_m_in + d_m_new * tape.f
+    # m = f * m_in + i * g, with i, f sigmoid and g tanh
+    np.multiply(d_m, g, out=dz_i)
+    np.multiply(d_m, tape.m_in, out=dz_f)
+    dz[:2] *= d_sig[:2]
+    np.multiply(d_m, i, out=dz_g)
+    dz_g *= 1.0 - g * g
 
-    d_zi = d_i * tape.i * (1.0 - tape.i)
-    d_zf = d_f * tape.f * (1.0 - tape.f)
-    d_zg = d_g * (1.0 - tape.g ** 2)
-
-    d_m_in = d_m_in + d_zi * params.w_im + d_zf * params.w_fm
-    d_h_in = (d_h_in + d_zi @ params.W_ih + d_zf @ params.W_fh
-              + d_zg @ params.W_mh + d_zo @ params.W_oh)
-    d_x = (d_zi @ params.W_ix + d_zf @ params.W_fx
-           + d_zg @ params.W_mx + d_zo @ params.W_ox)
+    d_m_in = d_m * f
+    d_m_in += dz_i * params.w_im
+    d_m_in += dz_f * params.w_fm
+    dz_rows = dz.transpose(1, 0, 2).reshape(-1, 4 * H)  # (b, 4h), a copy
+    d_xh = dz_rows @ params.W
+    d_x, d_h_in = d_xh[:, :D], d_xh[:, D:]
+    if not all_high:
+        d_m_in += np.where(cm, 0.0, d_m_out)
+        d_h_in = d_h_in + np.where(cm, 0.0, d_h_out)
 
     if grads is not None:
-        _acc(grads, prefix + "W_ix", _outer(d_zi, tape.x))
-        _acc(grads, prefix + "W_ih", _outer(d_zi, tape.h_in))
-        _acc(grads, prefix + "w_im", _sum_rows(d_zi * tape.m_in))
-        _acc(grads, prefix + "b_i", _sum_rows(d_zi))
-        _acc(grads, prefix + "W_fx", _outer(d_zf, tape.x))
-        _acc(grads, prefix + "W_fh", _outer(d_zf, tape.h_in))
-        _acc(grads, prefix + "w_fm", _sum_rows(d_zf * tape.m_in))
-        _acc(grads, prefix + "b_f", _sum_rows(d_zf))
-        _acc(grads, prefix + "W_mx", _outer(d_zg, tape.x))
-        _acc(grads, prefix + "W_mh", _outer(d_zg, tape.h_in))
-        _acc(grads, prefix + "b_m", _sum_rows(d_zg))
-        _acc(grads, prefix + "W_ox", _outer(d_zo, tape.x))
-        _acc(grads, prefix + "W_oh", _outer(d_zo, tape.h_in))
-        _acc(grads, prefix + "w_om", _sum_rows(d_zo * tape.m_new))
-        _acc(grads, prefix + "b_o", _sum_rows(d_zo))
+        packed = grads if isinstance(grads, LstmParams) else LstmParams(D, H)
+        packed.W += dz_rows.T @ tape.xh
+        packed.peep[:2] += np.add.reduce(dz[:2] * tape.m_in, axis=1)
+        packed.w_om += np.add.reduce(dz_o * tape.m_new, axis=0)
+        packed.b += np.add.reduce(dz_rows, axis=0)
+        if packed is not grads:
+            for name, arr in packed.blocks():
+                _acc(grads, prefix + name, arr)
 
-    d_prev = LstmState(np.where(rm, 0.0, d_m_in), np.where(rm, 0.0, d_h_in))
+    if tape.single:
+        d_x, d_m_in, d_h_in = d_x[0], d_m_in[0], d_h_in[0]
+    d_prev = LstmState(_zero_where(rm, d_m_in), _zero_where(rm, d_h_in))
     return d_x, d_prev
 
 
@@ -359,5 +426,6 @@ def cell_backward(cell, tapes, d_outputs, grads: Optional[dict] = None,
         d_inputs[t], d_state = cell.backward_step(tapes[t], d_state, grads,
                                                   prefix)
     for name, arr in cell.blocks():
-        _acc(grads, prefix + name, np.zeros_like(arr))
+        if prefix + name not in grads:
+            grads[prefix + name] = np.zeros_like(arr)
     return grads, d_inputs, d_state

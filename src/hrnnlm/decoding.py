@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .corpus import Vocabulary, detokenize, escape_symbol, unescape_symbol
 from .errors import ConfigError, DataError, PosteriorFormatError
 from .hierarchy import Network, NetworkState
@@ -273,6 +274,7 @@ def _set_rows(state: NetworkState, rows: list[int], src: NetworkState):
         state.delay[rows] = src.delay
 
 
+@one_blas_thread()
 def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
                 config: Optional[DecodeConfig] = None) -> list[DecodeResult]:
     """Decode frame posteriors into a ranked transcript list."""

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .corpus import TokenSequence, Vocabulary, detokenize, tokenize_fragment
 from .errors import ConfigError
 from .hierarchy import Network
@@ -75,6 +76,7 @@ def format_report_table(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
+@one_blas_thread()
 def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
            temperature: float = 1.0, seed: int = 0) -> str:
     """Autoregressive sampling, seeded and deterministic.

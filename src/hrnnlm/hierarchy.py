@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cells import (LstmParams, LstmState, LstmTape, init_lstm_params,
-                    lstm_step, lstm_backward_step, softmax)
+from .cells import (LstmParams, LstmState, LstmTape, lstm_step,
+                    lstm_backward_step, softmax)
 from .corpus import TokenSequence, Vocabulary
 from .errors import ConfigError, DimensionError
 
@@ -250,14 +250,50 @@ class NetworkState:
         return NetworkState(layers=layers, delay=delay)
 
 
+def _step_flags(mask: np.ndarray) -> list:
+    """Column t of a (B, T) bool mask as True or False when every row
+    agrees, else as the (B,) column itself."""
+    every, some = mask.all(axis=0).tolist(), mask.any(axis=0).tolist()
+    return [True if a else (mask[:, t] if n else False)
+            for t, (a, n) in enumerate(zip(every, some))]
+
+
 @dataclass
 class StepTape:
     layer_tapes: dict[str, LstmTape]
     top_h: np.ndarray
 
 
+class Blocks(dict):
+    """Named parameter (or gradient) blocks that are all views into one
+    flat float64 buffer, ``flat``."""
+
+    def __init__(self, items, flat: np.ndarray):
+        super().__init__(items)
+        self.flat = flat
+
+    def like(self, flat: np.ndarray) -> "Blocks":
+        """The same blocks over another buffer shaped like ``flat``: each at
+        the same offset and with the same strides."""
+        if flat.shape != self.flat.shape or not flat.flags.c_contiguous:
+            raise DimensionError("buffer does not match the block layout")
+        base = self.flat.__array_interface__["data"][0]
+        return Blocks({name: np.ndarray(
+            v.shape, np.float64, buffer=flat, strides=v.strides,
+            offset=v.__array_interface__["data"][0] - base)
+            for name, v in self.items()}, flat)
+
+
 class Network:
-    """A built network: spec plus parameters, with forward/backward/step."""
+    """A built network: spec plus parameters, with forward/backward/step.
+
+    All parameters live in one flat float64 buffer, ``flat``: each layer's
+    packed ``LstmParams`` buffer in layer order, then ``softmax_W`` and
+    ``softmax_b``.  Parameters are drawn uniformly from [-init_scale,
+    init_scale] with ``rng`` (seed 0 when omitted), block by block in
+    ``named_blocks`` order; an ``init_scale`` of 0 leaves them zero without
+    drawing.
+    """
 
     def __init__(self, spec: NetworkSpec,
                  rng: Optional[np.random.Generator] = None,
@@ -270,16 +306,51 @@ class Network:
         # delayed embedding first, so the character module sees fresh context.
         self.step_order = sorted(
             self.layer_defs, key=lambda d: -d.level)
-        rng = np.random.default_rng(0) if rng is None else rng
-        self.layers: dict[str, LstmParams] = {}
+        # Where each input source sits in a layer's input vector.
+        self.input_slices = {}
         for d in self.layer_defs:
-            self.layers[d.name] = init_lstm_params(
-                self._input_dim(d), d.hidden, rng, init_scale)
-        out_h = self._hidden_of(self.output_layer)
-        self.softmax_W = rng.uniform(-init_scale, init_scale,
-                                     size=(spec.vocab_size, out_h))
-        self.softmax_b = rng.uniform(-init_scale, init_scale,
-                                     size=spec.vocab_size)
+            start, slices = 0, []
+            for kind, ref in d.sources:
+                width = self._source_width(kind, ref)
+                slices.append((kind, ref, slice(start, start + width)))
+                start += width
+            self.input_slices[d.name] = slices
+        self.flat = np.zeros(
+            sum(LstmParams.size(self._input_dim(d), d.hidden)
+                for d in self.layer_defs)
+            + spec.vocab_size * (self._hidden_of(self.output_layer) + 1))
+        self.layers, self.softmax_W, self.softmax_b = self._views(self.flat)
+        if init_scale:
+            rng = np.random.default_rng(0) if rng is None else rng
+            for d in self.layer_defs:
+                self.layers[d.name].fill_uniform(rng, init_scale)
+            for arr in (self.softmax_W, self.softmax_b):
+                arr[...] = rng.uniform(-init_scale, init_scale,
+                                       size=arr.shape)
+
+    def _views(self, flat: np.ndarray):
+        """(layers, softmax_W, softmax_b) as views into a buffer shaped like
+        ``self.flat``."""
+        layers: dict[str, LstmParams] = {}
+        start = 0
+        for d in self.layer_defs:
+            D = self._input_dim(d)
+            n = LstmParams.size(D, d.hidden)
+            layers[d.name] = LstmParams(D, d.hidden, flat[start:start + n])
+            start += n
+        V, H = self.spec.vocab_size, self._hidden_of(self.output_layer)
+        W = flat[start:start + V * H].reshape(V, H)
+        return layers, W, flat[start + V * H:]
+
+    @staticmethod
+    def _blocks(layers, W, b, flat) -> Blocks:
+        out = {}
+        for name, params in layers.items():
+            for fname, arr in params.blocks():
+                out[f"{name}.{fname}"] = arr
+        out["softmax.W"] = W
+        out["softmax.b"] = b
+        return Blocks(out, flat)
 
     # -- structure ---------------------------------------------------------
 
@@ -314,20 +385,13 @@ class Network:
         table.append((self.output_layer, "softmax", 0))
         return table
 
-    def named_blocks(self) -> dict[str, np.ndarray]:
-        out = {}
-        for d in self.layer_defs:
-            for fname, arr in self.layers[d.name].blocks():
-                out[f"{d.name}.{fname}"] = arr
-        out["softmax.W"] = self.softmax_W
-        out["softmax.b"] = self.softmax_b
-        return out
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.named_blocks().items()}
+    def named_blocks(self) -> Blocks:
+        """Every parameter block by name, as views into ``flat``."""
+        return self._blocks(self.layers, self.softmax_W, self.softmax_b,
+                            self.flat)
 
     def param_count(self) -> int:
-        return sum(a.size for a in self.named_blocks().values())
+        return self.flat.size
 
     # -- running -----------------------------------------------------------
 
@@ -348,35 +412,28 @@ class Network:
                     | (ids_t == self.spec.sentence_boundary_id))
         return boundary & active_t
 
-    def _layer_gates(self, level: int, active_t, word_clock):
-        """(clock, reset) for a layer of the given level at one step."""
-        if level == 1:
-            reset = (word_clock if self.spec.levels > 1
-                     else np.zeros_like(active_t))
-            return active_t, reset
-        return word_clock, np.zeros_like(word_clock)
+    def _window(self, ids: np.ndarray, active: np.ndarray):
+        """Per-step clock and word-clock flags of a (B, T) window, plus the
+        word module's (B, T, 2) boundary-indicator input (None for mono)."""
+        clocks = _step_flags(active)
+        if self.spec.levels == 1:
+            return clocks, [False] * len(clocks), None
+        word = (ids == self.spec.word_boundary_id) & active
+        sentence = (ids == self.spec.sentence_boundary_id) & active
+        indicator = np.stack([word, sentence], axis=-1).astype(np.float64)
+        return clocks, _step_flags(word | sentence), indicator
 
-    def _run_step(self, states: dict, delay, ids_t, active_t,
-                  collect_tape: bool):
+    def _run_step(self, states: dict, delay, ids_t, clock, word_clock,
+                  indicator, collect_tape: bool):
         """Advance every layer one step; returns updated (states, delay,
-        probs, tape)."""
-        spec = self.spec
+        probs, tape).  Character layers tick with ``clock`` and reset under
+        ``word_clock``, word layers tick with ``word_clock``."""
         onehot = self._onehot(ids_t)
-        if spec.levels > 1:
-            word_clock = self._word_clock(ids_t, active_t)
-            indicator = np.stack(
-                [(ids_t == spec.word_boundary_id) & active_t,
-                 (ids_t == spec.sentence_boundary_id) & active_t],
-                axis=1).astype(np.float64)
-        else:
-            word_clock = None
-            indicator = None
-
         new_states = dict(states)
         tapes = {} if collect_tape else None
         for d in self.step_order:
             parts = []
-            for kind, ref in d.sources:
+            for kind, ref, _ in self.input_slices[d.name]:
                 if kind == "onehot":
                     parts.append(onehot)
                 elif kind == "hidden":
@@ -386,9 +443,12 @@ class Network:
                 else:
                     parts.append(indicator)
             x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-            clock, reset = self._layer_gates(d.level, active_t, word_clock)
+            if d.level == 1:
+                gates = (clock, word_clock)
+            else:
+                gates = (word_clock, False)
             new_states[d.name], tape = lstm_step(
-                self.layers[d.name], x, states[d.name], clock, reset)
+                self.layers[d.name], x, states[d.name], *gates)
             if collect_tape:
                 tapes[d.name] = tape
 
@@ -442,9 +502,11 @@ class Network:
         delay = state.delay
         probs_out = np.empty((B, T, self.spec.vocab_size))
         tape = [] if collect_tape else None
+        clock_flags, word_flags, indicator = self._window(ids, active)
         for t in range(T):
             states, delay, probs, st = self._run_step(
-                states, delay, ids[:, t], active[:, t], collect_tape)
+                states, delay, ids[:, t], clock_flags[t], word_flags[t],
+                None if indicator is None else indicator[:, t], collect_tape)
             probs_out[:, t] = probs
             if collect_tape:
                 tape.append(st)
@@ -462,18 +524,26 @@ class Network:
         token_id = int(token_id)
         if not 0 <= token_id < self.spec.vocab_size:
             raise ConfigError(f"token id {token_id} out of range")
-        ids_t = np.array([token_id], dtype=np.int64)
-        active_t = np.ones(1, dtype=bool)
+        spec = self.spec
+        if spec.levels > 1:  # _window's flags for one row and step
+            word = token_id == spec.word_boundary_id
+            sentence = token_id == spec.sentence_boundary_id
+            word_clock = word or sentence
+            indicator = np.array([[float(word), float(sentence)]])
+        else:
+            word_clock, indicator = False, None
         states, delay, probs, _ = self._run_step(
-            dict(state.layers), state.delay, ids_t, active_t, False)
+            dict(state.layers), state.delay, np.array([token_id]), True,
+            word_clock, indicator, False)
         return probs[0], NetworkState(layers=states, delay=delay)
 
-    def backward(self, tape: list[StepTape], d_logits) -> dict[str, np.ndarray]:
+    def backward(self, tape: list[StepTape], d_logits) -> Blocks:
         """Reverse-mode gradients of a taped forward run.
 
         d_logits is (batch, T, V) or (T, V): gradient of the loss w.r.t. the
         pre-softmax logits at every step.  State gradients are truncated at
-        the window start.
+        the window start.  Returns the gradient of every named block, as
+        views into one fresh flat buffer laid out like ``flat``.
         """
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.ndim == 2:
@@ -482,42 +552,40 @@ class Network:
         if d_logits.shape[1] != T:
             raise DimensionError(f"{T} taped steps but "
                                  f"{d_logits.shape[1]} gradient steps")
-        grads = self.zero_grads()
-        B = d_logits.shape[0]
+        flat = np.zeros_like(self.flat)
+        layer_grads, d_W, d_b = self._views(flat)
+        B, V = d_logits.shape[0], d_logits.shape[2]
+        if T:
+            # The softmax layer does not feed the recurrence: all T steps at
+            # once.
+            top_h = np.stack([st.top_h for st in tape], axis=1)
+            d_W += d_logits.reshape(-1, V).T @ top_h.reshape(B * T, -1)
+            d_b += d_logits.sum(axis=(0, 1))
+            d_top = d_logits @ self.softmax_W
         running = {d.name: LstmState.zeros(d.hidden, B)
                    for d in self.layer_defs}
         d_delay = (np.zeros((B, self._hidden_of(self.feedup_layer)))
                    if self.feedup_layer else None)
-        widths = {d.name: [self._source_width(k, r) for k, r in d.sources]
-                  for d in self.layer_defs}
 
         for t in range(T - 1, -1, -1):
             st = tape[t]
-            dl = d_logits[:, t]
-            grads["softmax.W"] += np.einsum("bi,bj->ij", dl, st.top_h)
-            grads["softmax.b"] += dl.sum(axis=0)
-            running[self.output_layer].h += dl @ self.softmax_W
+            running[self.output_layer].h += d_top[:, t]
             if self.feedup_layer:
                 running[self.feedup_layer].h += d_delay
 
             for d in reversed(self.step_order):
                 d_x, d_prev = lstm_backward_step(
                     self.layers[d.name], st.layer_tapes[d.name],
-                    running[d.name], grads, prefix=f"{d.name}.")
+                    running[d.name], layer_grads[d.name])
                 running[d.name] = d_prev
-                if d_x is None:
-                    if any(k == "delay" for k, _ in d.sources):
-                        d_delay = np.zeros_like(d_delay)
-                    continue
-                offsets = np.cumsum(widths[d.name])[:-1]
-                pieces = np.split(d_x, offsets, axis=-1)
-                for (kind, ref), piece in zip(d.sources, pieces):
-                    if kind == "hidden":
-                        running[ref].h += piece
+                for kind, ref, cols in self.input_slices[d.name]:
+                    if kind == "hidden" and d_x is not None:
+                        running[ref].h += d_x[..., cols]
                     elif kind == "delay":
-                        d_delay = piece
+                        d_delay = (np.zeros_like(d_delay) if d_x is None
+                                   else d_x[..., cols])
                     # onehot / indicator inputs are not trainable
-        return grads
+        return self._blocks(layer_grads, d_W, d_b, flat)
 
 
 def build_network(spec: NetworkSpec, rng_seed: int = 0) -> Network:

@@ -23,11 +23,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .corpus import TokenSequence, Vocabulary, byte_vocab
 from .errors import (CheckpointError, ConfigError, DataError,
                      DimensionError, DivergenceError, NumericError)
 from .files import atomic_write
-from .hierarchy import Network, NetworkSpec, build_network
+from .hierarchy import Blocks, Network, NetworkSpec, build_network
 
 LN2 = math.log(2.0)
 
@@ -63,19 +64,71 @@ class TrainConfig:
             raise ConfigError("clip_norm must be positive or None")
 
 
+# Elements per pass of the flat optimizer update: bounds its scratch memory
+# at two vectors of this length.
+_UPDATE_CHUNK = 1 << 15
+
+
 @dataclass
 class OptimizerState:
-    """Per-block ADADELTA accumulators and Nesterov velocity."""
+    """Per-block ADADELTA accumulators and Nesterov velocity.
+
+    For parameters given as ``Blocks`` (views into one flat buffer, as from
+    ``Network.named_blocks``) the three dicts are views into the rows of
+    ``flat`` (3 x N), laid out like the parameters, and ``scratch`` is the
+    update's preallocated working memory.
+    """
 
     sq_grad: dict[str, np.ndarray]
     sq_delta: dict[str, np.ndarray]
     velocity: dict[str, np.ndarray]
+    flat: Optional[np.ndarray] = None
+    scratch: Optional[np.ndarray] = None
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
+        if isinstance(params, Blocks):
+            flat = np.zeros((3,) + params.flat.shape)
+            return cls(*(params.like(row) for row in flat), flat=flat,
+                       scratch=np.empty((2, min(params.flat.size,
+                                                _UPDATE_CHUNK))))
         return cls(sq_grad={k: np.zeros_like(v) for k, v in params.items()},
                    sq_delta={k: np.zeros_like(v) for k, v in params.items()},
                    velocity={k: np.zeros_like(v) for k, v in params.items()})
+
+
+def _adadelta_nesterov(p, g, eg, ed, v, tmp, tmp2, rho, eps, mu) -> None:
+    """The update of one stretch of parameters, in place; tmp and tmp2 are
+    scratch arrays of the same shape."""
+    eg *= rho
+    np.multiply(g, 1.0 - rho, out=tmp)
+    tmp *= g
+    eg += tmp
+    np.add(ed, eps, out=tmp)          # delta = -sqrt(ed + eps)
+    np.sqrt(tmp, out=tmp)             #         / sqrt(eg + eps) * g
+    np.negative(tmp, out=tmp)
+    np.add(eg, eps, out=tmp2)
+    np.sqrt(tmp2, out=tmp2)
+    tmp /= tmp2
+    tmp *= g
+    ed *= rho
+    np.multiply(tmp, 1.0 - rho, out=tmp2)
+    tmp2 *= tmp
+    ed += tmp2
+    v *= mu
+    v += tmp
+    np.multiply(v, mu, out=tmp2)
+    tmp2 += tmp
+    p += tmp2
+
+
+def _flat_buffers(params, grads, opt) -> bool:
+    """Whether params, grads and opt are views of flat buffers that share
+    one layout, so the update can run on the flat vectors."""
+    return (isinstance(params, Blocks) and isinstance(grads, Blocks)
+            and opt.flat is not None
+            and grads.flat.shape == params.flat.shape == opt.flat.shape[1:]
+            and params.keys() == grads.keys() == opt.sq_grad.keys())
 
 
 def adadelta_nesterov_update(params: dict[str, np.ndarray],
@@ -88,26 +141,35 @@ def adadelta_nesterov_update(params: dict[str, np.ndarray],
     the gradient rescaled by RMS(previous deltas)/RMS(gradients), the
     squared-delta average absorbs it, and a Nesterov velocity is applied on
     top:  v <- mu v + delta;  x <- x + mu v + delta.  Blocks are independent,
-    so iteration order cannot matter.
+    so iteration order cannot matter, and the update runs on the flat
+    vectors when params, grads and opt are views of flat buffers (the
+    result is the same bit for bit).
     """
     rho, eps, mu = config.adadelta_rho, config.adadelta_eps, config.momentum
+    if _flat_buffers(params, grads, opt):
+        g = grads.flat
+        if not np.isfinite(g).all():
+            name = next(k for k, b in grads.items()
+                        if not np.all(np.isfinite(b)))
+            raise NumericError(f"non-finite gradient in block {name!r}")
+        eg, ed, v = opt.flat
+        tmp, tmp2 = opt.scratch
+        for lo in range(0, g.size, tmp.size):
+            part = slice(lo, lo + tmp.size)
+            n = min(tmp.size, g.size - lo)
+            _adadelta_nesterov(params.flat[part], g[part], eg[part],
+                               ed[part], v[part], tmp[:n], tmp2[:n],
+                               rho, eps, mu)
+        return
     for name, p in params.items():
         g = grads[name]
         if p.shape != g.shape:
             raise DimensionError(f"gradient shape mismatch for {name}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in block {name!r}")
-        eg = opt.sq_grad[name]
-        ed = opt.sq_delta[name]
-        v = opt.velocity[name]
-        eg *= rho
-        eg += (1.0 - rho) * g * g
-        delta = -np.sqrt(ed + eps) / np.sqrt(eg + eps) * g
-        ed *= rho
-        ed += (1.0 - rho) * delta * delta
-        v *= mu
-        v += delta
-        p += mu * v + delta
+        _adadelta_nesterov(p, g, opt.sq_grad[name], opt.sq_delta[name],
+                           opt.velocity[name], np.empty(p.shape),
+                           np.empty(p.shape), rho, eps, mu)
 
 
 @dataclass
@@ -191,6 +253,7 @@ def _forward_windows(net: Network, sequences, batch_size: int,
             batch.inputs, state=state, active=batch.active,
             collect_tape=collect_tape)
         yield batch, probs, tape
+        del probs, tape  # not alive during the next window's forward
 
 
 def cross_entropy(probs: np.ndarray, targets: np.ndarray,
@@ -212,13 +275,23 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray,
 
 
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most clip_norm."""
-    total = math.sqrt(sum(float(np.sum(g * g))
-                          for _, g in sorted(grads.items())))
+    """Scale all gradients so their global L2 norm is at most clip_norm;
+    returns the norm before clipping.  Gradients given as ``Blocks`` are
+    measured and scaled as one flat vector."""
+    if isinstance(grads, Blocks):
+        # einsum, not a BLAS dot: OpenBLAS threads long dot products, and
+        # with the CPUs busy that made one norm cost milliseconds.
+        total = math.sqrt(float(np.einsum("i,i->", grads.flat, grads.flat)))
+    else:
+        total = math.sqrt(sum(float(np.sum(g * g))
+                              for _, g in sorted(grads.items())))
     if total > clip_norm and total > 0.0:
         scale = clip_norm / total
-        for g in grads.values():
-            g *= scale
+        if isinstance(grads, Blocks):
+            grads.flat *= scale
+        else:
+            for g in grads.values():
+                g *= scale
     return total
 
 
@@ -244,6 +317,7 @@ _SCORE_STREAMS = TrainConfig.batch_size
 _SCORE_WINDOW = TrainConfig.bptt_length
 
 
+@one_blas_thread()
 def sequence_bits(net: Network, text) -> tuple[float, int]:
     """Total -log2 likelihood and prediction count of one TokenSequence or
     a list of them.
@@ -276,6 +350,7 @@ def bpc(net: Network, text) -> float:
     return bits / preds
 
 
+@one_blas_thread()
 def train(spec: NetworkSpec, sequences: list[TokenSequence],
           config: TrainConfig, heldout: Optional[list[TokenSequence]] = None,
           vocab: Optional[Vocabulary] = None,
@@ -322,6 +397,9 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
             adadelta_nesterov_update(params, grads, opt, config)
             epoch_nats += loss
             epoch_preds += n
+            # One window's tape at a time: free this one before the next
+            # forward pass builds its own.
+            del probs, tape, d_logits, grads
         if diverged:
             break
         train_bpc = epoch_nats / LN2 / max(epoch_preds, 1)
@@ -389,21 +467,22 @@ def gradient_check(net: Network, ids, h: float = 1e-5,
 
     report = GradCheckReport(0.0, "", 0, tolerance)
     for name, arr in net.named_blocks().items():
-        flat = arr.reshape(-1)
-        g = grads[name].reshape(-1)
+        g = grads[name]
         block_max = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        # Index the block itself: a reshaped copy of a strided view would
+        # take the perturbation away from the network.
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + h
             lp, _, _ = loss_grad_tape(False)
-            flat[i] = orig - h
+            arr[i] = orig - h
             lm, _, _ = loss_grad_tape(False)
-            flat[i] = orig
+            arr[i] = orig
             numeric = (lp - lm) / (2.0 * h)
             rel = abs(numeric - g[i]) / max(abs(numeric), abs(g[i]), 1e-5)
             block_max = max(block_max, rel)
         report.per_block[name] = block_max
-        report.n_params += flat.size
+        report.n_params += arr.size
         if block_max > report.max_rel_error:
             report.max_rel_error = block_max
             report.worst_block = name
@@ -473,18 +552,25 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
                 raise CheckpointError(
                     f"checkpoint vocabulary has {vocab.size} symbols, "
                     f"network needs {spec.vocab_size}")
-        net = build_network(spec, rng_seed=0)
+        net = Network(spec, init_scale=0.0)  # zeroed; every block is read
         blocks = net.named_blocks()
         (n_blocks,) = struct.unpack("<I", _read_exact(f, 4))
         if n_blocks != len(blocks):
             raise CheckpointError(
                 f"checkpoint has {n_blocks} blocks, network needs "
                 f"{len(blocks)}")
+        seen = set()
         for _ in range(n_blocks):
             (nlen,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, nlen).decode("utf-8")
+            try:
+                name = _read_exact(f, nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError("bad block name in checkpoint") from None
             if name not in blocks:
                 raise CheckpointError(f"unexpected block {name!r}")
+            if name in seen:
+                raise CheckpointError(f"block {name!r} appears twice")
+            seen.add(name)
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
             shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
             arr = blocks[name]
@@ -493,4 +579,8 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
                     f"block {name!r} has shape {shape}, expected {arr.shape}")
             data = np.frombuffer(_read_exact(f, arr.size * 8), dtype="<f8")
             arr[...] = data.reshape(shape)
+        # n_blocks distinct known names cover every block; only bytes after
+        # the last one can still be wrong.
+        if f.read(1):
+            raise CheckpointError("trailing bytes after the last block")
     return net, vocab

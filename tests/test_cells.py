@@ -218,15 +218,16 @@ def _fd_check_cell(cell, xs, clocks, resets, rng, h=1e-5):
     grads, d_inputs, d_state0 = cell_backward(cell, tapes, list(w))
     worst = 0.0
     for name, arr in cell.blocks():
-        flat = arr.reshape(-1)
-        g = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        g = grads[name]
+        # index the block itself: blocks are strided views into the packed
+        # layer buffer, and a reshaped copy would not reach the cell
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + h
             lp, _ = run()
-            flat[i] = orig - h
+            arr[i] = orig - h
             lm, _ = run()
-            flat[i] = orig
+            arr[i] = orig
             numeric = (lp - lm) / (2 * h)
             worst = max(worst, abs(numeric - g[i])
                         / max(abs(numeric), abs(g[i]), 1e-5))

@@ -1,0 +1,166 @@
+"""Checkpoint format v1: round trips, a file from the format's first
+writer, and damaged files that must raise CheckpointError and nothing else.
+
+``data/checkpoint_v1_hlstm_a.bin`` was written by the per-block
+implementation that preceded the packed parameter buffer, from
+``build_network(NetworkSpec.for_vocab("hlstm_a", build_vocab(TEXT),
+[3, 4, 2, 5]), rng_seed=11)``; ``data/checkpoint_v1_hlstm_a_probs.npy``
+holds that network's ``forward`` probabilities on ``tokenize(TEXT)``.
+"""
+
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hrnnlm.cells import LstmParams
+from hrnnlm.corpus import build_vocab, byte_vocab, tokenize
+from hrnnlm.errors import CheckpointError
+from hrnnlm.hierarchy import Network, NetworkSpec, build_network
+from hrnnlm.training import load_checkpoint, save_checkpoint
+
+DATA = Path(__file__).resolve().parent / "data"
+TEXT = "ab cd ba dc"
+VOCAB = build_vocab(TEXT)
+
+
+def test_file_from_the_first_writer_loads_unchanged(tmp_path):
+    path = DATA / "checkpoint_v1_hlstm_a.bin"
+    net, vocab = load_checkpoint(path)
+    assert vocab.symbols == VOCAB.symbols
+    fresh = build_network(
+        NetworkSpec.for_vocab("hlstm_a", VOCAB, [3, 4, 2, 5]), rng_seed=11)
+    assert net.spec == fresh.spec
+    # the same seed still draws the same parameters, block by block
+    for (ka, a), (kb, b) in zip(net.named_blocks().items(),
+                                fresh.named_blocks().items()):
+        assert ka == kb and np.array_equal(a, b), ka
+    ids = tokenize(TEXT, vocab).ids
+    probs, _, _ = net.forward(ids)
+    np.testing.assert_array_equal(probs, fresh.forward(ids)[0])
+    want = np.load(DATA / "checkpoint_v1_hlstm_a_probs.npy")
+    assert np.all(np.abs(probs - want) <= 1e-12 * want)
+    # and writing those values gives the first writer's bytes
+    save_checkpoint(tmp_path / "again.bin", fresh, VOCAB)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def _hidden(variant):
+    layers = 2 if variant == "mono" else 4
+    return st.lists(st.integers(1, 5), min_size=layers, max_size=layers)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), variant=st.sampled_from(["mono", "hlstm_a", "hlstm_b"]),
+       byte_mode=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_round_trip_every_variant(tmp_path_factory, data, variant, byte_mode,
+                                  seed):
+    vocab = byte_vocab() if byte_mode else VOCAB
+    hidden = data.draw(_hidden(variant))
+    spec = NetworkSpec.for_vocab(variant, vocab, hidden)
+    net = build_network(spec, rng_seed=seed)
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_checkpoint(path, net, vocab)
+    loaded, loaded_vocab = load_checkpoint(path)
+    assert loaded.spec == spec
+    assert loaded_vocab.mode == vocab.mode
+    assert loaded_vocab.symbols == vocab.symbols
+    assert np.array_equal(loaded.flat, net.flat)
+    ids = tokenize("ab cd" if not byte_mode else "aé b", vocab).ids
+    np.testing.assert_array_equal(loaded.forward(ids)[0],
+                                  net.forward(ids)[0])
+    again = path.with_name("again.bin")
+    save_checkpoint(again, loaded, loaded_vocab)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_draws_no_random_initialization(tmp_path, monkeypatch):
+    net = build_network(NetworkSpec.for_vocab("hlstm_b", VOCAB, 3),
+                        rng_seed=4)
+    save_checkpoint(tmp_path / "m.bin", net, VOCAB)
+
+    def refuse(*args, **kw):
+        raise AssertionError("load_checkpoint drew an initialization")
+
+    monkeypatch.setattr(LstmParams, "fill_uniform", refuse)
+    loaded, _ = load_checkpoint(tmp_path / "m.bin")
+    assert np.array_equal(loaded.flat, net.flat)
+    assert not Network(net.spec, init_scale=0.0).flat.any()
+
+
+# ---------------------------------------------------------------------------
+# Damaged files
+# ---------------------------------------------------------------------------
+
+def _split(data: bytes):
+    """(bytes before the block count, [(name, record bytes)]) of a file."""
+    pos = 8 + 4
+    (hlen,) = struct.unpack_from("<I", data, pos)
+    pos += 4 + hlen
+    head = data[:pos]
+    (n,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    records = []
+    for _ in range(n):
+        start = pos
+        (nlen,) = struct.unpack_from("<I", data, pos)
+        name = data[pos + 4:pos + 4 + nlen].decode()
+        pos += 4 + nlen
+        (ndim,) = struct.unpack_from("<I", data, pos)
+        shape = struct.unpack_from(f"<{ndim}Q", data, pos + 4)
+        pos += 4 + 8 * ndim + 8 * int(np.prod(shape))
+        records.append((name, data[start:pos]))
+    assert pos == len(data)
+    return head, records
+
+
+def _join(head: bytes, records) -> bytes:
+    return (head + struct.pack("<I", len(records))
+            + b"".join(r for _, r in records))
+
+
+@pytest.fixture
+def saved(tmp_path):
+    net = build_network(NetworkSpec.for_vocab("hlstm_b", VOCAB, 2),
+                        rng_seed=6)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, net, VOCAB)
+    return path
+
+
+def test_repeated_block_rejected(saved):
+    head, records = _split(saved.read_bytes())
+    names = [n for n, _ in records]
+    records[names.index("softmax.b")] = records[names.index("softmax.W")]
+    saved.write_bytes(_join(head, records))
+    with pytest.raises(CheckpointError, match="softmax.W"):
+        load_checkpoint(saved)
+
+
+def test_missing_block_rejected(saved):
+    head, records = _split(saved.read_bytes())
+    del records[[n for n, _ in records].index("word1.b_f")]
+    saved.write_bytes(_join(head, records))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(saved)
+
+
+def test_trailing_bytes_rejected(saved):
+    saved.write_bytes(saved.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(saved)
+
+
+def test_cut_at_any_offset_raises_only_checkpoint_error(tmp_path):
+    net = build_network(NetworkSpec.for_vocab("hlstm_b", build_vocab("a b"),
+                                              1), rng_seed=2)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, net, build_vocab("a b"))
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)

@@ -1,21 +1,46 @@
-"""Smoke test: the decoding demo runs as a script and prints a transcript."""
+"""Smoke tests: the demos run as scripts and print what they promise."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_ctc_beam_decode_demo_runs():
+def run_demo(name: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "05_ctc_beam_decode.py")],
+        [sys.executable, str(ROOT / "demos" / name)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "lm_weight=2.0: best 3 of" in proc.stdout
-    assert "'hello'" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name, lines", [
+    ("01_clocked_cells.py", ["(bit-identical: True )",
+                             "(history gone, equals a fresh cell: True )",
+                             "suffix outputs identical: True"]),
+    ("02_hierarchical_network.py", ["streaming == whole-sequence forward: True",
+                                    "cloned state branches independently: "
+                                    "True"]),
+    ("04_evaluate_perplexity.py", ["zeroed 4x4  740       2.0000  16.0",
+                                   "byte-mode floor: 8.005625 = log2(257) = "
+                                   "8.005625"]),
+])
+def test_cell_and_network_demos_run(name, lines):
+    out = run_demo(name)
+    for line in lines:
+        assert line in out, (line, out)
+    assert "False" not in out
+
+
+def test_ctc_beam_decode_demo_runs():
+    out = run_demo("05_ctc_beam_decode.py")
+    assert "lm_weight=2.0: best 3 of" in out
+    assert "'hello'" in out
