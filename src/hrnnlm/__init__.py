@@ -13,9 +13,9 @@ from .corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, TokenSequence,
                      Vocabulary, build_vocab, byte_vocab, detokenize,
                      load_vocab, save_vocab, split_heldout, tokenize,
                      tokenize_lines)
-from .cells import (LstmCell, LstmParams, LstmState, cell_backward,
-                    clocked_reset_step, clocked_step, init_lstm_params,
-                    lstm_step, sigmoid, softmax)
+from .cells import (LstmCell, LstmParams, LstmState, clocked_reset_step,
+                    clocked_step, init_lstm_params, lstm_step, sigmoid,
+                    softmax)
 from .hierarchy import (ClockPlan, Network, NetworkSpec, NetworkState,
                         build_network, derive_clocks)
 from .training import (Batch, GradCheckReport, OptimizerState, TrainConfig,
@@ -36,8 +36,8 @@ __all__ = [
     "SENTENCE_BOUNDARY", "WORD_BOUNDARY", "TokenSequence", "Vocabulary",
     "build_vocab", "byte_vocab", "detokenize", "load_vocab", "save_vocab",
     "split_heldout", "tokenize", "tokenize_lines",
-    "LstmCell", "LstmParams", "LstmState", "cell_backward",
-    "clocked_reset_step", "clocked_step", "init_lstm_params", "lstm_step",
+    "LstmCell", "LstmParams", "LstmState", "clocked_reset_step",
+    "clocked_step", "init_lstm_params", "lstm_step",
     "sigmoid", "softmax",
     "ClockPlan", "Network", "NetworkSpec", "NetworkState", "build_network",
     "derive_clocks",

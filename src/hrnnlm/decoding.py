@@ -27,6 +27,7 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .corpus import Vocabulary, detokenize, escape_symbol, unescape_symbol
 from .errors import ConfigError, DataError, PosteriorFormatError
+from .files import read_exact
 from .hierarchy import Network, NetworkState
 
 BLANK_LABEL = "<blank>"
@@ -126,28 +128,21 @@ def write_posteriors_binary(path, post: PosteriorMatrix) -> None:
         f.write(post.probs.astype("<f4").tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise PosteriorFormatError("posterior file truncated")
-    return data
-
-
 def read_posteriors_binary(path) -> PosteriorMatrix:
     with open(path, "rb") as f:
+        read = partial(read_exact, f, error=PosteriorFormatError)
         if f.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
             raise PosteriorFormatError(f"bad posterior magic in {path}")
-        frames, n_labels, llen = struct.unpack("<III", _read_exact(f, 12))
+        frames, n_labels, llen = struct.unpack("<III", read(12))
         try:
-            text = _read_exact(f, llen).decode("utf-8")
+            text = read(llen).decode("utf-8")
         except UnicodeDecodeError:
             raise PosteriorFormatError(
                 f"posterior labels in {path} are not UTF-8") from None
         labels = [unescape_symbol(s) for s in text.split(" ")]
         if len(labels) != n_labels:
             raise PosteriorFormatError("label count mismatch")
-        data = np.frombuffer(_read_exact(f, frames * n_labels * 4),
-                             dtype="<f4")
+        data = np.frombuffer(read(frames * n_labels * 4), dtype="<f4")
         probs = data.reshape(frames, n_labels).astype(np.float64)
     # f32 rounding can push row sums slightly past the tolerance; renormalize.
     probs = probs / probs.sum(axis=1, keepdims=True)

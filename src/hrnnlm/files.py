@@ -1,8 +1,9 @@
-"""Atomic file replacement for the artifacts the package writes.
+"""File helpers shared by the package's binary formats.
 
 ``atomic_write`` hands out a temporary file in the target's directory and
 moves it over the target only once everything was written and synced, so
 a crash or an exception mid-write leaves the previous file as it was.
+``read_exact`` reads a fixed number of bytes or raises the format's error.
 """
 
 from __future__ import annotations
@@ -33,3 +34,12 @@ def atomic_write(path, mode: str = "w", **open_kw):
         except OSError:
             pass
         raise
+
+
+def read_exact(f, n: int, error: type[Exception]) -> bytes:
+    """Exactly n bytes from the binary file f; raises ``error`` when the
+    file ends first."""
+    data = f.read(n)
+    if len(data) != n:
+        raise error(f"{getattr(f, 'name', 'file')} is truncated")
+    return data

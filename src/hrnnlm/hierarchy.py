@@ -26,8 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cells import (LstmParams, LstmState, LstmTape, lstm_step,
-                    lstm_backward_step, softmax)
+from .cells import (LstmParams, LstmState, LstmTape, LstmWindow,
+                    lstm_backward_step, lstm_step, lstm_window_grads,
+                    scratch_tape, softmax)
 from .corpus import TokenSequence, Vocabulary
 from .errors import ConfigError, DimensionError
 
@@ -259,9 +260,21 @@ def _step_flags(mask: np.ndarray) -> list:
 
 
 @dataclass
-class StepTape:
-    layer_tapes: dict[str, LstmTape]
+class WindowTape:
+    """What ``Network.backward`` needs of one taped forward window.
+
+    ``windows`` holds each layer's ``LstmWindow``, with one slot per step
+    the layer computed; ``steps[name][t]`` is the layer's tape at step t
+    (skipped steps included); ``top_h`` (batch, T, h) is the output layer's
+    activation at every step.
+    """
+
+    windows: dict[str, LstmWindow]
+    steps: dict[str, list[LstmTape]]
     top_h: np.ndarray
+
+    def __len__(self) -> int:
+        return self.top_h.shape[1]
 
 
 class Blocks(dict):
@@ -315,6 +328,7 @@ class Network:
                 slices.append((kind, ref, slice(start, start + width)))
                 start += width
             self.input_slices[d.name] = slices
+        self._token_ids = np.arange(spec.vocab_size)  # one-hot columns
         self.flat = np.zeros(
             sum(LstmParams.size(self._input_dim(d), d.hidden)
                 for d in self.layer_defs)
@@ -402,16 +416,6 @@ class Network:
                  if self.feedup_layer else None)
         return NetworkState(layers=layers, delay=delay)
 
-    def _onehot(self, ids_t: np.ndarray) -> np.ndarray:
-        x = np.zeros((ids_t.shape[0], self.spec.vocab_size))
-        x[np.arange(ids_t.shape[0]), ids_t] = 1.0
-        return x
-
-    def _word_clock(self, ids_t: np.ndarray, active_t: np.ndarray) -> np.ndarray:
-        boundary = ((ids_t == self.spec.word_boundary_id)
-                    | (ids_t == self.spec.sentence_boundary_id))
-        return boundary & active_t
-
     def _window(self, ids: np.ndarray, active: np.ndarray):
         """Per-step clock and word-clock flags of a (B, T) window, plus the
         word module's (B, T, 2) boundary-indicator input (None for mono)."""
@@ -423,51 +427,66 @@ class Network:
         indicator = np.stack([word, sentence], axis=-1).astype(np.float64)
         return clocks, _step_flags(word | sentence), indicator
 
+    def _scratch(self, batch: int):
+        """A slot source for untaped steps: each layer reuses one scratch
+        tape, allocated on first use."""
+        slots: dict[str, LstmTape] = {}
+
+        def slot(name: str) -> LstmTape:
+            s = slots.get(name)
+            if s is None:
+                p = self.layers[name]
+                s = slots[name] = scratch_tape(p.input_dim, p.hidden_dim,
+                                               batch)
+            return s
+        return slot
+
     def _run_step(self, states: dict, delay, ids_t, clock, word_clock,
-                  indicator, collect_tape: bool):
+                  indicator, slot):
         """Advance every layer one step; returns updated (states, delay,
-        probs, tape).  Character layers tick with ``clock`` and reset under
-        ``word_clock``, word layers tick with ``word_clock``."""
-        onehot = self._onehot(ids_t)
+        probs, tapes).  Character layers tick with ``clock`` and reset under
+        ``word_clock``, word layers tick with ``word_clock``.  A layer that
+        ticks on any row computes into ``slot(name)``, an ``LstmTape``
+        whose x columns receive its inputs directly."""
         new_states = dict(states)
-        tapes = {} if collect_tape else None
+        tapes = {}
         for d in self.step_order:
-            parts = []
-            for kind, ref, _ in self.input_slices[d.name]:
-                if kind == "onehot":
-                    parts.append(onehot)
-                elif kind == "hidden":
-                    parts.append(new_states[ref].h)
-                elif kind == "delay":
-                    parts.append(delay)
-                else:
-                    parts.append(indicator)
-            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
             if d.level == 1:
-                gates = (clock, word_clock)
+                c, r = clock, word_clock
             else:
-                gates = (word_clock, False)
-            new_states[d.name], tape = lstm_step(
-                self.layers[d.name], x, states[d.name], *gates)
-            if collect_tape:
-                tapes[d.name] = tape
+                c, r = word_clock, False
+            tape = x = None
+            if c is not False:
+                tape = slot(d.name)
+                x = tape.x
+                for kind, ref, cols in self.input_slices[d.name]:
+                    if kind == "onehot":
+                        np.equal(ids_t[:, None], self._token_ids,
+                                 out=x[:, cols])
+                    elif kind == "hidden":
+                        x[:, cols] = new_states[ref].h
+                    elif kind == "delay":
+                        x[:, cols] = delay
+                    else:
+                        x[:, cols] = indicator
+            new_states[d.name], tapes[d.name] = lstm_step(
+                self.layers[d.name], x, states[d.name], c, r, tape)
 
         top_h = new_states[self.output_layer].h
         probs = softmax(top_h @ self.softmax_W.T + self.softmax_b)
         new_delay = (new_states[self.feedup_layer].h if self.feedup_layer
                      else None)
-        tape = StepTape(tapes, top_h) if collect_tape else None
-        return new_states, new_delay, probs, tape
+        return new_states, new_delay, probs, tapes
 
-    def forward(self, ids, state: Optional[NetworkState] = None,
-                clocks: Optional[ClockPlan] = None, active=None,
-                collect_tape: bool = False):
+    def forward(self, ids, state: Optional[NetworkState] = None, *,
+                active=None, collect_tape: bool = False):
         """Run a token batch through the network.
 
         ids is (T,) or (batch, T).  Returns (probs, final_state, tape) with
         probs shaped (T, V) or (batch, T, V) to match the input.  The input
-        state is never mutated.  An explicit ClockPlan (single sequence
-        only) is checked against the plan the ids imply.
+        state is never mutated.  With ``collect_tape`` the tape is a
+        ``WindowTape`` for ``backward``; each layer's window holds a slot
+        only for the steps the layer computes.
         """
         ids = np.asarray(ids, dtype=np.int64)
         single = ids.ndim == 1
@@ -484,32 +503,45 @@ class Network:
             active = np.asarray(active, dtype=bool)
             if active.shape != ids.shape:
                 raise DimensionError("active mask shape must match ids")
-        if clocks is not None:
-            if not single:
-                raise ConfigError("an explicit ClockPlan applies to a single "
-                                  "sequence only")
-            if clocks.steps != T:
-                raise DimensionError(
-                    f"clock plan covers {clocks.steps} steps, ids have {T}")
-            clocks.validate()
-            if self.spec.levels > 1:
-                implied = self._word_clock(ids[0], active[0])
-                if not np.array_equal(clocks.clocks[1].astype(bool), implied):
-                    raise ConfigError("clock plan does not match the ids")
 
         state = self.init_state(B) if state is None else state
         states = dict(state.layers)
         delay = state.delay
         probs_out = np.empty((B, T, self.spec.vocab_size))
-        tape = [] if collect_tape else None
         clock_flags, word_flags, indicator = self._window(ids, active)
+        tape = None
+        if collect_tape:
+            windows = {}
+            for d in self.layer_defs:
+                flags = clock_flags if d.level == 1 else word_flags
+                p = self.layers[d.name]
+                windows[d.name] = LstmWindow(
+                    p.input_dim, p.hidden_dim,
+                    sum(f is not False for f in flags), B)
+            tape = WindowTape(windows, {name: [] for name in windows},
+                              np.empty((B, T, self._hidden_of(
+                                  self.output_layer))))
+            filled = dict.fromkeys(windows, 0)
+
+            def slot(name: str) -> LstmTape:
+                k = filled[name]
+                filled[name] = k + 1
+                return windows[name].slot(k)
+        else:
+            slot = self._scratch(B)
         for t in range(T):
-            states, delay, probs, st = self._run_step(
+            states, delay, probs, tapes = self._run_step(
                 states, delay, ids[:, t], clock_flags[t], word_flags[t],
-                None if indicator is None else indicator[:, t], collect_tape)
+                None if indicator is None else indicator[:, t], slot)
             probs_out[:, t] = probs
             if collect_tape:
-                tape.append(st)
+                tape.top_h[:, t] = states[self.output_layer].h
+                for name, st in tapes.items():
+                    tape.steps[name].append(st)
+        if collect_tape:
+            # The memory cells are views into the windows: copy them, so
+            # the state carried on does not keep the tape alive.
+            states = {k: LstmState(v.m.copy(), v.h) for k, v in states.items()}
         final = NetworkState(layers=states, delay=delay)
         if single:
             return probs_out[0], final, tape
@@ -534,16 +566,18 @@ class Network:
             word_clock, indicator = False, None
         states, delay, probs, _ = self._run_step(
             dict(state.layers), state.delay, np.array([token_id]), True,
-            word_clock, indicator, False)
+            word_clock, indicator, self._scratch(1))
         return probs[0], NetworkState(layers=states, delay=delay)
 
-    def backward(self, tape: list[StepTape], d_logits) -> Blocks:
+    def backward(self, tape: WindowTape, d_logits) -> Blocks:
         """Reverse-mode gradients of a taped forward run.
 
         d_logits is (batch, T, V) or (T, V): gradient of the loss w.r.t. the
         pre-softmax logits at every step.  State gradients are truncated at
         the window start.  Returns the gradient of every named block, as
-        views into one fresh flat buffer laid out like ``flat``.
+        views into one fresh flat buffer laid out like ``flat``.  Backward
+        consumes the tape (dz replaces the gates), so a tape is reversed
+        once.
         """
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.ndim == 2:
@@ -552,14 +586,15 @@ class Network:
         if d_logits.shape[1] != T:
             raise DimensionError(f"{T} taped steps but "
                                  f"{d_logits.shape[1]} gradient steps")
+        if any(w.reversed for w in tape.windows.values()):
+            raise ConfigError("this tape was already reversed")
         flat = np.zeros_like(self.flat)
         layer_grads, d_W, d_b = self._views(flat)
         B, V = d_logits.shape[0], d_logits.shape[2]
         if T:
             # The softmax layer does not feed the recurrence: all T steps at
             # once.
-            top_h = np.stack([st.top_h for st in tape], axis=1)
-            d_W += d_logits.reshape(-1, V).T @ top_h.reshape(B * T, -1)
+            d_W += d_logits.reshape(-1, V).T @ tape.top_h.reshape(B * T, -1)
             d_b += d_logits.sum(axis=(0, 1))
             d_top = d_logits @ self.softmax_W
         running = {d.name: LstmState.zeros(d.hidden, B)
@@ -568,15 +603,14 @@ class Network:
                    if self.feedup_layer else None)
 
         for t in range(T - 1, -1, -1):
-            st = tape[t]
             running[self.output_layer].h += d_top[:, t]
             if self.feedup_layer:
                 running[self.feedup_layer].h += d_delay
 
             for d in reversed(self.step_order):
                 d_x, d_prev = lstm_backward_step(
-                    self.layers[d.name], st.layer_tapes[d.name],
-                    running[d.name], layer_grads[d.name])
+                    self.layers[d.name], tape.steps[d.name][t],
+                    running[d.name])
                 running[d.name] = d_prev
                 for kind, ref, cols in self.input_slices[d.name]:
                     if kind == "hidden" and d_x is not None:
@@ -585,6 +619,9 @@ class Network:
                         d_delay = (np.zeros_like(d_delay) if d_x is None
                                    else d_x[..., cols])
                     # onehot / indicator inputs are not trainable
+        # One weight-gradient GEMM per layer for the whole window.
+        for name, window in tape.windows.items():
+            lstm_window_grads(window, layer_grads[name])
         return self._blocks(layer_grads, d_W, d_b, flat)
 
 

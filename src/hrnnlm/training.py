@@ -19,6 +19,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ from .blas import one_blas_thread
 from .corpus import TokenSequence, Vocabulary, byte_vocab
 from .errors import (CheckpointError, ConfigError, DataError,
                      DimensionError, DivergenceError, NumericError)
-from .files import atomic_write
+from .files import atomic_write, read_exact
 from .hierarchy import Blocks, Network, NetworkSpec, build_network
 
 LN2 = math.log(2.0)
@@ -365,8 +366,16 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
     epoch when there is no held-out set) at ``checkpoint_path``.  A
     non-finite loss aborts training; the last saved checkpoint is retained.
     Passing ``network`` continues training existing parameters instead of
-    initializing fresh ones from the seed.
+    initializing fresh ones from the seed.  Raises ConfigError up front
+    when no training sequence, or no sequence of a given held-out set,
+    affords a prediction (has at least 2 tokens).
     """
+    if not any(len(s) >= 2 for s in sequences):
+        raise ConfigError("no training sequence has the 2 tokens that one "
+                          "prediction needs")
+    if heldout and not any(len(s) >= 2 for s in heldout):
+        raise ConfigError("no held-out sequence has the 2 tokens that one "
+                          "prediction needs")
     net = network if network is not None \
         else build_network(spec, rng_seed=config.seed)
     params = net.named_blocks()
@@ -519,23 +528,17 @@ def save_checkpoint(path, net: Network, vocab: Optional[Vocabulary] = None
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointError("checkpoint file truncated")
-    return data
-
-
 def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
     with open(path, "rb") as f:
-        if _read_exact(f, len(_MAGIC)) != _MAGIC:
+        read = partial(read_exact, f, error=CheckpointError)
+        if read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"bad checkpoint magic in {path}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
+        (version,) = struct.unpack("<I", read(4))
         if version != _FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4))
+        (hlen,) = struct.unpack("<I", read(4))
         try:
-            header = json.loads(_read_exact(f, hlen).decode("utf-8"))
+            header = json.loads(read(hlen).decode("utf-8"))
             spec = NetworkSpec.from_dict(header["spec"])
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"bad checkpoint header: {e}") from None
@@ -554,16 +557,16 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
                     f"network needs {spec.vocab_size}")
         net = Network(spec, init_scale=0.0)  # zeroed; every block is read
         blocks = net.named_blocks()
-        (n_blocks,) = struct.unpack("<I", _read_exact(f, 4))
+        (n_blocks,) = struct.unpack("<I", read(4))
         if n_blocks != len(blocks):
             raise CheckpointError(
                 f"checkpoint has {n_blocks} blocks, network needs "
                 f"{len(blocks)}")
         seen = set()
         for _ in range(n_blocks):
-            (nlen,) = struct.unpack("<I", _read_exact(f, 4))
+            (nlen,) = struct.unpack("<I", read(4))
             try:
-                name = _read_exact(f, nlen).decode("utf-8")
+                name = read(nlen).decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError("bad block name in checkpoint") from None
             if name not in blocks:
@@ -571,13 +574,13 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
             if name in seen:
                 raise CheckpointError(f"block {name!r} appears twice")
             seen.add(name)
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4))
-            shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
             arr = blocks[name]
             if tuple(shape) != arr.shape:
                 raise CheckpointError(
                     f"block {name!r} has shape {shape}, expected {arr.shape}")
-            data = np.frombuffer(_read_exact(f, arr.size * 8), dtype="<f8")
+            data = np.frombuffer(read(arr.size * 8), dtype="<f8")
             arr[...] = data.reshape(shape)
         # n_blocks distinct known names cover every block; only bytes after
         # the last one can still be wrong.

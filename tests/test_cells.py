@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hrnnlm.cells import (LstmCell, LstmState, cell_backward,
+from hrnnlm.cells import (LstmCell, LstmParams, LstmState, LstmWindow,
                           clocked_reset_step, clocked_step, init_lstm_params,
-                          lstm_step, softmax, zero_lstm_params)
+                          lstm_step, lstm_window_grads, softmax)
 from hrnnlm.errors import DimensionError, NumericError
 
 
@@ -44,7 +44,7 @@ class TestSoftmax:
 
 class TestLstmStep:
     def test_all_zero_params(self):
-        p = zero_lstm_params(4, 3)
+        p = LstmParams(4, 3)
         state, tape = lstm_step(p, np.ones(4), LstmState.zeros(3))
         np.testing.assert_array_equal(tape.i, 0.5 * np.ones(3))
         np.testing.assert_array_equal(tape.f, 0.5 * np.ones(3))
@@ -55,7 +55,7 @@ class TestLstmStep:
     def test_saturated_write_bias_limit(self):
         # with zero weights and a huge write bias, the update tends to
         # 0.5 * m_prev + 0.5 * 1
-        p = zero_lstm_params(2, 3)
+        p = LstmParams(2, 3)
         p.b_m[...] = 30.0
         m_prev = np.array([0.3, -0.8, 1.2])
         state, _ = lstm_step(p, np.zeros(2),
@@ -198,24 +198,39 @@ def _fd_check_cell(cell, xs, clocks, resets, rng, h=1e-5):
     """Finite-difference oracle for a clocked/reset multi-step run.
 
     Loss is a fixed random linear functional of every step's output, which
-    makes the per-step output gradients explicit.
+    makes the per-step output gradients explicit.  The analytic side runs
+    the steps into one window tape, reverses them, and takes the packed
+    parameter gradient of the window.
     """
     T = len(xs)
     w = rng.normal(size=(T, cell.hidden_dim))
+    p = cell.params
+    window = LstmWindow(p.input_dim, p.hidden_dim,
+                        sum(1 for c in clocks if c), 1)
 
-    def run():
+    def run(taped=False):
         state = cell.zero_state()
         tapes = []
         total = 0.0
+        slots = iter(range(window.slots))
         for t in range(T):
-            state, tape = cell.step(xs[t], state, clock=clocks[t],
-                                    reset=resets[t])
+            slot = (window.slot(next(slots), single=True)
+                    if taped and clocks[t] else None)
+            state, tape = lstm_step(p, xs[t], state, clock=clocks[t],
+                                    reset=resets[t], tape=slot)
             tapes.append(tape)
             total += float(w[t] @ state.h)
         return total, tapes
 
-    _, tapes = run()
-    grads, d_inputs, d_state0 = cell_backward(cell, tapes, list(w))
+    _, tapes = run(taped=True)
+    d_state = LstmState(np.zeros(cell.hidden_dim), np.zeros(cell.hidden_dim))
+    d_inputs = [None] * T
+    for t in range(T - 1, -1, -1):
+        d_state = LstmState(d_state.m, d_state.h + w[t])
+        d_inputs[t], d_state = cell.backward_step(tapes[t], d_state)
+    packed = LstmParams(p.input_dim, p.hidden_dim)
+    lstm_window_grads(window, packed)
+    grads = dict(packed.blocks())
     worst = 0.0
     for name, arr in cell.blocks():
         g = grads[name]
@@ -245,7 +260,7 @@ def _fd_check_cell(cell, xs, clocks, resets, rng, h=1e-5):
             numeric = (lp - lm) / (2 * h)
             worst = max(worst, abs(numeric - d_inputs[t][i])
                         / max(abs(numeric), abs(d_inputs[t][i]), 1e-5))
-    return worst, grads, d_state0
+    return worst, grads, d_state
 
 
 class TestBackward:
@@ -272,11 +287,11 @@ class TestBackward:
         state = LstmState(rng.normal(size=3), rng.normal(size=3))
         _, tape = cell.step(x, state, clock=0)
         d_out = LstmState(np.zeros(3), rng.normal(size=3))
-        grads = {}
-        d_x, d_prev = cell.backward_step(tape, d_out, grads)
+        d_x, d_prev = cell.backward_step(tape, d_out)
         assert d_x is None
         assert np.array_equal(d_prev.h, d_out.h)  # passes straight through
-        assert all(np.all(g == 0) for g in grads.values()) or not grads
+        # no window slot, so nothing reaches a parameter gradient
+        assert tape.skipped and tape.window is None
 
     def test_reset_cuts_state_gradient(self):
         rng = np.random.default_rng(25)
@@ -285,17 +300,22 @@ class TestBackward:
         state = LstmState(rng.normal(size=3), rng.normal(size=3))
         _, tape = cell.step(x, state, clock=1, reset=1)
         d_out = LstmState(rng.normal(size=3), rng.normal(size=3))
-        _, d_prev = cell.backward_step(tape, d_out, {})
+        _, d_prev = cell.backward_step(tape, d_out)
         assert np.array_equal(d_prev.m, np.zeros(3))
         assert np.array_equal(d_prev.h, np.zeros(3))
 
     def test_tape_gradient_length_mismatch(self):
+        # a window's parameter gradient needs every one of its steps reversed
         rng = np.random.default_rng(26)
         cell = random_lstm(rng)
+        window = LstmWindow(4, 3, 2, 1)
         state = cell.zero_state()
-        _, tape = cell.step(rng.normal(size=4), state)
+        for k in range(2):
+            state, tape = lstm_step(cell.params, rng.normal(size=4), state,
+                                    tape=window.slot(k, single=True))
+        cell.backward_step(tape, LstmState(np.zeros(3), np.ones(3)))
         with pytest.raises(DimensionError):
-            cell_backward(cell, [tape], [np.zeros(3), np.zeros(3)])
+            lstm_window_grads(window, LstmParams(4, 3))
 
 
 class TestBatchedKernels:

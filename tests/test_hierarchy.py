@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hrnnlm.cells import LstmState, lstm_step, softmax
 from hrnnlm.corpus import build_vocab
-from hrnnlm.errors import ConfigError, DimensionError
+from hrnnlm.errors import ConfigError
 from hrnnlm.hierarchy import (VARIANTS, NetworkSpec, NetworkState,
                               build_network, derive_clocks)
 
@@ -219,21 +219,6 @@ class TestForward:
             delay = c2.h
             expect.append(softmax(c2.h @ net.softmax_W.T + net.softmax_b)[0])
         np.testing.assert_array_equal(probs, np.stack(expect))
-
-    def test_explicit_clock_plan_accepted(self, vocab):
-        net = build_network(tiny_spec(vocab, "hlstm_b"), rng_seed=2)
-        ids = random_sequence(vocab, np.random.default_rng(3))
-        plan = derive_clocks(ids, vocab, 2)
-        p1, _, _ = net.forward(ids, clocks=plan)
-        p2, _, _ = net.forward(ids)
-        np.testing.assert_array_equal(p1, p2)
-
-    def test_mismatched_clock_plan_rejected(self, vocab):
-        net = build_network(tiny_spec(vocab, "hlstm_b"))
-        ids = random_sequence(vocab, np.random.default_rng(4))
-        plan = derive_clocks(ids[:-1], vocab, 2)
-        with pytest.raises((ConfigError, DimensionError)):
-            net.forward(ids, clocks=plan)
 
     def test_rejects_out_of_range_ids(self, vocab):
         net = build_network(tiny_spec(vocab, "hlstm_b"))

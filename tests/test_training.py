@@ -244,6 +244,28 @@ class TestTrainingLoop:
         assert len(lines) == 3
         assert lines[1].startswith("1,") and lines[1].endswith(",0.000")
 
+    def test_corpus_without_a_prediction_rejected(self, vocab, tmp_path):
+        spec = NetworkSpec.for_vocab("hlstm_b", vocab, 4)
+        config = TrainConfig(bptt_length=8, batch_size=1, max_epochs=2,
+                             seed=0)
+        ckpt, metrics = tmp_path / "model.bin", tmp_path / "metrics.csv"
+        with pytest.raises(ConfigError):
+            train(spec, tokenize_lines("\n\n\n", vocab), config,
+                  checkpoint_path=ckpt, metrics_path=metrics)
+        assert not ckpt.exists() and not metrics.exists()
+
+    def test_heldout_without_a_prediction_rejected_up_front(self, vocab,
+                                                              tmp_path):
+        _, seqs = seqs_from("ab cd\nef gh\n")
+        spec = NetworkSpec.for_vocab("hlstm_b", vocab, 4)
+        config = TrainConfig(bptt_length=8, batch_size=1, max_epochs=2,
+                             seed=0)
+        metrics = tmp_path / "metrics.csv"
+        with pytest.raises(ConfigError):
+            train(spec, seqs, config, heldout=tokenize_lines("\n\n", vocab),
+                  metrics_path=metrics)
+        assert not metrics.exists()  # raised before the first epoch
+
 
 class TestGradientCheck:
     def test_mono_small(self, vocab):
