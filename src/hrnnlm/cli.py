@@ -173,7 +173,8 @@ def _read_corpus(values: dict) -> str:
 
 
 def _spec_from(values: dict, vocab) -> NetworkSpec:
-    hidden = [int(h) for h in str(values["hidden"]).split(",")]
+    hidden = [_parse_value("hidden", h, int)
+              for h in str(values["hidden"]).split(",")]
     if len(hidden) == 1:
         hidden = hidden[0]
     return NetworkSpec.for_vocab(values["variant"], vocab, hidden,

@@ -109,8 +109,9 @@ def read_posteriors_text(path) -> PosteriorMatrix:
     if len(rows) != frames:
         raise PosteriorFormatError(
             f"expected {frames} rows, got {len(rows)}")
-    try:  # a ragged row or a non-numeric cell
-        probs = np.array([[float(v) for v in row] for row in rows])
+    try:  # a ragged or short row, or a non-numeric cell
+        probs = np.array([[float(v) for v in row] for row in rows],
+                         dtype=np.float64).reshape(frames, n_labels)
     except ValueError:
         raise PosteriorFormatError(
             f"malformed posterior row in {path}") from None
@@ -144,8 +145,14 @@ def read_posteriors_binary(path) -> PosteriorMatrix:
             raise PosteriorFormatError("label count mismatch")
         data = np.frombuffer(read(frames * n_labels * 4), dtype="<f4")
         probs = data.reshape(frames, n_labels).astype(np.float64)
+    if not np.isfinite(probs).all():
+        raise PosteriorFormatError(f"non-finite posterior value in {path}")
+    sums = probs.sum(axis=1, keepdims=True)
+    if not (sums > 0.0).all():
+        raise PosteriorFormatError(
+            f"a posterior row in {path} does not sum to a positive mass")
     # f32 rounding can push row sums slightly past the tolerance; renormalize.
-    probs = probs / probs.sum(axis=1, keepdims=True)
+    probs = probs / sums
     return PosteriorMatrix(labels=labels, probs=probs)
 
 
@@ -168,8 +175,11 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ConfigError("beam_width must be at least 1")
-        if self.width_prune < 0.0:
+        if not self.width_prune >= 0.0:  # NaN too
             raise ConfigError("width_prune must be non-negative")
+        for key in ("lm_weight", "insertion_bonus"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if self.depth_prune is not None and self.depth_prune < 0:
             raise ConfigError("depth_prune must be non-negative")
 

@@ -36,10 +36,19 @@ def atomic_write(path, mode: str = "w", **open_kw):
         raise
 
 
+# read_exact checks a count above this against the file size before it
+# reads: ``f.read(n)`` allocates n bytes up front, and a corrupt length
+# field can ask for terabytes.  Smaller reads skip the two system calls.
+_CHECKED_READ = 1 << 16
+
+
 def read_exact(f, n: int, error: type[Exception]) -> bytes:
     """Exactly n bytes from the binary file f; raises ``error`` when the
     file ends first."""
-    data = f.read(n)
+    if n > _CHECKED_READ and n > os.fstat(f.fileno()).st_size - f.tell():
+        data = b""
+    else:
+        data = f.read(n)
     if len(data) != n:
         raise error(f"{getattr(f, 'name', 'file')} is truncated")
     return data

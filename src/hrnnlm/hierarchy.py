@@ -285,17 +285,6 @@ class Blocks(dict):
         super().__init__(items)
         self.flat = flat
 
-    def like(self, flat: np.ndarray) -> "Blocks":
-        """The same blocks over another buffer shaped like ``flat``: each at
-        the same offset and with the same strides."""
-        if flat.shape != self.flat.shape or not flat.flags.c_contiguous:
-            raise DimensionError("buffer does not match the block layout")
-        base = self.flat.__array_interface__["data"][0]
-        return Blocks({name: np.ndarray(
-            v.shape, np.float64, buffer=flat, strides=v.strides,
-            offset=v.__array_interface__["data"][0] - base)
-            for name, v in self.items()}, flat)
-
 
 class Network:
     """A built network: spec plus parameters, with forward/backward/step.

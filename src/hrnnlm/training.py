@@ -55,13 +55,13 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ConfigError("adadelta_rho must be in (0, 1)")
-        if self.adadelta_eps <= 0.0:
-            raise ConfigError("adadelta_eps must be positive")
+        if not 0.0 < self.adadelta_eps < math.inf:  # NaN too
+            raise ConfigError("adadelta_eps must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
-        if self.clip_norm is not None and self.clip_norm <= 0.0:
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ConfigError("clip_norm must be positive or None")
 
 
@@ -70,32 +70,32 @@ class TrainConfig:
 _UPDATE_CHUNK = 1 << 15
 
 
+def _flat(blocks, what: str) -> np.ndarray:
+    """The flat vector behind ``blocks``, which must be ``Blocks`` (as from
+    ``Network.named_blocks`` or ``Network.backward``)."""
+    if not isinstance(blocks, Blocks) or blocks.flat.ndim != 1:
+        raise DimensionError(f"{what} must be Blocks over one flat vector")
+    return blocks.flat
+
+
 @dataclass
 class OptimizerState:
-    """Per-block ADADELTA accumulators and Nesterov velocity.
+    """ADADELTA accumulators and Nesterov velocity for one flat parameter
+    vector of N values.
 
-    For parameters given as ``Blocks`` (views into one flat buffer, as from
-    ``Network.named_blocks``) the three dicts are views into the rows of
-    ``flat`` (3 x N), laid out like the parameters, and ``scratch`` is the
-    update's preallocated working memory.
+    ``flat`` (3 x N) holds the squared-gradient average, the squared-delta
+    average and the velocity, each laid out like the parameters;
+    ``scratch`` is the update's preallocated working memory.
     """
 
-    sq_grad: dict[str, np.ndarray]
-    sq_delta: dict[str, np.ndarray]
-    velocity: dict[str, np.ndarray]
-    flat: Optional[np.ndarray] = None
-    scratch: Optional[np.ndarray] = None
+    flat: np.ndarray
+    scratch: np.ndarray
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        if isinstance(params, Blocks):
-            flat = np.zeros((3,) + params.flat.shape)
-            return cls(*(params.like(row) for row in flat), flat=flat,
-                       scratch=np.empty((2, min(params.flat.size,
-                                                _UPDATE_CHUNK))))
-        return cls(sq_grad={k: np.zeros_like(v) for k, v in params.items()},
-                   sq_delta={k: np.zeros_like(v) for k, v in params.items()},
-                   velocity={k: np.zeros_like(v) for k, v in params.items()})
+    def for_params(cls, params: Blocks) -> "OptimizerState":
+        n = _flat(params, "parameters").size
+        return cls(flat=np.zeros((3, n)),
+                   scratch=np.empty((2, min(n, _UPDATE_CHUNK))))
 
 
 def _adadelta_nesterov(p, g, eg, ed, v, tmp, tmp2, rho, eps, mu) -> None:
@@ -123,54 +123,36 @@ def _adadelta_nesterov(p, g, eg, ed, v, tmp, tmp2, rho, eps, mu) -> None:
     p += tmp2
 
 
-def _flat_buffers(params, grads, opt) -> bool:
-    """Whether params, grads and opt are views of flat buffers that share
-    one layout, so the update can run on the flat vectors."""
-    return (isinstance(params, Blocks) and isinstance(grads, Blocks)
-            and opt.flat is not None
-            and grads.flat.shape == params.flat.shape == opt.flat.shape[1:]
-            and params.keys() == grads.keys() == opt.sq_grad.keys())
-
-
-def adadelta_nesterov_update(params: dict[str, np.ndarray],
-                             grads: dict[str, np.ndarray],
+def adadelta_nesterov_update(params: Blocks, grads: Blocks,
                              opt: OptimizerState,
                              config: TrainConfig) -> None:
-    """In-place parameter update.
+    """In-place parameter update over the flat vectors.
 
-    Per block: the squared-gradient average decays with rho, the step is
+    Elementwise: the squared-gradient average decays with rho, the step is
     the gradient rescaled by RMS(previous deltas)/RMS(gradients), the
     squared-delta average absorbs it, and a Nesterov velocity is applied on
-    top:  v <- mu v + delta;  x <- x + mu v + delta.  Blocks are independent,
-    so iteration order cannot matter, and the update runs on the flat
-    vectors when params, grads and opt are views of flat buffers (the
-    result is the same bit for bit).
+    top:  v <- mu v + delta;  x <- x + mu v + delta.  The vectors are
+    updated in chunks the size of ``opt.scratch``.  Raises DimensionError
+    unless params and grads are ``Blocks`` of one layout (the same block
+    names over flat vectors of one length) that ``opt`` was made for, and
+    NumericError, naming the block, on a non-finite gradient.
     """
+    p, g = _flat(params, "parameters"), _flat(grads, "gradients")
+    if not (p.shape == g.shape == opt.flat.shape[1:]
+            and params.keys() == grads.keys()):
+        raise DimensionError("parameters, gradients and optimizer state do "
+                             "not share one layout")
+    if not np.isfinite(g).all():
+        name = next(k for k, b in grads.items() if not np.all(np.isfinite(b)))
+        raise NumericError(f"non-finite gradient in block {name!r}")
     rho, eps, mu = config.adadelta_rho, config.adadelta_eps, config.momentum
-    if _flat_buffers(params, grads, opt):
-        g = grads.flat
-        if not np.isfinite(g).all():
-            name = next(k for k, b in grads.items()
-                        if not np.all(np.isfinite(b)))
-            raise NumericError(f"non-finite gradient in block {name!r}")
-        eg, ed, v = opt.flat
-        tmp, tmp2 = opt.scratch
-        for lo in range(0, g.size, tmp.size):
-            part = slice(lo, lo + tmp.size)
-            n = min(tmp.size, g.size - lo)
-            _adadelta_nesterov(params.flat[part], g[part], eg[part],
-                               ed[part], v[part], tmp[:n], tmp2[:n],
-                               rho, eps, mu)
-        return
-    for name, p in params.items():
-        g = grads[name]
-        if p.shape != g.shape:
-            raise DimensionError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in block {name!r}")
-        _adadelta_nesterov(p, g, opt.sq_grad[name], opt.sq_delta[name],
-                           opt.velocity[name], np.empty(p.shape),
-                           np.empty(p.shape), rho, eps, mu)
+    eg, ed, v = opt.flat
+    tmp, tmp2 = opt.scratch
+    for lo in range(0, g.size, tmp.size):
+        part = slice(lo, lo + tmp.size)
+        n = min(tmp.size, g.size - lo)
+        _adadelta_nesterov(p[part], g[part], eg[part], ed[part], v[part],
+                           tmp[:n], tmp2[:n], rho, eps, mu)
 
 
 @dataclass
@@ -275,24 +257,16 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray,
     return loss, len(bi), d_logits
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most clip_norm;
-    returns the norm before clipping.  Gradients given as ``Blocks`` are
-    measured and scaled as one flat vector."""
-    if isinstance(grads, Blocks):
-        # einsum, not a BLAS dot: OpenBLAS threads long dot products, and
-        # with the CPUs busy that made one norm cost milliseconds.
-        total = math.sqrt(float(np.einsum("i,i->", grads.flat, grads.flat)))
-    else:
-        total = math.sqrt(sum(float(np.sum(g * g))
-                              for _, g in sorted(grads.items())))
+def clip_gradients(grads: Blocks, clip_norm: float) -> float:
+    """Scale the gradients so the L2 norm of their flat vector is at most
+    clip_norm; returns the norm before clipping.  Raises DimensionError
+    unless grads are ``Blocks``."""
+    g = _flat(grads, "gradients")
+    # einsum, not a BLAS dot: OpenBLAS threads long dot products, and with
+    # the CPUs busy that made one norm cost milliseconds.
+    total = math.sqrt(float(np.einsum("i,i->", g, g)))
     if total > clip_norm and total > 0.0:
-        scale = clip_norm / total
-        if isinstance(grads, Blocks):
-            grads.flat *= scale
-        else:
-            for g in grads.values():
-                g *= scale
+        g *= clip_norm / total
     return total
 
 
@@ -540,7 +514,7 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
         try:
             header = json.loads(read(hlen).decode("utf-8"))
             spec = NetworkSpec.from_dict(header["spec"])
-        except (ValueError, KeyError, TypeError) as e:
+        except (ConfigError, ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"bad checkpoint header: {e}") from None
         vocab = None
         if "vocab" in header:
@@ -555,6 +529,10 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
                 raise CheckpointError(
                     f"checkpoint vocabulary has {vocab.size} symbols, "
                     f"network needs {spec.vocab_size}")
+            if spec.variant != "mono" and vocab.boundary_ids != (
+                    spec.word_boundary_id, spec.sentence_boundary_id):
+                raise CheckpointError("checkpoint network and vocabulary "
+                                      "disagree on the boundary ids")
         net = Network(spec, init_scale=0.0)  # zeroed; every block is read
         blocks = net.named_blocks()
         (n_blocks,) = struct.unpack("<I", read(4))

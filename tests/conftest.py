@@ -1,4 +1,5 @@
-"""Shared fixtures: the fixed synthetic overfit corpus and its configs."""
+"""Shared fixtures: the fixed synthetic overfit corpus and its configs, and
+the seeded byte corruption of the file-format property tests."""
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def heldout_text() -> str:
 def overfit_config(max_epochs: int = 200) -> TrainConfig:
     return TrainConfig(bptt_length=64, batch_size=2, max_epochs=max_epochs,
                        seed=OVERFIT_SEED, momentum=0.95, clip_norm=1.0)
+
+
+def corrupt(data: bytes, seed: int, n_bytes: int, span: int) -> bytes:
+    """data with n_bytes seeded random bytes XOR-ed in at random offsets
+    among its first ``span`` bytes."""
+    rng = np.random.default_rng(seed)
+    out = bytearray(data)
+    span = min(span, len(out))
+    for pos, mask in zip(rng.integers(0, span, n_bytes),
+                         rng.integers(1, 256, n_bytes)):
+        out[pos] ^= int(mask)
+    return bytes(out)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Checkpoint format v1: round trips, a file from the format's first
-writer, and damaged files that must raise CheckpointError and nothing else.
+writer, and damaged files that must raise CheckpointError and nothing else
+(corrupted ones: load, or raise a DataError).
 
 ``data/checkpoint_v1_hlstm_a.bin`` was written by the per-block
 implementation that preceded the packed parameter buffer, from
@@ -8,16 +9,19 @@ implementation that preceded the packed parameter buffer, from
 holds that network's ``forward`` probabilities on ``tokenize(TEXT)``.
 """
 
+import json
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import corrupt
 from hrnnlm.cells import LstmParams
+from hrnnlm.cli import main
 from hrnnlm.corpus import build_vocab, byte_vocab, tokenize
-from hrnnlm.errors import CheckpointError
+from hrnnlm.errors import CheckpointError, DataError
 from hrnnlm.hierarchy import Network, NetworkSpec, build_network
 from hrnnlm.training import load_checkpoint, save_checkpoint
 
@@ -164,3 +168,59 @@ def test_cut_at_any_offset_raises_only_checkpoint_error(tmp_path):
         cut.write_bytes(data[:n])
         with pytest.raises(CheckpointError):
             load_checkpoint(cut)
+
+
+def _with_header(data: bytes, edit) -> bytes:
+    """data with its JSON header replaced by ``edit(header)``."""
+    (hlen,) = struct.unpack_from("<I", data, 12)
+    header = json.loads(data[16:16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + hlen:]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("variant", "hlstm_x"), ("levels", 3), ("layers_per_module", 0),
+    ("hidden_dim", [3, -4, 2, 5]), ("word_boundary_id", 9)])
+def test_invalid_header_spec_is_checkpoint_error(tmp_path, key, value):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_with_header(
+        (DATA / "checkpoint_v1_hlstm_a.bin").read_bytes(),
+        lambda h: h["spec"].__setitem__(key, value)))
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(path)
+    assert main(["sample", "--checkpoint", str(path)]) == 2
+
+
+def test_boundary_ids_must_match_the_vocabulary(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_with_header(
+        (DATA / "checkpoint_v1_hlstm_a.bin").read_bytes(),
+        lambda h: h["spec"].update(word_boundary_id=3)))
+    with pytest.raises(CheckpointError, match="boundary"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """A small hlstm_b checkpoint and the committed v1 file, as bytes."""
+    path = tmp_path_factory.mktemp("small") / "model.bin"
+    save_checkpoint(path, build_network(
+        NetworkSpec.for_vocab("hlstm_b", VOCAB, 2), rng_seed=6), VOCAB)
+    return {"small": path.read_bytes(),
+            "v1": (DATA / "checkpoint_v1_hlstm_a.bin").read_bytes()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.sampled_from(["small", "v1"]), seed=st.integers(0, 2**32 - 1),
+       n_bytes=st.integers(1, 4), span=st.sampled_from([300, 1 << 30]))
+@example(source="v1", seed=11, n_bytes=1, span=300)  # spec: ConfigError
+@example(source="v1", seed=392, n_bytes=1, span=300)  # length: MemoryError
+def test_corrupt_bytes_load_or_raise_data_error(tmp_path_factory, originals,
+                                                source, seed, n_bytes, span):
+    path = tmp_path_factory.mktemp("bad") / "model.bin"
+    path.write_bytes(corrupt(originals[source], seed, n_bytes, span))
+    try:
+        load_checkpoint(path)
+    except DataError:
+        pass

@@ -231,3 +231,28 @@ class TestUsage:
     def test_bad_value_type(self, corpus_file):
         assert main(["train", "--corpus", str(corpus_file),
                      "--epochs", "soon"]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden", "4,x"), ("--hidden", "4,,4"), ("--eps", "nan"),
+        ("--eps", "inf"), ("--clip", "nan")])
+    def test_bad_train_value_is_config_error(self, corpus_file, tmp_path,
+                                             capsys, flag, value):
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus_file), "--epochs", "1",
+                     "--output-dir", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--lm-weight", "--insertion-bonus",
+                                      "--width-prune"])
+    def test_nan_decode_weight_is_config_error(self, tmp_path, capsys, flag):
+        vocab = build_vocab("ab")
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, build_network(
+            NetworkSpec.for_vocab("hlstm_b", vocab, 4)), vocab)
+        post_path = tmp_path / "post.txt"
+        write_posteriors_text(post_path, PosteriorMatrix(
+            labels=["a", BLANK_LABEL], probs=[[0.5, 0.5]]))
+        assert main(["decode", "--checkpoint", str(ckpt),
+                     "--posterior", str(post_path), flag, "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import corrupt
 from hrnnlm.corpus import build_vocab, tokenize_lines
 from hrnnlm.decoding import (BLANK_LABEL, DecodeConfig, PosteriorMatrix,
                              beam_search, read_posteriors,
                              read_posteriors_binary, read_posteriors_text,
                              wer, write_posteriors_binary,
                              write_posteriors_text)
-from hrnnlm.errors import ConfigError, PosteriorFormatError
+from hrnnlm.errors import ConfigError, DataError, PosteriorFormatError
 from hrnnlm.hierarchy import NetworkSpec, build_network
 from hrnnlm.training import TrainConfig, train
 
@@ -155,6 +157,82 @@ class TestPosteriorFiles:
         with pytest.raises(PosteriorFormatError):
             read_posteriors_text(p)
 
+    @pytest.mark.parametrize("row", [[0.0, 0.0], [np.inf, 0.5],
+                                     [np.nan, 0.5], [-0.5, 0.0]])
+    def test_binary_row_without_positive_finite_mass(self, tmp_path, row):
+        p = tmp_path / "post.bin"
+        write_posteriors_binary(p, self._post())
+        cells = np.array([row[0], 0.0, row[1]], dtype="<f4").tobytes()
+        p.write_bytes(p.read_bytes()[:-12] + cells)
+        with pytest.raises(PosteriorFormatError):
+            read_posteriors(p)
+
+    def test_zero_frames_round_trip(self, tmp_path):
+        empty = PosteriorMatrix(labels=["a", BLANK_LABEL],
+                                probs=np.zeros((0, 2)))
+        for write in (write_posteriors_text, write_posteriors_binary):
+            write(tmp_path / "post", empty)
+            assert read_posteriors(tmp_path / "post").probs.shape == (0, 2)
+
+
+# Labels that need escapes: backslashes, spaces and line breaks, control
+# characters, and text that looks like an escape.
+_LABELS = st.lists(
+    st.text(min_size=1, max_size=3) | st.sampled_from(
+        ["\\", "a\\b", " ", "\n", "\t", "\x00", "\u2028", "\\x41", "\\u00e9",
+         "\\x", "<w>", "<s>", "\u00e9"]),
+    min_size=1, max_size=5, unique=True).filter(
+        lambda labels: BLANK_LABEL not in labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=_LABELS, frames=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1), binary=st.booleans())
+def test_posterior_round_trip(tmp_path_factory, labels, frames, seed, binary):
+    rng = np.random.default_rng(seed)
+    labels = list(labels)
+    labels.insert(int(rng.integers(len(labels) + 1)), BLANK_LABEL)
+    post = PosteriorMatrix(labels=labels, probs=rng.dirichlet(
+        np.full(len(labels), 0.5), size=frames))
+    path = tmp_path_factory.mktemp("post") / "post"
+    (write_posteriors_binary if binary else write_posteriors_text)(path, post)
+    back = read_posteriors(path)
+    assert back.labels == labels
+    if binary:  # float32 cells, renormalized
+        np.testing.assert_allclose(back.probs, post.probs, rtol=0,
+                                   atol=1e-6)
+    else:
+        np.testing.assert_array_equal(back.probs, post.probs)
+
+
+@pytest.fixture(scope="module")
+def posterior_files(tmp_path_factory):
+    post = PosteriorMatrix(labels=["a", " ", "\\", BLANK_LABEL],
+                           probs=[[0.25, 0.125, 0.125, 0.5],
+                                  [1.0, 0.0, 0.0, 0.0]])
+    path = tmp_path_factory.mktemp("post") / "post"
+    files = {}
+    for kind, write in (("text", write_posteriors_text),
+                        ("binary", write_posteriors_binary)):
+        write(path, post)
+        files[kind] = path.read_bytes()
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["text", "binary"]),
+       seed=st.integers(0, 2**32 - 1), n_bytes=st.integers(1, 4))
+@example(kind="binary", seed=187, n_bytes=1)  # inf cell: 0/0 warning
+@example(kind="binary", seed=97, n_bytes=1)   # frame count: MemoryError
+def test_corrupt_posterior_bytes_load_or_raise_data_error(
+        tmp_path_factory, posterior_files, kind, seed, n_bytes):
+    path = tmp_path_factory.mktemp("bad") / "post"
+    path.write_bytes(corrupt(posterior_files[kind], seed, n_bytes, 1 << 30))
+    try:
+        read_posteriors(path)
+    except DataError:
+        pass
+
 
 class TestBeamSearchBasics:
     def test_single_frame_argmax(self):
@@ -175,6 +253,14 @@ class TestBeamSearchBasics:
                                probs=[[0.9, 0.1]])
         with pytest.raises(ConfigError):
             beam_search(post, net, vocab, DecodeConfig())
+
+    @pytest.mark.parametrize("key, value", [
+        ("lm_weight", math.nan), ("lm_weight", math.inf),
+        ("insertion_bonus", math.nan), ("insertion_bonus", -math.inf),
+        ("width_prune", math.nan)])
+    def test_config_rejects_non_finite(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            DecodeConfig(**{key: value})
 
     def test_tie_break_is_lexicographic(self):
         vocab = build_vocab("ab")

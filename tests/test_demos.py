@@ -40,6 +40,16 @@ def test_cell_and_network_demos_run(name, lines):
     assert "False" not in out
 
 
+def test_train_and_sample_demo_memorizes_its_corpus():
+    lines = run_demo("03_train_and_sample.py").splitlines()
+    first_line = lines[lines.index("training corpus:") + 1]
+    final = next(line for line in lines if line.startswith("final train BPC:"))
+    assert float(final.split()[3]) < 0.1, final
+    greedy = lines[next(i for i, line in enumerate(lines)
+                        if line.startswith("greedy continuation")) + 1]
+    assert greedy.split()[:5] == first_line.split()[:5], (greedy, first_line)
+
+
 def test_ctc_beam_decode_demo_runs():
     out = run_demo("05_ctc_beam_decode.py")
     assert "lm_weight=2.0: best 3 of" in out

@@ -18,7 +18,7 @@ from hrnnlm.cells import (LstmParams, LstmState, init_lstm_params,
                           lstm_backward_step, lstm_step, lstm_window_grads)
 from hrnnlm.corpus import build_vocab, tokenize
 from hrnnlm.errors import NumericError
-from hrnnlm.hierarchy import VARIANTS, NetworkSpec, build_network
+from hrnnlm.hierarchy import VARIANTS, Network, NetworkSpec, build_network
 from hrnnlm.training import (OptimizerState, TrainConfig,
                              adadelta_nesterov_update, clip_gradients)
 
@@ -240,9 +240,10 @@ def test_flat_update_equals_per_block_loop(variant, seed, momentum, chunk):
                for k in ("eg", "ed", "v")}
     params = net.named_blocks()
     opt = OptimizerState.for_params(params)
-    assert opt.flat is not None
     if chunk is not None:  # a smaller scratch: several passes over the vector
         opt.scratch = np.empty((2, chunk))
+    # The accumulator rows, read back by block name.
+    rows = Network(net.spec, init_scale=0.0)
     for step in range(3):
         grads = _grads(net, seed + step)
         plain = {k: v.copy() for k, v in grads.items()}
@@ -250,9 +251,10 @@ def test_flat_update_equals_per_block_loop(variant, seed, momentum, chunk):
         _ref_update(ref, plain, ref_opt, config)
         for name in ref:
             assert np.array_equal(params[name], ref[name]), name
-            assert np.array_equal(opt.sq_grad[name], ref_opt["eg"][name])
-            assert np.array_equal(opt.sq_delta[name], ref_opt["ed"][name])
-            assert np.array_equal(opt.velocity[name], ref_opt["v"][name])
+        for row, key in zip(opt.flat, ("eg", "ed", "v")):
+            rows.flat[...] = row
+            for name, acc in rows.named_blocks().items():
+                assert np.array_equal(acc, ref_opt[key][name]), (key, name)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

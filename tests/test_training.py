@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from hrnnlm.corpus import build_vocab, tokenize, tokenize_lines
-from hrnnlm.errors import (CheckpointError, ConfigError, DivergenceError,
-                           NumericError)
+from hrnnlm.errors import (CheckpointError, ConfigError, DimensionError,
+                           DivergenceError, NumericError)
 from hrnnlm.evaluation import bpc, evaluate
-from hrnnlm.hierarchy import NetworkSpec, build_network
+from hrnnlm.hierarchy import Blocks, NetworkSpec, build_network
 from hrnnlm.training import (OptimizerState, TrainConfig,
                              adadelta_nesterov_update, batch_sequences,
-                             cross_entropy, gradient_check, load_checkpoint,
-                             save_checkpoint, train)
+                             clip_gradients, cross_entropy, gradient_check,
+                             load_checkpoint, save_checkpoint, train)
 
 
 @pytest.fixture
@@ -64,16 +64,22 @@ class TestBatcher:
         assert [bool(w.reset[0]) for w in windows] == [True, True]
 
 
+def one_block(values) -> Blocks:
+    """A one-block ``Blocks`` over its own buffer."""
+    flat = np.array(values, dtype=np.float64)
+    return Blocks({"w": flat}, flat)
+
+
 class TestAdadeltaNesterov:
-    def _fresh(self, shape=(1,)):
-        params = {"w": np.zeros(shape)}
+    def _fresh(self, n=1):
+        params = one_block(np.zeros(n))
         return params, OptimizerState.for_params(params)
 
     def test_first_step_magnitude(self):
         config = TrainConfig(adadelta_rho=0.95, adadelta_eps=1e-6,
                              momentum=0.0)
         params, opt = self._fresh()
-        adadelta_nesterov_update(params, {"w": np.ones(1)}, opt, config)
+        adadelta_nesterov_update(params, one_block(np.ones(1)), opt, config)
         # first step from zero accumulators, unit gradient:
         # -sqrt(eps) / sqrt(0.05 + eps)
         expect = -math.sqrt(1e-6) / math.sqrt(0.05 + 1e-6)
@@ -82,17 +88,17 @@ class TestAdadeltaNesterov:
 
     def test_zero_gradient_keeps_params_and_decays_accumulators(self):
         config = TrainConfig(momentum=0.9)
-        params, opt = self._fresh((3,))
+        params, opt = self._fresh(3)
         params["w"][...] = [1.0, -2.0, 0.5]
-        adadelta_nesterov_update(params, {"w": np.ones(3)}, opt, config)
+        adadelta_nesterov_update(params, one_block(np.ones(3)), opt, config)
         snap_w = params["w"].copy()
-        snap_eg = opt.sq_grad["w"].copy()
-        snap_ed = opt.sq_delta["w"].copy()
-        opt.velocity["w"][...] = 0.0  # isolate the zero-gradient behavior
-        adadelta_nesterov_update(params, {"w": np.zeros(3)}, opt, config)
+        snap_eg = opt.flat[0].copy()
+        snap_ed = opt.flat[1].copy()
+        opt.flat[2] = 0.0  # isolate the zero-gradient behavior
+        adadelta_nesterov_update(params, one_block(np.zeros(3)), opt, config)
         np.testing.assert_array_equal(params["w"], snap_w)
-        np.testing.assert_allclose(opt.sq_grad["w"], 0.95 * snap_eg)
-        np.testing.assert_allclose(opt.sq_delta["w"], 0.95 * snap_ed)
+        np.testing.assert_allclose(opt.flat[0], 0.95 * snap_eg)
+        np.testing.assert_allclose(opt.flat[1], 0.95 * snap_ed)
 
     def test_no_momentum_reduces_to_plain_adadelta(self):
         # reference: independent textbook adadelta recursion
@@ -100,9 +106,9 @@ class TestAdadeltaNesterov:
         grads = [rng.normal(size=4) for _ in range(10)]
         config = TrainConfig(adadelta_rho=0.9, adadelta_eps=1e-6,
                              momentum=0.0)
-        params, opt = self._fresh((4,))
+        params, opt = self._fresh(4)
         for g in grads:
-            adadelta_nesterov_update(params, {"w": g.copy()}, opt, config)
+            adadelta_nesterov_update(params, one_block(g), opt, config)
         x = np.zeros(4)
         eg = np.zeros(4)
         ed = np.zeros(4)
@@ -113,24 +119,10 @@ class TestAdadeltaNesterov:
             x = x + delta
         np.testing.assert_allclose(params["w"], x, rtol=1e-12)
 
-    def test_block_iteration_order_irrelevant(self):
-        rng = np.random.default_rng(4)
-        config = TrainConfig()
-        blocks = {f"b{i}": rng.normal(size=3) for i in range(5)}
-        grads = {k: rng.normal(size=3) for k in blocks}
-        fwd = {k: v.copy() for k, v in blocks.items()}
-        opt_f = OptimizerState.for_params(fwd)
-        adadelta_nesterov_update(fwd, grads, opt_f, config)
-        rev = {k: blocks[k].copy() for k in reversed(list(blocks))}
-        opt_r = OptimizerState.for_params(rev)
-        adadelta_nesterov_update(rev, grads, opt_r, config)
-        for k in blocks:
-            np.testing.assert_array_equal(fwd[k], rev[k])
-
     def test_non_finite_gradient_names_block(self):
         config = TrainConfig()
-        params, opt = self._fresh((2,))
-        bad = {"w": np.array([1.0, np.nan])}
+        params, opt = self._fresh(2)
+        bad = one_block([1.0, np.nan])
         with pytest.raises(NumericError, match="'w'"):
             adadelta_nesterov_update(params, bad, opt, config)
 
@@ -141,6 +133,54 @@ class TestAdadeltaNesterov:
             TrainConfig(momentum=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(bptt_length=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("adadelta_eps", math.nan), ("adadelta_eps", math.inf),
+        ("clip_norm", math.nan)])
+    def test_config_rejects_non_finite(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
+
+    def test_infinite_clip_norm_never_clips(self):
+        TrainConfig(clip_norm=math.inf)
+        grads = one_block([3.0, 4.0])
+        assert clip_gradients(grads, math.inf) == 5.0
+        np.testing.assert_array_equal(grads.flat, [3.0, 4.0])
+
+
+class TestOptimizerLayout:
+    """Clipping and the update run only on ``Blocks`` of one layout."""
+
+    @pytest.mark.parametrize("bad", [{"w": np.zeros(3)},
+                                     one_block(np.zeros((2, 3)))],
+                             ids=["dict", "2-d buffer"])
+    def test_for_params_and_clip_reject(self, bad):
+        with pytest.raises(DimensionError):
+            OptimizerState.for_params(bad)
+        with pytest.raises(DimensionError):
+            clip_gradients(bad, 1.0)
+
+    @pytest.mark.parametrize("case", ["dict params", "dict grads",
+                                      "2-d grads", "grads length",
+                                      "grads names", "state length"])
+    def test_update_rejects(self, case):
+        params, grads = one_block(np.zeros(3)), one_block(np.ones(3))
+        opt = OptimizerState.for_params(params)
+        if case == "dict params":
+            params = {"w": params.flat}
+        elif case == "dict grads":
+            grads = {"w": grads.flat}
+        elif case == "2-d grads":
+            grads = one_block(np.zeros((2, 3)))
+        elif case == "grads length":
+            grads = one_block(np.ones(4))
+        elif case == "grads names":
+            grads = Blocks({"v": grads.flat}, grads.flat)
+        else:
+            opt = OptimizerState.for_params(one_block(np.zeros(4)))
+        with pytest.raises(DimensionError):
+            adadelta_nesterov_update(params, grads, opt, TrainConfig())
+        np.testing.assert_array_equal(params["w"], 0.0)
 
 
 class TestTrainingLoop:
