@@ -7,10 +7,15 @@ either one sequence (inputs shaped ``(d,)``, states ``(h,)``) or a batch
 
     s_t = (1 - c_t)(1 - r_t) s_{t-1} + c_t f(x_t, (1 - r_t) s_{t-1})
 
-realized with mask selection rather than arithmetic blending so that a low
-clock preserves the previous state bit for bit.  A mask that is the same on
-every row selects without copying, so a layer whose clock is low on every
-row returns the (reset-masked) previous state arrays themselves.
+realized by row selection rather than arithmetic blending: a step computes
+only the rows whose clock is high, and every other row keeps its
+(reset-masked) previous state bit for bit.  ``clock_rows`` turns a clock
+into the rows it selects.  A clock high on every row computes the whole
+batch; one high on the leading k rows computes the view ``[:k]``; any
+other partial clock gathers its rows, computes them, and scatters the
+results into a copy of the state.  A layer whose clock is low on every row
+computes nothing and returns the (reset-masked) previous state arrays
+themselves.
 
 Parameter layout.  A layer with input width D and H units is one packed
 float64 buffer, ``LstmParams.flat``, of 4H(D + H) + 3H + 4H numbers:
@@ -29,24 +34,27 @@ through a block changes the layer; the blocks' names, shapes and order
 (``LstmParams.blocks``) are those of checkpoint format v1.
 
 Window tapes.  An ``LstmWindow`` preallocates what backward needs of one
-layer over a window of computed steps: per step, the GEMM input [x, h'],
-the gates, the reset-masked previous memory, the fresh memory and its
-tanh.  Each computed ``lstm_step`` writes one slot of it (an ``LstmTape``)
-in place; a caller may write the step's inputs straight into the slot's x
-columns.  ``lstm_backward_step`` reverses one step: it computes dz, the
-gradient of the gate pre-activations, stores it as (b, 4h) rows over the
-gates it has just read, and runs the one per-step GEMM, ``dz @ W``.  Once
-every step of the window is reversed, ``lstm_window_grads`` forms the
-parameter gradient of the whole window with one ``dz.T @ [x, h']`` GEMM
-plus the peephole and bias reductions: the weight gradient once per
-sequence, not once per step (Appleyard et al. 2016, arXiv 1604.01946).
-Steps that are never reversed (scoring, streaming, decoding) run through
-a ``scratch_tape``: one step's buffers, reused for every step of a call.
+layer over a window of computed steps: per computed row of each step, the
+GEMM input [x, h'], the gates, the reset-masked previous memory, the fresh
+memory and its tanh.  A step holds only the rows it computed, so the slots
+of a window are ragged.  Each computed ``lstm_step`` writes one slot of it
+(an ``LstmTape``) in place; a caller may write the computed rows' inputs
+straight into the slot's x columns.  ``lstm_backward_step`` reverses one
+step: it computes dz, the gradient of the gate pre-activations, stores it
+as (k, 4h) rows over the gates it has just read, and runs the one
+per-step GEMM, ``dz @ W``.  Once every step of the window is reversed,
+``lstm_window_grads`` forms the parameter gradient of the whole window
+with one ``dz.T @ [x, h']`` GEMM over every computed row, plus the
+peephole and bias reductions: the weight gradient once per sequence, not
+once per step (Appleyard et al. 2016, arXiv 1604.01946).  Steps that are
+never reversed (scoring, streaming, decoding) run through a
+``scratch_tape``: one step's buffers, reused for every step of a call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -88,42 +96,80 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
+def _check_rows(m: np.ndarray, state_arr: np.ndarray) -> None:
+    if m.ndim != state_arr.ndim - 1 or m.shape[0] != state_arr.shape[0]:
+        raise DimensionError(
+            f"clock/reset shape {m.shape} does not match state batch "
+            f"{state_arr.shape}")
+
+
 def _mask(flag, state_arr: np.ndarray):
-    """A clock/reset flag as True or False when it is the same on every row,
-    else as a (b, 1) bool mask broadcastable over a state."""
+    """A reset flag as True or False when it is the same on every row, else
+    as a (b, 1) bool mask broadcastable over a state."""
     if flag is True or flag is False:
         return flag
     m = np.asarray(flag, dtype=bool)
     if m.ndim == 0:
         return bool(m)
-    if m.ndim != state_arr.ndim - 1 or m.shape[0] != state_arr.shape[0]:
-        raise DimensionError(
-            f"clock/reset shape {m.shape} does not match state batch "
-            f"{state_arr.shape}")
-    if m.all():
+    _check_rows(m, state_arr)
+    k = np.count_nonzero(m)
+    if k == m.size:
         return True
-    if not m.any():
+    if k == 0:
         return False
     return m[:, None]
 
 
-def _zero_where(mask, a: np.ndarray) -> np.ndarray:
-    """a with the rows under the mask zeroed; a itself when no row is."""
+def clock_rows(flag, state_arr: np.ndarray):
+    """The rows of a state that a clock flag selects: True when it is high
+    on every row, False when on none, ``slice(0, k)`` when on exactly the
+    leading k rows, else the (k,) row indices, ascending."""
+    if flag is True or flag is False:
+        return flag
+    m = np.asarray(flag, dtype=bool)
+    if m.ndim == 0:
+        return bool(m)
+    _check_rows(m, state_arr)
+    rows = m.nonzero()[0]
+    k = rows.size
+    if k == m.size:
+        return True
+    if k == 0:
+        return False
+    return slice(0, k) if rows[-1] == k - 1 else rows
+
+
+def take_rows(a: np.ndarray, rows) -> np.ndarray:
+    """The rows of a that ``clock_rows`` selected (True, a slice or indices):
+    a itself, a view of the leading rows, or a gathered copy."""
+    return a if rows is True else a[rows]
+
+
+def row_count(rows, state_arr: np.ndarray) -> int:
+    """How many rows a selection other than False holds."""
+    if rows is True:
+        return state_arr.shape[0] if state_arr.ndim == 2 else 1
+    return rows.stop if isinstance(rows, slice) else rows.size
+
+
+def _zero_where(mask, a: np.ndarray, copy: bool = False) -> np.ndarray:
+    """a with the rows under the mask zeroed; a itself when no row is,
+    unless a copy is asked for."""
     if mask is False:
-        return a
+        return a.copy() if copy else a
     if mask is True:
         return np.zeros_like(a)
     return np.where(mask, 0.0, a)
 
 
-def _copy_zeroed(mask, a: np.ndarray, out: np.ndarray) -> None:
-    """Write a into out with the rows under the mask zeroed."""
+def _gather_zeroed(a: np.ndarray, rows, mask, out: np.ndarray) -> None:
+    """Write the selected rows of a into out, zeroed where the mask is."""
     if mask is True:
         out.fill(0.0)
         return
-    np.copyto(out, a)
+    np.copyto(out, a if rows is True else a[rows])
     if mask is not False:
-        np.copyto(out, 0.0, where=mask)
+        np.copyto(out, 0.0, where=mask if rows is True else mask[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -208,52 +254,64 @@ class LstmState:
 
 
 class LstmWindow:
-    """The forward buffers of one layer over ``slots`` computed steps of
-    ``batch`` rows, all in one allocation.
+    """The forward buffers of one layer over ``slots`` computed steps, all
+    in one allocation.
 
-    Per slot: ``xh`` (b, D + H), the GEMM input [x, h']; ``gates`` (4, b, h),
-    the i, f, g, o activations gate-major, which backward overwrites with
-    the step's dz as (b, 4h) rows; ``m_in``, ``m_new`` and ``tanh_m`` (b, h).
-    ``reversed`` counts the slots backward has reversed.
+    ``batch`` is the number of rows every step computes, or a sequence of
+    each step's count: a slot holds only the rows its step computed.  Per
+    row, over every slot in order: ``xh`` (D + H), the GEMM input [x, h'];
+    ``gates`` (4h), the i, f, g, o activations, gate-major within a slot of
+    k rows ((4, k, h)) until backward overwrites them with the slot's dz as
+    (k, 4h) rows; ``m_in``, ``m_new`` and ``tanh_m`` (h).  ``reversed``
+    counts the slots backward has reversed.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, slots: int,
-                 batch: int):
-        D, H, n, B = input_dim, hidden_dim, slots, batch
-        n_xh, n_g = n * B * (D + H), n * 4 * B * H
-        buf = np.empty(n_xh + n_g + 3 * n * B * H)
+    def __init__(self, input_dim: int, hidden_dim: int, slots: int, batch):
+        D, H = input_dim, hidden_dim
+        counts = ([int(batch)] * slots if np.ndim(batch) == 0
+                  else [int(k) for k in batch])
+        if len(counts) != slots:
+            raise DimensionError(f"{len(counts)} row counts for {slots} slots")
+        self.offsets = [0, *accumulate(counts)]
+        n = self.offsets[-1]
+        buf = np.empty(n * (D + 8 * H))
         self.input_dim, self.hidden_dim = D, H
-        self.slots, self.batch = n, B
-        self.xh = buf[:n_xh].reshape(n, B, D + H)
-        self.gates = buf[n_xh:n_xh + n_g].reshape(n, 4, B, H)
+        self.slots, self.rows = slots, n
+        self.xh = buf[:n * (D + H)].reshape(n, D + H)
+        self.gates = buf[n * (D + H):n * (D + 5 * H)].reshape(n, 4 * H)
         self.m_in, self.m_new, self.tanh_m = (
-            buf[n_xh + n_g:].reshape(3, n, B, H))
-        self.dz: Optional[np.ndarray] = None  # backward's (4, b, h) scratch
+            buf[n * (D + 5 * H):].reshape(3, n, H))
+        # backward's (4, k, h) scratch, as long as the largest slot
+        self.dz = np.empty(4 * max(counts, default=0) * H)
         self.reversed = 0
 
     def slot(self, k: int, single: bool = False) -> "LstmTape":
         """The tape of step slot k, as views into the window."""
-        return LstmTape(self, self.xh[k], self.m_in[k], self.gates[k],
-                        self.m_new[k], self.tanh_m[k], single=single)
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        return LstmTape(self, self.xh[lo:hi], self.m_in[lo:hi],
+                        self.gates[lo:hi].reshape(4, hi - lo, -1),
+                        self.m_new[lo:hi], self.tanh_m[lo:hi], single=single)
 
 
 class LstmTape:
-    """One step of one layer: views into its ``LstmWindow`` slot, the
-    step's clock and reset masks, and whether it was skipped (clock low on
-    every row: no slot, no arrays) or unbatched (b = 1, ``single``).
+    """One step of one layer: views into its ``LstmWindow`` slot, which
+    holds one row per row the step computed; the ``rows`` of the state
+    they are (as from ``clock_rows``); the reset mask; and whether the step
+    was skipped (clock low on every row: no slot, no arrays) or unbatched
+    (b = 1, ``single``).
 
     ``x`` and ``h_in`` are the input and recurrent columns of ``xh``: a
-    caller may write the step's input into ``x`` and pass ``tape.x`` itself
-    to ``lstm_step``.  ``i``, ``f``, ``g`` and ``o`` are the gate
-    activations until backward has reversed the step.  A tape without a
-    window (``scratch_tape``) cannot be reversed.
+    caller may write the computed rows' inputs into ``x`` and pass
+    ``tape.x`` itself to ``lstm_step``.  ``i``, ``f``, ``g`` and ``o`` are
+    the gate activations until backward has reversed the step.  A tape
+    without a window (``scratch_tape``) cannot be reversed.
     """
 
     __slots__ = ("window", "xh", "x", "h_in", "m_in", "gates", "m_new",
-                 "tanh_m", "clock", "reset", "skipped", "single")
+                 "tanh_m", "rows", "reset", "skipped", "single")
 
     def __init__(self, window, xh=None, m_in=None, gates=None, m_new=None,
-                 tanh_m=None, clock=True, reset=False, skipped=False,
+                 tanh_m=None, rows=True, reset=False, skipped=False,
                  single=False):
         self.window, self.xh, self.m_in = window, xh, m_in
         self.x = self.h_in = None
@@ -261,7 +319,7 @@ class LstmTape:
             D = xh.shape[1] - m_in.shape[1]
             self.x, self.h_in = xh[:, :D], xh[:, D:]
         self.gates, self.m_new, self.tanh_m = gates, m_new, tanh_m
-        self.clock, self.reset = clock, reset
+        self.rows, self.reset = rows, reset
         self.skipped, self.single = skipped, single
 
     def _gate(self, k: int):
@@ -274,11 +332,21 @@ class LstmTape:
     g = property(lambda self: self._gate(2))
     o = property(lambda self: self._gate(3))
 
+    def head(self, rows: int) -> "LstmTape":
+        """A tape over the first ``rows`` rows of this one's buffers, which
+        cannot be reversed.  Its gates are the first 4 x rows x h numbers
+        of this tape's (contiguous) gates, so each gate stays one block."""
+        H = self.m_in.shape[1]
+        gates = self.gates.reshape(-1)[:4 * rows * H].reshape(4, rows, H)
+        return LstmTape(None, self.xh[:rows], self.m_in[:rows], gates,
+                        self.m_new[:rows], self.tanh_m[:rows])
+
 
 def scratch_tape(input_dim: int, hidden_dim: int, batch: int) -> LstmTape:
     """The buffers of one step of ``batch`` rows, for steps that are not
-    reversed: a caller may run every step of a pass through it, since a
-    step reads its input state before it writes the slot."""
+    reversed: a caller may run every step of a pass through it, or through
+    its ``head`` when a step computes fewer rows, since a step reads its
+    input state before it writes the tape."""
     xh = np.empty((batch, input_dim + hidden_dim))
     buf = np.empty((7, batch, hidden_dim))  # gates, m_in, m_new, tanh_m
     return LstmTape(None, xh, buf[4], buf[:4], buf[5], buf[6])
@@ -298,41 +366,53 @@ def lstm_step(params: LstmParams, x, state: LstmState,
         h = o * tanh(m)
 
     where (m', h') is the previous state zeroed wherever the reset is high.
-    All four pre-activations come from one GEMM of [x, h'] against the
-    packed W.  With the clock low the (reset-masked) previous state is kept
-    untouched, and x is not read (it may be None).
+    Only the rows whose clock is high are computed (``clock_rows``): all
+    four pre-activations come from one GEMM of their [x, h'] against the
+    packed W.  Every other row keeps its (reset-masked) previous state
+    untouched, and its x is not read (x may be None when the clock is low
+    on every row).
 
-    ``tape`` is the window slot the step writes (``LstmWindow.slot``); a
-    one-step window is allocated when it is omitted.  When x is ``tape.x``
-    itself the input is already in place and is not copied.  The new m is
-    the slot's ``m_new``, so a slot must not be rewritten while that state
-    is still to be read.
+    ``tape`` is the window slot the step writes (``LstmWindow.slot``), one
+    row per computed row; a one-step window is allocated when it is
+    omitted.  x has a row for every row of the state, or it is ``tape.x``
+    itself, already holding the computed rows' inputs, and is then not
+    copied.  When every row is computed the new m is the slot's ``m_new``,
+    so a slot must not be rewritten while that state is still to be read.
     """
     H = params.hidden_dim
     if state.h.shape[-1] != H:
         raise DimensionError(
             f"state width {state.h.shape[-1]} != expected {H}")
-    cm = _mask(clock, state.h)
+    rows = clock_rows(clock, state.h)
     rm = _mask(reset, state.h)
-    if cm is False:
+    if rows is False:
         # Clock low everywhere: nothing to compute, state passes through.
         return (LstmState(_zero_where(rm, state.m), _zero_where(rm, state.h)),
-                LstmTape(None, clock=cm, reset=rm, skipped=True))
+                LstmTape(None, rows=False, reset=rm, skipped=True))
 
-    D = params.input_dim
+    D, n = params.input_dim, row_count(rows, state.h)
+    if tape is not None and tape.xh.shape[0] != n:
+        raise DimensionError(f"a tape of {tape.xh.shape[0]} rows for a step "
+                             f"that computes {n}")
     if tape is None or x is not tape.x:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != D:
             raise DimensionError(f"input width {x.shape[-1]} != expected {D}")
+        if x.shape[:-1] != state.h.shape[:-1]:
+            raise DimensionError(f"input rows {x.shape[:-1]} != state rows "
+                                 f"{state.h.shape[:-1]}")
         if tape is None:
-            single = x.ndim == 1
-            tape = LstmWindow(D, H, 1, 1 if single else x.shape[0]).slot(
-                0, single)
-        np.copyto(tape.x, x)
-    tape.clock, tape.reset = cm, rm
-    xh, h_in, m_in, z = tape.xh, tape.h_in, tape.m_in, tape.gates
-    _copy_zeroed(rm, state.h, h_in)
-    _copy_zeroed(rm, state.m, m_in)
+            tape = LstmWindow(D, H, 1, n).slot(0, single=x.ndim == 1)
+        np.copyto(tape.x, take_rows(x, rows))
+    tape.rows, tape.reset = rows, rm
+    xh, m_in, z = tape.xh, tape.m_in, tape.gates
+    _gather_zeroed(state.h, rows, rm, tape.h_in)
+    _gather_zeroed(state.m, rows, rm, m_in)
+    if rows is not True:
+        # The rows that do not compute keep their state: copied before the
+        # slot is written, since a scratch slot may hold that state.
+        m_out, h_out = (_zero_where(rm, state.m, copy=True),
+                        _zero_where(rm, state.h, copy=True))
     # One GEMM for all gates, then bias and a gate-major copy in one pass:
     # ufuncs over contiguous (b, h) gate blocks cost about half as much as
     # over strided column slices at small sizes.
@@ -350,27 +430,28 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     tanh_m = np.tanh(m_new, out=tape.tanh_m)
     h_new = o * tanh_m
 
-    if cm is True:
-        m, h = m_new, h_new
-    else:
-        m, h = np.where(cm, m_new, m_in), np.where(cm, h_new, h_in)
+    if rows is not True:
+        m_out[rows], h_out[rows] = m_new, h_new
+        return LstmState(m_out, h_out), tape
     if tape.single:
-        m, h = m[0], h[0]
-    return LstmState(m, h), tape
+        m_new, h_new = m_new[0], h_new[0]
+    return LstmState(m_new, h_new), tape
 
 
 def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState
                        ) -> tuple[Optional[np.ndarray], LstmState]:
     """Reverse one LSTM step.
 
-    d_state holds gradients w.r.t. the step's output state (m, h).  Returns
-    (d_x, d_state_prev).  The step's dz replaces its gates in the window
-    (as (b, 4h) rows), where ``lstm_window_grads`` turns the dz of every
-    step into the parameter gradient.  Steps taken with the clock low
-    contribute nothing to parameters or inputs (d_x is None); a high reset
-    cuts the gradient path to the pre-reset state.
+    d_state holds gradients w.r.t. the step's output state (m, h), on every
+    row.  Returns (d_x, d_state_prev).  d_x is shaped like ``tape.x``: the
+    gradient w.r.t. the inputs of the rows the step computed, or None when
+    it skipped the step.  Rows the step did not compute pass their state
+    gradient through unchanged and reach no parameter; a high reset cuts
+    the gradient path to the pre-reset state.  The step's dz replaces its
+    gates in the window (as (k, 4h) rows), where ``lstm_window_grads``
+    turns the dz of every step into the parameter gradient.
     """
-    cm, rm = tape.clock, tape.reset
+    rows, rm = tape.rows, tape.reset
     if tape.skipped:
         d_prev = LstmState(_zero_where(rm, d_state.m),
                            _zero_where(rm, d_state.h))
@@ -380,18 +461,11 @@ def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState
     d_m_out, d_h_out = d_state.m, d_state.h
     if tape.single:
         d_m_out, d_h_out = d_m_out[None], d_h_out[None]
-    all_high = cm is True
-    if all_high:
-        d_m_new, d_h_new = d_m_out, d_h_out
-    else:
-        d_m_new = np.where(cm, d_m_out, 0.0)
-        d_h_new = np.where(cm, d_h_out, 0.0)
+    d_m_new, d_h_new = take_rows(d_m_out, rows), take_rows(d_h_out, rows)
     window, gates, tanh_m = tape.window, tape.gates, tape.tanh_m
     if window is None:
         raise ConfigError("a scratch tape cannot be reversed")
-    if window.dz is None:
-        window.dz = np.empty_like(gates)
-    dz = window.dz
+    dz = window.dz[:gates.size].reshape(gates.shape)
     i, f, g, o = gates
     dz_i, dz_f, dz_g, dz_o = dz
     np.subtract(1.0, gates, out=dz)
@@ -422,14 +496,16 @@ def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState
     window.reversed += 1
     d_xh = dz_rows @ params.W
     d_x, d_h_in = d_xh[:, :D], d_xh[:, D:]
-    if not all_high:
-        d_m_in += np.where(cm, 0.0, d_m_out)
-        d_h_in = d_h_in + np.where(cm, 0.0, d_h_out)
-
-    if tape.single:
+    if rows is not True:
+        d_m_prev, d_h_prev = d_m_out.copy(), d_h_out.copy()
+        d_m_prev[rows], d_h_prev[rows] = d_m_in, d_h_in
+        d_m_in, d_h_in = d_m_prev, d_h_prev
+    elif tape.single:
         d_x, d_m_in, d_h_in = d_x[0], d_m_in[0], d_h_in[0]
-    d_prev = LstmState(_zero_where(rm, d_m_in), _zero_where(rm, d_h_in))
-    return d_x, d_prev
+    if rm is not False:  # both arrays are this call's own
+        np.copyto(d_m_in, 0.0, where=rm)
+        np.copyto(d_h_in, 0.0, where=rm)
+    return d_x, LstmState(d_m_in, d_h_in)
 
 
 def lstm_window_grads(window: LstmWindow, grads: LstmParams) -> None:
@@ -440,14 +516,13 @@ def lstm_window_grads(window: LstmWindow, grads: LstmParams) -> None:
     if window.reversed != window.slots:
         raise DimensionError(
             f"{window.reversed} of {window.slots} window steps reversed")
-    n, B, H = window.slots, window.batch, window.hidden_dim
-    if n == 0:
+    if window.rows == 0:
         return
-    dz = window.gates.reshape(n * B, 4 * H)
-    grads.W += dz.T @ window.xh.reshape(n * B, -1)
-    dz4 = window.gates.reshape(n, B, 4, H)
-    grads.peep[:2] += np.einsum("tbkh,tbh->kh", dz4[:, :, :2], window.m_in)
-    grads.w_om += np.einsum("tbh,tbh->h", dz4[:, :, 3], window.m_new)
+    dz = window.gates
+    grads.W += dz.T @ window.xh
+    dz4 = dz.reshape(window.rows, 4, window.hidden_dim)
+    grads.peep[:2] += np.einsum("nkh,nh->kh", dz4[:, :2], window.m_in)
+    grads.w_om += np.einsum("nh,nh->h", dz4[:, 3], window.m_new)
     grads.b += np.add.reduce(dz, axis=0)
 
 

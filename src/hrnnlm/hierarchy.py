@@ -27,8 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cells import (LstmParams, LstmState, LstmTape, LstmWindow,
-                    lstm_backward_step, lstm_step, lstm_window_grads,
-                    scratch_tape, softmax)
+                    clock_rows, lstm_backward_step, lstm_step,
+                    lstm_window_grads, row_count, scratch_tape, softmax,
+                    take_rows)
 from .corpus import TokenSequence, Vocabulary
 from .errors import ConfigError, DimensionError
 
@@ -259,19 +260,30 @@ def _step_flags(mask: np.ndarray) -> list:
             for t, (a, n) in enumerate(zip(every, some))]
 
 
+def _rows_per_step(flags: list, batch: int) -> list[int]:
+    """The rows each step of ``_step_flags`` computes, for the steps that
+    compute any."""
+    return [batch if f is True else int(np.count_nonzero(f))
+            for f in flags if f is not False]
+
+
 @dataclass
 class WindowTape:
     """What ``Network.backward`` needs of one taped forward window.
 
-    ``windows`` holds each layer's ``LstmWindow``, with one slot per step
-    the layer computed; ``steps[name][t]`` is the layer's tape at step t
-    (skipped steps included); ``top_h`` (batch, T, h) is the output layer's
-    activation at every step.
+    The window ran its rows in ``order`` (None: as given), and every array
+    here is in that order.  ``windows`` holds each layer's ``LstmWindow``,
+    with one slot per step the layer computed and one row per row it
+    computed; ``steps[name][t]`` is the layer's tape at step t (skipped
+    steps included); ``active`` (batch, T) marks the positions computed;
+    ``top_h`` (batch, T, h) is the output layer's activation at every step.
     """
 
     windows: dict[str, LstmWindow]
     steps: dict[str, list[LstmTape]]
     top_h: np.ndarray
+    active: np.ndarray
+    order: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.top_h.shape[1]
@@ -418,64 +430,84 @@ class Network:
 
     def _scratch(self, batch: int):
         """A slot source for untaped steps: each layer reuses one scratch
-        tape, allocated on first use."""
+        tape of ``batch`` rows, allocated on first use."""
         slots: dict[str, LstmTape] = {}
 
-        def slot(name: str) -> LstmTape:
+        def slot(name: str, rows) -> LstmTape:
             s = slots.get(name)
             if s is None:
                 p = self.layers[name]
                 s = slots[name] = scratch_tape(p.input_dim, p.hidden_dim,
                                                batch)
-            return s
+            return s if rows is True else s.head(row_count(rows, s.m_in))
         return slot
 
     def _run_step(self, states: dict, delay, ids_t, clock, word_clock,
                   indicator, slot):
         """Advance every layer one step; returns updated (states, delay,
-        probs, tapes).  Character layers tick with ``clock`` and reset under
-        ``word_clock``, word layers tick with ``word_clock``.  A layer that
-        ticks on any row computes into ``slot(name)``, an ``LstmTape``
-        whose x columns receive its inputs directly."""
+        probs, tapes, rows).  Character layers tick with ``clock`` and reset
+        under ``word_clock``, word layers tick with ``word_clock``.  A layer
+        computes only the rows its clock selects (``clock_rows``), into
+        ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
+        columns receive those rows' inputs directly.  ``rows`` are the rows the character
+        layers computed, and probs holds their next-token distributions
+        (None when they computed none)."""
         new_states = dict(states)
         tapes = {}
+        h = states[self.output_layer].h
+        char_rows, word_rows = clock_rows(clock, h), clock_rows(word_clock, h)
         for d in self.step_order:
             if d.level == 1:
-                c, r = clock, word_clock
+                c, r, rows = clock, word_clock, char_rows
             else:
-                c, r = word_clock, False
+                c, r, rows = word_clock, False, word_rows
             tape = x = None
-            if c is not False:
-                tape = slot(d.name)
+            if rows is not False:
+                tape = slot(d.name, rows)
                 x = tape.x
                 for kind, ref, cols in self.input_slices[d.name]:
                     if kind == "onehot":
-                        np.equal(ids_t[:, None], self._token_ids,
-                                 out=x[:, cols])
+                        np.equal(take_rows(ids_t, rows)[:, None],
+                                 self._token_ids, out=x[:, cols])
                     elif kind == "hidden":
-                        x[:, cols] = new_states[ref].h
+                        x[:, cols] = take_rows(new_states[ref].h, rows)
                     elif kind == "delay":
-                        x[:, cols] = delay
+                        x[:, cols] = take_rows(delay, rows)
                     else:
-                        x[:, cols] = indicator
+                        x[:, cols] = take_rows(indicator, rows)
             new_states[d.name], tapes[d.name] = lstm_step(
                 self.layers[d.name], x, states[d.name], c, r, tape)
 
-        top_h = new_states[self.output_layer].h
-        probs = softmax(top_h @ self.softmax_W.T + self.softmax_b)
+        probs = None
+        if char_rows is not False:
+            top_h = take_rows(new_states[self.output_layer].h, char_rows)
+            probs = softmax(top_h @ self.softmax_W.T + self.softmax_b)
         new_delay = (new_states[self.feedup_layer].h if self.feedup_layer
                      else None)
-        return new_states, new_delay, probs, tapes
+        return new_states, new_delay, probs, tapes, char_rows
 
     def forward(self, ids, state: Optional[NetworkState] = None, *,
                 active=None, collect_tape: bool = False):
         """Run a token batch through the network.
 
-        ids is (T,) or (batch, T).  Returns (probs, final_state, tape) with
-        probs shaped (T, V) or (batch, T, V) to match the input.  The input
-        state is never mutated.  With ``collect_tape`` the tape is a
-        ``WindowTape`` for ``backward``; each layer's window holds a slot
-        only for the steps the layer computes.
+        ids is (T,) or (batch, T); ``active``, of the same shape and all
+        True when omitted, marks the positions to compute.  Returns (probs,
+        final_state, tape) with probs shaped (T, V) or (batch, T, V) to
+        match the input: the next-token distribution at every active
+        position and 0 at every inactive one.  A row's state advances only
+        at its active positions, so its final state is the one after its
+        last active position.  The input state is never mutated.
+
+        The rows run ordered by the length of their leading active run,
+        longest first: one take of ids, mask and state, undone on the
+        outputs.  On a window whose rows are active on leading runs, as
+        ``batch_sequences`` makes them, step t then computes the view
+        ``[:k_t]`` of the k_t rows still active, and rows with no active
+        position cost nothing.  The word layers compute only the rows whose
+        word clock is high, and the softmax only the rows computed.  With
+        ``collect_tape`` the tape is a ``WindowTape`` for ``backward``;
+        each layer's window holds a slot only for the steps the layer
+        computes, with a row for each row it computes.
         """
         ids = np.asarray(ids, dtype=np.int64)
         single = ids.ndim == 1
@@ -494,44 +526,54 @@ class Network:
                 raise DimensionError("active mask shape must match ids")
 
         state = self.init_state(B) if state is None else state
+        lead = np.logical_and.accumulate(active, axis=1).sum(axis=1)
+        order = None
+        if np.any(lead[1:] > lead[:-1]):
+            order = np.argsort(-lead, kind="stable")
+            ids, active, state = ids[order], active[order], state.take(order)
         states = dict(state.layers)
         delay = state.delay
-        probs_out = np.empty((B, T, self.spec.vocab_size))
+        probs_out = np.zeros((B, T, self.spec.vocab_size))
         clock_flags, word_flags, indicator = self._window(ids, active)
         tape = None
         if collect_tape:
             windows = {}
             for d in self.layer_defs:
-                flags = clock_flags if d.level == 1 else word_flags
+                counts = _rows_per_step(
+                    clock_flags if d.level == 1 else word_flags, B)
                 p = self.layers[d.name]
-                windows[d.name] = LstmWindow(
-                    p.input_dim, p.hidden_dim,
-                    sum(f is not False for f in flags), B)
+                windows[d.name] = LstmWindow(p.input_dim, p.hidden_dim,
+                                             len(counts), counts)
             tape = WindowTape(windows, {name: [] for name in windows},
                               np.empty((B, T, self._hidden_of(
-                                  self.output_layer))))
+                                  self.output_layer))), active, order)
             filled = dict.fromkeys(windows, 0)
 
-            def slot(name: str) -> LstmTape:
+            def slot(name: str, rows) -> LstmTape:
                 k = filled[name]
                 filled[name] = k + 1
                 return windows[name].slot(k)
         else:
             slot = self._scratch(B)
         for t in range(T):
-            states, delay, probs, tapes = self._run_step(
+            states, delay, probs, tapes, rows = self._run_step(
                 states, delay, ids[:, t], clock_flags[t], word_flags[t],
                 None if indicator is None else indicator[:, t], slot)
-            probs_out[:, t] = probs
+            if probs is not None:
+                probs_out[slice(None) if rows is True else rows, t] = probs
             if collect_tape:
                 tape.top_h[:, t] = states[self.output_layer].h
                 for name, st in tapes.items():
                     tape.steps[name].append(st)
-        if collect_tape:
-            # The memory cells are views into the windows: copy them, so
-            # the state carried on does not keep the tape alive.
-            states = {k: LstmState(v.m.copy(), v.h) for k, v in states.items()}
         final = NetworkState(layers=states, delay=delay)
+        if order is not None:
+            inverse = np.argsort(order)
+            probs_out, final = probs_out[inverse], final.take(inverse)
+        elif collect_tape:
+            # The memory cells may be views into the windows: copy them, so
+            # the state carried on does not keep the tape alive.
+            final.layers = {k: LstmState(v.m.copy(), v.h)
+                            for k, v in states.items()}
         if single:
             return probs_out[0], final, tape
         return probs_out, final, tape
@@ -553,7 +595,7 @@ class Network:
             indicator = np.array([[float(word), float(sentence)]])
         else:
             word_clock, indicator = False, None
-        states, delay, probs, _ = self._run_step(
+        states, delay, probs, _, _ = self._run_step(
             dict(state.layers), state.delay, np.array([token_id]), True,
             word_clock, indicator, self._scratch(1))
         return probs[0], NetworkState(layers=states, delay=delay)
@@ -562,11 +604,14 @@ class Network:
         """Reverse-mode gradients of a taped forward run.
 
         d_logits is (batch, T, V) or (T, V): gradient of the loss w.r.t. the
-        pre-softmax logits at every step.  State gradients are truncated at
-        the window start.  Returns the gradient of every named block, as
-        views into one fresh flat buffer laid out like ``flat``.  Backward
-        consumes the tape (dz replaces the gates), so a tape is reversed
-        once.
+        pre-softmax logits at every step.  Its values at inactive positions,
+        where forward computed no logits, are ignored.  State gradients are
+        truncated at the window start.  The time loop mirrors forward's:
+        each layer reverses only the rows it computed at a step, and the
+        others pass their state gradient through.  Returns the gradient of
+        every named block, as views into one fresh flat buffer laid out
+        like ``flat``.  Backward consumes the tape (dz replaces the gates),
+        so a tape is reversed once.
         """
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.ndim == 2:
@@ -580,12 +625,18 @@ class Network:
         flat = np.zeros_like(self.flat)
         layer_grads, d_W, d_b = self._views(flat)
         B, V = d_logits.shape[0], d_logits.shape[2]
-        if T:
-            # The softmax layer does not feed the recurrence: all T steps at
-            # once.
-            d_W += d_logits.reshape(-1, V).T @ tape.top_h.reshape(B * T, -1)
-            d_b += d_logits.sum(axis=(0, 1))
-            d_top = d_logits @ self.softmax_W
+        H = tape.top_h.shape[2]
+        if tape.order is not None:
+            d_logits = d_logits[tape.order]
+        # The softmax layer does not feed the recurrence: every active
+        # position at once.
+        active = tape.active.reshape(-1)
+        dl = d_logits.reshape(-1, V)[active]
+        d_W += dl.T @ tape.top_h.reshape(-1, H)[active]
+        d_b += np.add.reduce(dl, axis=0)
+        d_top = np.zeros((B * T, H))
+        d_top[active] = dl @ self.softmax_W
+        d_top = d_top.reshape(B, T, H)
         running = {d.name: LstmState.zeros(d.hidden, B)
                    for d in self.layer_defs}
         d_delay = (np.zeros((B, self._hidden_of(self.feedup_layer)))
@@ -597,16 +648,22 @@ class Network:
                 running[self.feedup_layer].h += d_delay
 
             for d in reversed(self.step_order):
-                d_x, d_prev = lstm_backward_step(
-                    self.layers[d.name], tape.steps[d.name][t],
-                    running[d.name])
-                running[d.name] = d_prev
+                st = tape.steps[d.name][t]
+                d_x, running[d.name] = lstm_backward_step(
+                    self.layers[d.name], st, running[d.name])
                 for kind, ref, cols in self.input_slices[d.name]:
                     if kind == "hidden" and d_x is not None:
-                        running[ref].h += d_x[..., cols]
+                        if st.rows is True:
+                            running[ref].h += d_x[:, cols]
+                        else:
+                            running[ref].h[st.rows] += d_x[:, cols]
                     elif kind == "delay":
-                        d_delay = (np.zeros_like(d_delay) if d_x is None
-                                   else d_x[..., cols])
+                        if st.rows is True:
+                            d_delay = d_x[:, cols]
+                        else:
+                            d_delay = np.zeros_like(d_delay)
+                            if d_x is not None:
+                                d_delay[st.rows] = d_x[:, cols]
                     # onehot / indicator inputs are not trainable
         # One weight-gradient GEMM per layer for the whole window.
         for name, window in tape.windows.items():

@@ -559,6 +559,13 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
                 raise CheckpointError(
                     f"block {name!r} has shape {shape}, expected {arr.shape}")
             data = np.frombuffer(read(arr.size * 8), dtype="<f8")
+            # A sum of squares that overflows catches NaN and infinity, and
+            # also the 1e154 and more that one flipped exponent bit makes of
+            # a parameter; no trained network holds such values.
+            if not math.isfinite(float(np.einsum("i,i->", data, data))):
+                raise CheckpointError(
+                    f"block {name!r} holds a value that is not finite or "
+                    f"whose square overflows")
             arr[...] = data.reshape(shape)
         # n_blocks distinct known names cover every block; only bytes after
         # the last one can still be wrong.

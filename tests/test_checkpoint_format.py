@@ -157,6 +157,21 @@ def test_trailing_bytes_rejected(saved):
         load_checkpoint(saved)
 
 
+@pytest.mark.parametrize("value", [None, np.nan, np.inf, -np.inf, 2e154])
+def test_non_finite_block_rejected(tmp_path, value):
+    data = bytearray((DATA / "checkpoint_v1_hlstm_a.bin").read_bytes())
+    if value is None:  # one flipped exponent bit: 0.0755 -> 1.36e307
+        data[-1] ^= 0x40
+    else:  # softmax.b's last number
+        data[-8:] = struct.pack("<d", value)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="softmax.b"):
+        load_checkpoint(path)
+    assert main(["sample", "--checkpoint", str(path)]) == 2
+    load_checkpoint(DATA / "checkpoint_v1_hlstm_a.bin")  # the file itself
+
+
 def test_cut_at_any_offset_raises_only_checkpoint_error(tmp_path):
     net = build_network(NetworkSpec.for_vocab("hlstm_b", build_vocab("a b"),
                                               1), rng_seed=2)

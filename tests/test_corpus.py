@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hrnnlm import corpus
 from hrnnlm.corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, Vocabulary,
@@ -133,6 +133,28 @@ class TestRoundTrip:
     def test_normalizes_extra_whitespace(self):
         v = build_vocab("a b")
         assert detokenize(tokenize("a   b ", v).ids, v) == "a b\n"
+
+    @staticmethod
+    def _normalized(text):
+        """text as tokenize reads it: per line, whitespace runs as one space
+        and none at either end; a newline after every line."""
+        lines = text.split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        return "".join(" ".join(line.split()) + "\n" for line in lines)
+
+    @pytest.mark.parametrize("mode", ["char", "byte"])
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(
+        st.text(st.sampled_from("ab\u00e9\u20ac \t\n\r\x0b\x0c\x1c\x85"
+                                "\u00a0\u2028\u3000"), max_size=40),
+        st.text(max_size=40)))
+    @example(text=" a\u00a0b\t\tc \n\n x\r\n")
+    @example(text="")
+    def test_detokenize_inverts_tokenize_up_to_whitespace(self, mode, text):
+        vocab = byte_vocab() if mode == "byte" else build_vocab(text + "a")
+        ids = tokenize(text, vocab).ids
+        assert detokenize(ids, vocab) == self._normalized(text)
 
 
 class TestSplitHeldout:

@@ -4,7 +4,9 @@ The reference backward below is the per-step one that the window tape
 replaced: every step of every layer reverses its own tape and adds its own
 weight gradient, one ``dz.T @ [x, h']`` GEMM per step.  ``Network.backward``
 takes the weight gradient once per layer per window instead, so only the
-order of the sums differs: the two must agree within 1e-12 relative.
+order of the sums differs: the two must agree within 1e-12 relative.  A
+tape holds only the rows its step computed (``tape.rows`` of the batch),
+and the window runs its rows in ``tape.order``; the reference reads both.
 """
 
 import numpy as np
@@ -39,17 +41,21 @@ def _where(mask, a, b):
     return np.where(mask, a, b)
 
 
+def _sel(rows):
+    return slice(None) if rows is True else rows
+
+
 def _ref_backward_step(params, tape, d_m_out, d_h_out, grads):
-    """(d_x, d_m_prev, d_h_prev) of one step; adds the step's parameter
-    gradient to ``grads`` (an LstmParams).  Reads the tape, writes nothing
-    into it."""
-    cm, rm = tape.clock, tape.reset
+    """(d_x, d_m_prev, d_h_prev) of one step, d_x over the computed rows;
+    adds the step's parameter gradient to ``grads`` (an LstmParams).  Reads
+    the tape, writes nothing into it."""
+    rows, rm = tape.rows, tape.reset
     if tape.skipped:
         return (None, _where(rm, 0.0 * d_m_out, d_m_out),
                 _where(rm, 0.0 * d_h_out, d_h_out))
     H, D = params.hidden_dim, params.input_dim
-    d_m_new = _where(cm, d_m_out, 0.0)
-    d_h_new = _where(cm, d_h_out, 0.0)
+    d_m_new = d_m_out[_sel(rows)]
+    d_h_new = d_h_out[_sel(rows)]
     i, f, g, o = tape.gates
     tanh_m = tape.tanh_m
     dz_o = d_h_new * tanh_m * o * (1.0 - o)
@@ -66,10 +72,12 @@ def _ref_backward_step(params, tape, d_m_out, d_h_out, grads):
     grads.w_om += (dz_o * tape.m_new).sum(axis=0)
     grads.b += dz_rows.sum(axis=0)
     d_x, d_h_in = d_xh[:, :D], d_xh[:, D:]
-    d_m_in = d_m_in + _where(cm, 0.0, d_m_out)
-    d_h_in = d_h_in + _where(cm, 0.0, d_h_out)
-    return (d_x, _where(rm, 0.0 * d_m_in, d_m_in),
-            _where(rm, 0.0 * d_h_in, d_h_in))
+    # The rows the step did not compute pass their gradient through.
+    d_m_prev, d_h_prev = d_m_out.copy(), d_h_out.copy()
+    d_m_prev[_sel(rows)] = d_m_in
+    d_h_prev[_sel(rows)] = d_h_in
+    return (d_x, _where(rm, 0.0 * d_m_prev, d_m_prev),
+            _where(rm, 0.0 * d_h_prev, d_h_prev))
 
 
 def _ref_backward(net, tape, d_logits):
@@ -77,6 +85,8 @@ def _ref_backward(net, tape, d_logits):
     flat = np.zeros_like(net.flat)
     layer_grads, d_W, d_b = net._views(flat)
     B, T, V = d_logits.shape
+    if tape.order is not None:
+        d_logits = d_logits[tape.order]
     d_W += d_logits.reshape(-1, V).T @ tape.top_h.reshape(B * T, -1)
     d_b += d_logits.sum(axis=(0, 1))
     d_top = d_logits @ net.softmax_W
@@ -92,16 +102,19 @@ def _ref_backward(net, tape, d_logits):
                 + d_delay
         for d in reversed(net.step_order):
             d_m, d_h = running[d.name]
+            st = tape.steps[d.name][t]
             d_x, d_m, d_h = _ref_backward_step(
-                net.layers[d.name], tape.steps[d.name][t], d_m, d_h,
-                layer_grads[d.name])
+                net.layers[d.name], st, d_m, d_h, layer_grads[d.name])
             running[d.name] = [d_m, d_h]
             for kind, ref, cols in net.input_slices[d.name]:
                 if kind == "hidden" and d_x is not None:
-                    running[ref][1] = running[ref][1] + d_x[:, cols]
+                    d_ref = running[ref][1].copy()
+                    d_ref[_sel(st.rows)] += d_x[:, cols]
+                    running[ref][1] = d_ref
                 elif kind == "delay":
-                    d_delay = (np.zeros_like(d_delay) if d_x is None
-                               else d_x[:, cols])
+                    d_delay = np.zeros_like(d_delay)
+                    if d_x is not None:
+                        d_delay[_sel(st.rows)] = d_x[:, cols]
     return net._blocks(layer_grads, d_W, d_b, flat)
 
 
