@@ -11,8 +11,7 @@ realized by row selection rather than arithmetic blending: a step computes
 only the rows whose clock is high, and every other row keeps its
 (reset-masked) previous state bit for bit.  ``clock_rows`` turns a clock
 into the rows it selects.  A clock high on every row computes the whole
-batch; one high on the leading k rows computes the view ``[:k]``; any
-other partial clock gathers its rows, computes them, and scatters the
+batch; a partial clock gathers its rows, computes them, and scatters the
 results into a copy of the state.  A layer whose clock is low on every row
 computes nothing and returns the (reset-masked) previous state arrays
 themselves.
@@ -122,8 +121,7 @@ def _mask(flag, state_arr: np.ndarray):
 
 def clock_rows(flag, state_arr: np.ndarray):
     """The rows of a state that a clock flag selects: True when it is high
-    on every row, False when on none, ``slice(0, k)`` when on exactly the
-    leading k rows, else the (k,) row indices, ascending."""
+    on every row, False when on none, else the (k,) row indices, ascending."""
     if flag is True or flag is False:
         return flag
     m = np.asarray(flag, dtype=bool)
@@ -132,24 +130,13 @@ def clock_rows(flag, state_arr: np.ndarray):
     _check_rows(m, state_arr)
     rows = m.nonzero()[0]
     k = rows.size
-    if k == m.size:
-        return True
-    if k == 0:
-        return False
-    return slice(0, k) if rows[-1] == k - 1 else rows
+    return True if k == m.size else (rows if k else False)
 
 
 def take_rows(a: np.ndarray, rows) -> np.ndarray:
-    """The rows of a that ``clock_rows`` selected (True, a slice or indices):
-    a itself, a view of the leading rows, or a gathered copy."""
+    """The rows of a that ``clock_rows`` selected (True or indices): a
+    itself, or a gathered copy."""
     return a if rows is True else a[rows]
-
-
-def row_count(rows, state_arr: np.ndarray) -> int:
-    """How many rows a selection other than False holds."""
-    if rows is True:
-        return state_arr.shape[0] if state_arr.ndim == 2 else 1
-    return rows.stop if isinstance(rows, slice) else rows.size
 
 
 def _zero_where(mask, a: np.ndarray, copy: bool = False) -> np.ndarray:
@@ -254,29 +241,26 @@ class LstmState:
 
 
 class LstmWindow:
-    """The forward buffers of one layer over ``slots`` computed steps, all
-    in one allocation.
+    """The forward buffers of one layer over computed steps, all in one
+    allocation.
 
-    ``batch`` is the number of rows every step computes, or a sequence of
-    each step's count: a slot holds only the rows its step computed.  Per
-    row, over every slot in order: ``xh`` (D + H), the GEMM input [x, h'];
-    ``gates`` (4h), the i, f, g, o activations, gate-major within a slot of
-    k rows ((4, k, h)) until backward overwrites them with the slot's dz as
+    ``counts`` holds each step's number of computed rows, one slot per
+    step: a slot holds only the rows its step computed.  Per row, over
+    every slot in order: ``xh`` (D + H), the GEMM input [x, h']; ``gates``
+    (4h), the i, f, g, o activations, gate-major within a slot of k rows
+    ((4, k, h)) until backward overwrites them with the slot's dz as
     (k, 4h) rows; ``m_in``, ``m_new`` and ``tanh_m`` (h).  ``reversed``
     counts the slots backward has reversed.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, slots: int, batch):
+    def __init__(self, input_dim: int, hidden_dim: int, counts):
         D, H = input_dim, hidden_dim
-        counts = ([int(batch)] * slots if np.ndim(batch) == 0
-                  else [int(k) for k in batch])
-        if len(counts) != slots:
-            raise DimensionError(f"{len(counts)} row counts for {slots} slots")
+        counts = [int(k) for k in counts]
         self.offsets = [0, *accumulate(counts)]
         n = self.offsets[-1]
         buf = np.empty(n * (D + 8 * H))
         self.input_dim, self.hidden_dim = D, H
-        self.slots, self.rows = slots, n
+        self.slots, self.rows = len(counts), n
         self.xh = buf[:n * (D + H)].reshape(n, D + H)
         self.gates = buf[n * (D + H):n * (D + 5 * H)].reshape(n, 4 * H)
         self.m_in, self.m_new, self.tanh_m = (
@@ -390,7 +374,9 @@ def lstm_step(params: LstmParams, x, state: LstmState,
         return (LstmState(_zero_where(rm, state.m), _zero_where(rm, state.h)),
                 LstmTape(None, rows=False, reset=rm, skipped=True))
 
-    D, n = params.input_dim, row_count(rows, state.h)
+    D, n = params.input_dim, 1 if state.h.ndim == 1 else len(state.h)
+    if rows is not True:
+        n = rows.size
     if tape is not None and tape.xh.shape[0] != n:
         raise DimensionError(f"a tape of {tape.xh.shape[0]} rows for a step "
                              f"that computes {n}")
@@ -402,7 +388,7 @@ def lstm_step(params: LstmParams, x, state: LstmState,
             raise DimensionError(f"input rows {x.shape[:-1]} != state rows "
                                  f"{state.h.shape[:-1]}")
         if tape is None:
-            tape = LstmWindow(D, H, 1, n).slot(0, single=x.ndim == 1)
+            tape = LstmWindow(D, H, [n]).slot(0, single=x.ndim == 1)
         np.copyto(tape.x, take_rows(x, rows))
     tape.rows, tape.reset = rows, rm
     xh, m_in, z = tape.xh, tape.m_in, tape.gates

@@ -27,9 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cells import (LstmParams, LstmState, LstmTape, LstmWindow,
-                    clock_rows, lstm_backward_step, lstm_step,
-                    lstm_window_grads, row_count, scratch_tape, softmax,
-                    take_rows)
+                    lstm_backward_step, lstm_step, lstm_window_grads,
+                    scratch_tape, softmax, take_rows)
 from .corpus import TokenSequence, Vocabulary
 from .errors import ConfigError, DimensionError
 
@@ -252,38 +251,48 @@ class NetworkState:
         return NetworkState(layers=layers, delay=delay)
 
 
-def _step_flags(mask: np.ndarray) -> list:
-    """Column t of a (B, T) bool mask as True or False when every row
-    agrees, else as the (B,) column itself."""
-    every, some = mask.all(axis=0).tolist(), mask.any(axis=0).tolist()
-    return [True if a else (mask[:, t] if n else False)
-            for t, (a, n) in enumerate(zip(every, some))]
+@dataclass
+class _Clock:
+    """One clock over the steps of a (B, T) window, worked out once per
+    window: per step, the ``flag`` a cell takes (True or False when every
+    row agrees, else the (B,) bool column) and the ``rows`` it selects (as
+    ``cells.clock_rows`` gives them: True, False or the row indices); and
+    the ``counts`` of rows computed, one per step that computes any."""
 
+    flags: list
+    rows: list
+    counts: list
 
-def _rows_per_step(flags: list, batch: int) -> list[int]:
-    """The rows each step of ``_step_flags`` computes, for the steps that
-    compute any."""
-    return [batch if f is True else int(np.count_nonzero(f))
-            for f in flags if f is not False]
+    @classmethod
+    def of(cls, mask: np.ndarray) -> "_Clock":
+        B = mask.shape[0]
+        counts = np.count_nonzero(mask, axis=0).tolist()
+        flags, selected = [], []
+        for t, k in enumerate(counts):
+            if k == B or k == 0:
+                flags.append(k > 0)
+                selected.append(k > 0)
+            else:
+                flags.append(mask[:, t])
+                selected.append(flags[-1].nonzero()[0])
+        return cls(flags, selected, [k for k in counts if k])
 
 
 @dataclass
 class WindowTape:
     """What ``Network.backward`` needs of one taped forward window.
 
-    The window ran its rows in ``order`` (None: as given), and every array
-    here is in that order.  ``windows`` holds each layer's ``LstmWindow``,
-    with one slot per step the layer computed and one row per row it
-    computed; ``steps[name][t]`` is the layer's tape at step t (skipped
-    steps included); ``active`` (batch, T) marks the positions computed;
-    ``top_h`` (batch, T, h) is the output layer's activation at every step.
+    ``windows`` holds each layer's ``LstmWindow``, with one slot per step
+    the layer computed and one row per row it computed; ``steps[name][t]``
+    is the layer's tape at step t (skipped steps included); ``active``
+    (batch, T) marks the positions computed; ``top_h`` (batch, T, h) is the
+    output layer's activation at every step.
     """
 
     windows: dict[str, LstmWindow]
     steps: dict[str, list[LstmTape]]
     top_h: np.ndarray
     active: np.ndarray
-    order: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.top_h.shape[1]
@@ -418,44 +427,47 @@ class Network:
         return NetworkState(layers=layers, delay=delay)
 
     def _window(self, ids: np.ndarray, active: np.ndarray):
-        """Per-step clock and word-clock flags of a (B, T) window, plus the
+        """The character and word ``_Clock`` of a (B, T) window, plus the
         word module's (B, T, 2) boundary-indicator input (None for mono)."""
-        clocks = _step_flags(active)
+        clock = _Clock.of(active)
         if self.spec.levels == 1:
-            return clocks, [False] * len(clocks), None
+            idle = [False] * ids.shape[1]
+            return clock, _Clock(idle, idle, []), None
         word = (ids == self.spec.word_boundary_id) & active
         sentence = (ids == self.spec.sentence_boundary_id) & active
         indicator = np.stack([word, sentence], axis=-1).astype(np.float64)
-        return clocks, _step_flags(word | sentence), indicator
+        return clock, _Clock.of(word | sentence), indicator
 
     def _scratch(self, batch: int):
         """A slot source for untaped steps: each layer reuses one scratch
-        tape of ``batch`` rows, allocated on first use."""
-        slots: dict[str, LstmTape] = {}
+        tape of ``batch`` rows, allocated on first use, and one head of it
+        per number of rows."""
+        slots: dict[tuple[str, int], LstmTape] = {}
 
         def slot(name: str, rows) -> LstmTape:
-            s = slots.get(name)
+            n = batch if rows is True else rows.size
+            s = slots.get((name, n))
             if s is None:
                 p = self.layers[name]
-                s = slots[name] = scratch_tape(p.input_dim, p.hidden_dim,
-                                               batch)
-            return s if rows is True else s.head(row_count(rows, s.m_in))
+                s = slots[name, n] = (
+                    scratch_tape(p.input_dim, p.hidden_dim, batch)
+                    if n == batch else slot(name, True).head(n))
+            return s
         return slot
 
-    def _run_step(self, states: dict, delay, ids_t, clock, word_clock,
-                  indicator, slot):
+    def _run_step(self, states: dict, delay, ids_t, clock, char_rows,
+                  word_clock, word_rows, indicator, slot):
         """Advance every layer one step; returns updated (states, delay,
-        probs, tapes, rows).  Character layers tick with ``clock`` and reset
-        under ``word_clock``, word layers tick with ``word_clock``.  A layer
-        computes only the rows its clock selects (``clock_rows``), into
-        ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
-        columns receive those rows' inputs directly.  ``rows`` are the rows the character
-        layers computed, and probs holds their next-token distributions
-        (None when they computed none)."""
+        probs, tapes).  Character layers tick with ``clock`` and reset
+        under ``word_clock``, word layers tick with ``word_clock``; each
+        clock comes with the rows it selects (``char_rows``, ``word_rows``,
+        as ``clock_rows`` gives them).  A layer computes only those rows,
+        into ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
+        columns receive those rows' inputs directly.  probs holds the
+        next-token distributions of ``char_rows`` (None when that is no
+        row)."""
         new_states = dict(states)
         tapes = {}
-        h = states[self.output_layer].h
-        char_rows, word_rows = clock_rows(clock, h), clock_rows(word_clock, h)
         for d in self.step_order:
             if d.level == 1:
                 c, r, rows = clock, word_clock, char_rows
@@ -484,7 +496,7 @@ class Network:
             probs = softmax(top_h @ self.softmax_W.T + self.softmax_b)
         new_delay = (new_states[self.feedup_layer].h if self.feedup_layer
                      else None)
-        return new_states, new_delay, probs, tapes, char_rows
+        return new_states, new_delay, probs, tapes
 
     def forward(self, ids, state: Optional[NetworkState] = None, *,
                 active=None, collect_tape: bool = False):
@@ -498,16 +510,14 @@ class Network:
         at its active positions, so its final state is the one after its
         last active position.  The input state is never mutated.
 
-        The rows run ordered by the length of their leading active run,
-        longest first: one take of ids, mask and state, undone on the
-        outputs.  On a window whose rows are active on leading runs, as
-        ``batch_sequences`` makes them, step t then computes the view
-        ``[:k_t]`` of the k_t rows still active, and rows with no active
-        position cost nothing.  The word layers compute only the rows whose
-        word clock is high, and the softmax only the rows computed.  With
-        ``collect_tape`` the tape is a ``WindowTape`` for ``backward``;
-        each layer's window holds a slot only for the steps the layer
-        computes, with a row for each row it computes.
+        Each step computes only the rows that tick: the character layers
+        and the softmax the rows active at that step, the word layers the
+        rows whose word clock is high.  A step where every row ticks runs
+        the whole batch; otherwise its rows are gathered, computed and
+        scattered back, and a row with no active position in the window
+        costs nothing.  With ``collect_tape`` the tape is a ``WindowTape``
+        for ``backward``; each layer's window holds a slot only for the
+        steps the layer computes, with a row for each row it computes.
         """
         ids = np.asarray(ids, dtype=np.int64)
         single = ids.ndim == 1
@@ -526,27 +536,21 @@ class Network:
                 raise DimensionError("active mask shape must match ids")
 
         state = self.init_state(B) if state is None else state
-        lead = np.logical_and.accumulate(active, axis=1).sum(axis=1)
-        order = None
-        if np.any(lead[1:] > lead[:-1]):
-            order = np.argsort(-lead, kind="stable")
-            ids, active, state = ids[order], active[order], state.take(order)
         states = dict(state.layers)
         delay = state.delay
         probs_out = np.zeros((B, T, self.spec.vocab_size))
-        clock_flags, word_flags, indicator = self._window(ids, active)
+        clock, word, indicator = self._window(ids, active)
         tape = None
         if collect_tape:
             windows = {}
             for d in self.layer_defs:
-                counts = _rows_per_step(
-                    clock_flags if d.level == 1 else word_flags, B)
                 p = self.layers[d.name]
-                windows[d.name] = LstmWindow(p.input_dim, p.hidden_dim,
-                                             len(counts), counts)
+                windows[d.name] = LstmWindow(
+                    p.input_dim, p.hidden_dim,
+                    (clock if d.level == 1 else word).counts)
             tape = WindowTape(windows, {name: [] for name in windows},
                               np.empty((B, T, self._hidden_of(
-                                  self.output_layer))), active, order)
+                                  self.output_layer))), active)
             filled = dict.fromkeys(windows, 0)
 
             def slot(name: str, rows) -> LstmTape:
@@ -556,8 +560,10 @@ class Network:
         else:
             slot = self._scratch(B)
         for t in range(T):
-            states, delay, probs, tapes, rows = self._run_step(
-                states, delay, ids[:, t], clock_flags[t], word_flags[t],
+            rows = clock.rows[t]
+            states, delay, probs, tapes = self._run_step(
+                states, delay, ids[:, t], clock.flags[t], rows,
+                word.flags[t], word.rows[t],
                 None if indicator is None else indicator[:, t], slot)
             if probs is not None:
                 probs_out[slice(None) if rows is True else rows, t] = probs
@@ -565,15 +571,12 @@ class Network:
                 tape.top_h[:, t] = states[self.output_layer].h
                 for name, st in tapes.items():
                     tape.steps[name].append(st)
-        final = NetworkState(layers=states, delay=delay)
-        if order is not None:
-            inverse = np.argsort(order)
-            probs_out, final = probs_out[inverse], final.take(inverse)
-        elif collect_tape:
+        if collect_tape:
             # The memory cells may be views into the windows: copy them, so
             # the state carried on does not keep the tape alive.
-            final.layers = {k: LstmState(v.m.copy(), v.h)
-                            for k, v in states.items()}
+            states = {k: LstmState(v.m.copy(), v.h)
+                      for k, v in states.items()}
+        final = NetworkState(layers=states, delay=delay)
         if single:
             return probs_out[0], final, tape
         return probs_out, final, tape
@@ -595,9 +598,9 @@ class Network:
             indicator = np.array([[float(word), float(sentence)]])
         else:
             word_clock, indicator = False, None
-        states, delay, probs, _, _ = self._run_step(
-            dict(state.layers), state.delay, np.array([token_id]), True,
-            word_clock, indicator, self._scratch(1))
+        states, delay, probs, _ = self._run_step(
+            dict(state.layers), state.delay, np.array([token_id]), True, True,
+            word_clock, word_clock, indicator, self._scratch(1))
         return probs[0], NetworkState(layers=states, delay=delay)
 
     def backward(self, tape: WindowTape, d_logits) -> Blocks:
@@ -626,8 +629,6 @@ class Network:
         layer_grads, d_W, d_b = self._views(flat)
         B, V = d_logits.shape[0], d_logits.shape[2]
         H = tape.top_h.shape[2]
-        if tape.order is not None:
-            d_logits = d_logits[tape.order]
         # The softmax layer does not feed the recurrence: every active
         # position at once.
         active = tape.active.reshape(-1)

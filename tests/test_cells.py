@@ -205,8 +205,7 @@ def _fd_check_cell(cell, xs, clocks, resets, rng, h=1e-5):
     T = len(xs)
     w = rng.normal(size=(T, cell.hidden_dim))
     p = cell.params
-    window = LstmWindow(p.input_dim, p.hidden_dim,
-                        sum(1 for c in clocks if c), 1)
+    window = LstmWindow(p.input_dim, p.hidden_dim, [1 for c in clocks if c])
 
     def run(taped=False):
         state = cell.zero_state()
@@ -308,7 +307,7 @@ class TestBackward:
         # a window's parameter gradient needs every one of its steps reversed
         rng = np.random.default_rng(26)
         cell = random_lstm(rng)
-        window = LstmWindow(4, 3, 2, 1)
+        window = LstmWindow(4, 3, [1, 1])
         state = cell.zero_state()
         for k in range(2):
             state, tape = lstm_step(cell.params, rng.normal(size=4), state,

@@ -1,9 +1,7 @@
 """Property test for the row compaction of ``Network.forward``/``backward``.
 
 A batched window computes only the rows that tick: character layers the
-rows still active (a leading run once the rows are ordered by the length
-of their leading active run), word layers the rows whose word clock is
-high.  Since a row's state advances only at its active positions, one
+rows active at a step, word layers the rows whose word clock is high.  Since a row's state advances only at its active positions, one
 batched forward plus backward must equal B separate one-row runs over
 each row's active positions, from the same warm start, within 1e-12
 relative: the probabilities at active positions, the final states, and

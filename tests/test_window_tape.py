@@ -6,7 +6,7 @@ weight gradient, one ``dz.T @ [x, h']`` GEMM per step.  ``Network.backward``
 takes the weight gradient once per layer per window instead, so only the
 order of the sums differs: the two must agree within 1e-12 relative.  A
 tape holds only the rows its step computed (``tape.rows`` of the batch),
-and the window runs its rows in ``tape.order``; the reference reads both.
+which the reference reads.
 """
 
 import numpy as np
@@ -85,8 +85,6 @@ def _ref_backward(net, tape, d_logits):
     flat = np.zeros_like(net.flat)
     layer_grads, d_W, d_b = net._views(flat)
     B, T, V = d_logits.shape
-    if tape.order is not None:
-        d_logits = d_logits[tape.order]
     d_W += d_logits.reshape(-1, V).T @ tape.top_h.reshape(B * T, -1)
     d_b += d_logits.sum(axis=(0, 1))
     d_top = d_logits @ net.softmax_W

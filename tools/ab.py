@@ -1,15 +1,17 @@
 """A/B benchmark: alternating parent/change pairs of ``bench/run.py``.
 
-    python3 tools/ab.py --parent REV --pr N [--parent-dir DIR]
-                        [--workloads a,b] [--pairs 10] [--seconds 35]
-                        [--seed 9000] [--trace 0|1]
+    python3 tools/ab.py --parent REV --pr N [--pairs 10] [--seed 9000]
 
-The change is this checkout's working tree.  The parent is a ``git
-worktree`` of REV, made in a temporary directory and removed at the end,
-or, with ``--parent-dir``, an existing copy of REV.  Pair i runs both sides
-with seed ``--seed`` + i, the parent first on even pairs and the change
-first on odd ones, so that a drift in the machine's speed does not favour
-one side.  Each run's last line of output is its JSON result.
+The change is this checkout's working tree.  The parent is the committed
+files of REV, unpacked with ``git archive`` into a temporary directory and
+removed at the end: a plain copy, like the checkout the benchmark itself
+runs in, that leaves the repository's ``.git`` untouched (a ``git
+worktree`` would register itself there and leave a stale entry behind if
+the run were cut).  Every workload in ``BENCHMARK.json`` runs untraced for
+the benchmark's ``run_seconds``.  Pair i runs both sides with seed
+``--seed`` + i, the parent first on even pairs and the change first on odd
+ones, so that a drift in the machine's speed does not favour one side.
+Each run's last line of output is its JSON result.
 
 ``BENCH_<pr>.json`` is written at the root of the checkout: per workload
 and metric, the median and quartiles of each side, the median ratio
@@ -22,11 +24,13 @@ build and the thread variables.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -36,12 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> dict:
-    """One ``bench/run.py`` run in ``checkout``: its JSON result."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced ``bench/run.py`` run in ``checkout``: its JSON result."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -79,10 +81,7 @@ def summarize(runs: list, better: dict) -> dict:
 
 
 def environment() -> dict:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
-        blas = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -94,69 +93,58 @@ def environment() -> dict:
     }
 
 
-def git(*args: str) -> str:
+def git(*args: str, text: bool = True):
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
+                          capture_output=True, text=text).stdout
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True,
                     help="git revision of the parent")
-    ap.add_argument("--parent-dir", type=Path,
-                    help="an existing copy of the parent to run")
     ap.add_argument("--pr", required=True, help="writes BENCH_<pr>.json")
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated; all of BENCHMARK.json's if omitted")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--seed", type=int, default=9000)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    seconds = spec["run_seconds"]
 
-    parent_rev = git("rev-parse", args.parent)
-    worktree = args.parent_dir is None
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-        parent_dir = Path(tmp) / "parent" if worktree else args.parent_dir
-        if worktree:
-            git("worktree", "add", "--detach", str(parent_dir), parent_rev)
-        try:
-            results = {}
-            for wl in workloads:
-                runs = []
-                for i in range(args.pairs):
-                    seed = args.seed + i
-                    pair = {"seed": seed}
-                    sides = [("parent", parent_dir), ("change", ROOT)]
-                    for name, checkout in sides[::1 if i % 2 == 0 else -1]:
-                        pair[name] = run_bench(checkout, wl, seed,
-                                               args.seconds, args.trace)
-                    runs.append(pair)
-                    print(f"ab: {wl} pair {i + 1}/{args.pairs} done",
-                          file=sys.stderr)
-                every = [r[s] for r in runs for s in ("parent", "change")]
-                results[wl] = {
-                    "correct": all(r["correct"] for r in every),
-                    "failed": sum(r["failed"] for r in every),
-                    "seeds": [r["seed"] for r in runs],
-                    "metrics": summarize(runs, better),
-                }
-        finally:
-            if worktree:
-                git("worktree", "remove", "--force", str(parent_dir))
+    parent_rev = git("rev-parse", args.parent).strip()
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_dir:
+        archive = git("archive", "--format=tar", parent_rev, text=False)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_dir, filter="data")
+        for wl in (w["name"] for w in spec["workloads"]):
+            runs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                pair = {"seed": seed}
+                sides = [("parent", parent_dir), ("change", ROOT)]
+                for name, checkout in sides[::1 if i % 2 == 0 else -1]:
+                    pair[name] = run_bench(checkout, wl, seed, seconds)
+                runs.append(pair)
+                print(f"ab: {wl} pair {i + 1}/{args.pairs} done",
+                      file=sys.stderr)
+            every = [r[s] for r in runs for s in ("parent", "change")]
+            results[wl] = {
+                "correct": all(r["correct"] for r in every),
+                "failed": sum(r["failed"] for r in every),
+                "seeds": [r["seed"] for r in runs],
+                "metrics": summarize(runs, better),
+            }
 
     record = {
         "parent": parent_rev,
-        "change": git("rev-parse", "HEAD") + (
-            " + working tree" if git("status", "--porcelain") else ""),
+        "change": git("rev-parse", "HEAD").strip() + (
+            " + working tree" if git("status", "--porcelain",
+                                     "--untracked-files=no").strip()
+            else ""),
         "command": (f"python3 bench/run.py --workload W --seed N "
-                    f"--seconds {args.seconds:g} --trace {args.trace}"),
+                    f"--seconds {seconds} --trace 0"),
         "pairs": args.pairs,
         "environment": environment(),
         "workloads": results,
