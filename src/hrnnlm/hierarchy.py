@@ -442,17 +442,20 @@ class Network:
         """A slot source for untaped steps: each layer reuses one scratch
         tape of ``batch`` rows, allocated on first use, and one head of it
         per number of rows."""
-        slots: dict[tuple[str, int], LstmTape] = {}
+        slots: dict = {}
 
         def slot(name: str, rows) -> LstmTape:
-            n = batch if rows is True else rows.size
-            s = slots.get((name, n))
+            s = slots.get(name)
             if s is None:
                 p = self.layers[name]
-                s = slots[name, n] = (
-                    scratch_tape(p.input_dim, p.hidden_dim, batch)
-                    if n == batch else slot(name, True).head(n))
-            return s
+                s = slots[name] = scratch_tape(p.input_dim, p.hidden_dim,
+                                               batch)
+            if rows is True:
+                return s
+            head = slots.get((name, rows.size))
+            if head is None:
+                head = slots[name, rows.size] = s.head(rows.size)
+            return head
         return slot
 
     def _run_step(self, states: dict, delay, ids_t, clock, char_rows,
