@@ -575,10 +575,9 @@ class Network:
                 for name, st in tapes.items():
                     tape.steps[name].append(st)
         if collect_tape:
-            # The memory cells may be views into the windows: copy them, so
+            # The memory cells are views into the windows: copy them, so
             # the state carried on does not keep the tape alive.
-            states = {k: LstmState(v.m.copy(), v.h)
-                      for k, v in states.items()}
+            states = {k: LstmState(v.m.copy(), v.h) for k, v in states.items()}
         final = NetworkState(layers=states, delay=delay)
         if single:
             return probs_out[0], final, tape
@@ -655,19 +654,17 @@ class Network:
                 st = tape.steps[d.name][t]
                 d_x, running[d.name] = lstm_backward_step(
                     self.layers[d.name], st, running[d.name])
+                rows = slice(None) if st.rows is True else st.rows
                 for kind, ref, cols in self.input_slices[d.name]:
                     if kind == "hidden" and d_x is not None:
-                        if st.rows is True:
-                            running[ref].h += d_x[:, cols]
-                        else:
-                            running[ref].h[st.rows] += d_x[:, cols]
+                        running[ref].h[rows] += d_x[:, cols]
                     elif kind == "delay":
                         if st.rows is True:
                             d_delay = d_x[:, cols]
                         else:
                             d_delay = np.zeros_like(d_delay)
                             if d_x is not None:
-                                d_delay[st.rows] = d_x[:, cols]
+                                d_delay[rows] = d_x[:, cols]
                     # onehot / indicator inputs are not trainable
         # One weight-gradient GEMM per layer for the whole window.
         for name, window in tape.windows.items():
