@@ -24,7 +24,7 @@ from .training import (Batch, GradCheckReport, OptimizerState, TrainConfig,
                        train)
 from .evaluation import (EvalReport, bpc, evaluate, format_report_table,
                          ppl_from_bpc, sample)
-from .decoding import (BLANK_LABEL, DecodeConfig, DecodeResult, Hypothesis,
+from .decoding import (BLANK_LABEL, DecodeConfig, DecodeResult,
                        PosteriorMatrix, beam_search, read_posteriors,
                        read_posteriors_binary, read_posteriors_text, wer,
                        write_posteriors_binary, write_posteriors_text)
@@ -46,7 +46,7 @@ __all__ = [
     "gradient_check", "load_checkpoint", "save_checkpoint", "train",
     "EvalReport", "bpc", "evaluate", "format_report_table", "ppl_from_bpc",
     "sample",
-    "BLANK_LABEL", "DecodeConfig", "DecodeResult", "Hypothesis",
+    "BLANK_LABEL", "DecodeConfig", "DecodeResult",
     "PosteriorMatrix", "beam_search", "read_posteriors",
     "read_posteriors_binary", "read_posteriors_text", "wer",
     "write_posteriors_binary", "write_posteriors_text",

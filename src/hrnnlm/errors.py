@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.
 """
 
+import numbers
+
 
 class HrnnlmError(Exception):
     """Base class for all package errors."""
@@ -43,3 +45,12 @@ class NumericError(HrnnlmError):
 
 class DivergenceError(NumericError):
     """Training loss became non-finite."""
+
+
+def check_count(key: str, value, minimum: int) -> None:
+    """ConfigError unless value is an integer (Python or numpy, not bool) of
+    at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}")

@@ -27,7 +27,8 @@ import numpy as np
 from .blas import one_blas_thread
 from .corpus import TokenSequence, Vocabulary, byte_vocab
 from .errors import (CheckpointError, ConfigError, DataError,
-                     DimensionError, DivergenceError, NumericError)
+                     DimensionError, DivergenceError, NumericError,
+                     check_count)
 from .files import atomic_write, read_exact
 from .hierarchy import Blocks, Network, NetworkSpec, build_network
 
@@ -49,18 +50,14 @@ class TrainConfig:
     clip_norm: Optional[float] = 5.0
 
     def __post_init__(self):
-        if self.bptt_length < 1:
-            raise ConfigError("bptt_length must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+        for key in ("bptt_length", "batch_size", "max_epochs"):
+            check_count(key, getattr(self, key), 1)
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ConfigError("adadelta_rho must be in (0, 1)")
         if not 0.0 < self.adadelta_eps < math.inf:  # NaN too
             raise ConfigError("adadelta_eps must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be at least 1")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ConfigError("clip_norm must be positive or None")
 

@@ -40,10 +40,15 @@ class EagerHypothesis:
                 + config.insertion_bonus * len(self.prefix))
 
 
-def eager_beam_search(post, net, vocab, config):
+def eager_beam_search(post, net, vocab, config, stats=None):
     """Prefix beam search that steps the LM once per candidate extension,
     each from its parent's own state; returns (prefix, text, score,
-    ctc_logp, lm_logp) per rank."""
+    ctc_logp, lm_logp) per rank.  ``stats``, if given, counts the frames
+    with more candidates than the beam keeps ("pruned") and the extensions
+    that reach a prefix already in the beam ("merged")."""
+    stats = {} if stats is None else stats
+    stats.setdefault("pruned", 0)
+    stats.setdefault("merged", 0)
     label_ids = map_labels(post.labels, vocab)
     blank_col = post.blank_index
     probs, state = net.step(net.init_state(1), vocab.word_boundary_id)
@@ -54,6 +59,7 @@ def eager_beam_search(post, net, vocab, config):
         row = post.probs[t]
         log_blank = math.log(row[blank_col]) if row[blank_col] > 0 else NEG_INF
         nxt = {}
+        in_beam = {hyp.prefix for hyp in beam}
 
         def entry(prefix, parent, last_id):
             hyp = nxt.get(prefix)
@@ -97,10 +103,13 @@ def eager_beam_search(post, net, vocab, config):
                         else total)
                 if mass == NEG_INF:
                     continue
-                ext = entry(hyp.prefix + (label_id,), hyp, label_id)
+                child = hyp.prefix + (label_id,)
+                stats["merged"] += child in in_beam
+                ext = entry(child, hyp, label_id)
                 ext.p_nonblank = np.logaddexp(ext.p_nonblank,
                                               mass + math.log(p))
 
+        stats["pruned"] += len(nxt) > config.beam_width
         beam = sorted(nxt.values(),
                       key=lambda h: (-h.score(config), h.prefix))
         beam = beam[:config.beam_width]
@@ -115,24 +124,34 @@ REGULAR = [s for s in VOCAB.symbols if s not in ("<w>", "<s>")]
 
 
 def make_fixture(seed, variant):
-    """Random posteriors over 2-5 letters (sometimes <w> too), 3-6 frames,
-    and a randomly initialized network."""
+    """Random posteriors over 2-5 letters (sometimes <w> and <s> too), 3-7
+    frames, and a randomly initialized network."""
     rng = np.random.default_rng(seed)
     n_labels = int(rng.integers(2, 6))
     labels = list(rng.choice(REGULAR, size=n_labels, replace=False))
-    if rng.random() < 0.5:
-        labels.append("<w>")
+    for boundary in ("<w>", "<s>"):
+        if rng.random() < 0.5:
+            labels.append(boundary)
     labels.append(BLANK_LABEL)
-    probs = rng.dirichlet(np.ones(len(labels)), size=int(rng.integers(3, 7)))
+    probs = rng.dirichlet(np.ones(len(labels)), size=int(rng.integers(3, 8)))
     net = build_network(NetworkSpec.for_vocab(variant, VOCAB, 4),
                         rng_seed=int(rng.integers(1 << 30)))
     return PosteriorMatrix(labels=labels, probs=probs), net
 
 
-@settings(max_examples=40, deadline=None)
+def assert_same_ranks(got, want):
+    assert [r.prefix for r in got] == [w[0] for w in want]
+    assert [r.text for r in got] == [w[1] for w in want]
+    for r, (_, _, score, ctc, lm) in zip(got, want):
+        assert abs(r.score - score) <= 1e-9
+        assert abs(r.ctc_logp - ctc) <= 1e-9
+        assert abs(r.lm_logp - lm) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1),
        variant=st.sampled_from(VARIANTS),
-       beam_width=st.sampled_from([1, 2, 4, 16]),
+       beam_width=st.sampled_from([1, 2, 4, 16, 64]),
        width_prune=st.sampled_from([0.0, 0.05]),
        depth_prune=st.sampled_from([None, 2]))
 def test_pruned_beam_matches_eager_reference(seed, variant, beam_width,
@@ -140,14 +159,27 @@ def test_pruned_beam_matches_eager_reference(seed, variant, beam_width,
     post, net = make_fixture(seed, variant)
     config = DecodeConfig(beam_width=beam_width, width_prune=width_prune,
                           depth_prune=depth_prune)
-    got = beam_search(post, net, VOCAB, config)
-    want = eager_beam_search(post, net, VOCAB, config)
-    assert [r.prefix for r in got] == [w[0] for w in want]
-    assert [r.text for r in got] == [w[1] for w in want]
-    for r, (_, _, score, ctc, lm) in zip(got, want):
-        assert abs(r.score - score) <= 1e-9
-        assert abs(r.ctc_logp - ctc) <= 1e-9
-        assert abs(r.lm_logp - lm) <= 1e-9
+    assert_same_ranks(beam_search(post, net, VOCAB, config),
+                      eager_beam_search(post, net, VOCAB, config))
+
+
+@pytest.mark.parametrize("beam_width", [4, 16, 64])
+def test_merges_under_pruning_match_eager_reference(beam_width):
+    """Fixtures with more candidates than the beam keeps, where a prefix
+    and its parent both survive, so extensions merge into survivors."""
+    stats = {}
+    for seed in range(4):
+        rng = np.random.default_rng([beam_width, seed])
+        labels = list(rng.choice(REGULAR, size=4, replace=False))
+        labels += ["<w>", "<s>", BLANK_LABEL]
+        post = PosteriorMatrix(labels=labels, probs=rng.dirichlet(
+            np.ones(len(labels)), size=8))
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", VOCAB, 4),
+                            rng_seed=seed)
+        config = DecodeConfig(beam_width=beam_width, width_prune=0.0)
+        assert_same_ranks(beam_search(post, net, VOCAB, config),
+                          eager_beam_search(post, net, VOCAB, config, stats))
+    assert stats["pruned"] > 0 and stats["merged"] > 0
 
 
 @pytest.mark.parametrize("beam_width", [1, 3, 8])

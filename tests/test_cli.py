@@ -194,6 +194,18 @@ class TestDecode:
         assert code == 2
 
 
+    def test_duplicate_posterior_label_is_data_error(self, tmp_path, capsys):
+        vocab = build_vocab("ab")
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, build_network(
+            NetworkSpec.for_vocab("hlstm_b", vocab, 4)), vocab)
+        post_path = tmp_path / "post.txt"
+        post_path.write_text("1 3 a a <blank>\n0.25 0.25 0.5\n")
+        code = main(["decode", "--checkpoint", str(ckpt),
+                     "--posterior", str(post_path)])
+        assert code == 2
+        assert "'a'" in capsys.readouterr().err
+
 class TestGradcheck:
     def test_passes_on_tiny_network(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

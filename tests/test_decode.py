@@ -136,6 +136,26 @@ class TestPosteriorFiles:
         with pytest.raises(PosteriorFormatError):
             PosteriorMatrix(labels=["a", "b"], probs=[[0.5, 0.5]])
 
+    @pytest.mark.parametrize("labels", [["a", BLANK_LABEL, BLANK_LABEL],
+                                        ["a", "a", BLANK_LABEL]])
+    def test_duplicate_label(self, labels):
+        with pytest.raises(PosteriorFormatError, match=repr(labels[1])):
+            PosteriorMatrix(labels=labels, probs=[[0.5, 0.25, 0.25]])
+
+    def test_duplicate_label_in_text_file(self, tmp_path):
+        p = tmp_path / "dup.txt"
+        p.write_text("1 3 a <blank> <blank>\n0.5 0.25 0.25\n")
+        with pytest.raises(PosteriorFormatError, match="<blank>"):
+            read_posteriors(p)
+
+    def test_duplicate_label_in_binary_file(self, tmp_path):
+        p = tmp_path / "dup.bin"
+        write_posteriors_binary(p, self._post())
+        data = p.read_bytes()
+        p.write_bytes(data.replace(b"a b <blank>", b"a a <blank>", 1))
+        with pytest.raises(PosteriorFormatError, match="'a'"):
+            read_posteriors(p)
+
     def test_header_mismatch(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2 3 a b\n0.2 0.3 0.5\n0.6 0.15 0.25\n")
@@ -262,6 +282,21 @@ class TestBeamSearchBasics:
         with pytest.raises(ConfigError, match=key):
             DecodeConfig(**{key: value})
 
+    @pytest.mark.parametrize("cls, key, value", [
+        (DecodeConfig, "beam_width", 2.5), (DecodeConfig, "beam_width", 1e9),
+        (DecodeConfig, "beam_width", True), (DecodeConfig, "depth_prune", 1.5),
+        (TrainConfig, "bptt_length", 2.5), (TrainConfig, "batch_size", 2.5),
+        (TrainConfig, "max_epochs", 2.5)])
+    def test_config_rejects_non_integer_counts(self, cls, key, value):
+        with pytest.raises(ConfigError, match=key):
+            cls(**{key: value})
+
+    def test_config_accepts_numpy_integer_counts(self):
+        config = DecodeConfig(beam_width=np.int64(4), depth_prune=np.int32(2))
+        assert config.beam_width == 4
+        assert TrainConfig(bptt_length=np.int16(8), batch_size=np.uint8(2),
+                           max_epochs=np.int64(1)).batch_size == 2
+
     def test_tie_break_is_lexicographic(self):
         vocab = build_vocab("ab")
         net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4))
@@ -274,6 +309,28 @@ class TestBeamSearchBasics:
         results = beam_search(post, net, vocab, config)
         assert results[0].score == pytest.approx(results[1].score)
         assert [r.text for r in results[:2]] == ["a", "b"]
+
+    @pytest.mark.parametrize("beam_width, frames, want", [
+        (1, 1, ["a"]), (2, 1, ["a", "b"]), (4, 2, ["a", "b", "c", "ab"])])
+    def test_tie_at_the_cutoff_keeps_smaller_prefixes(self, beam_width,
+                                                      frames, want):
+        """More candidates tie at the beam's cutoff than fit: the
+        lexicographically smaller prefixes survive.  In the second frame
+        "a", "b" and "c" also take the extensions of "" (a merge), and the
+        six two-letter prefixes tie for the last place."""
+        vocab = build_vocab("abc")
+        assert [vocab.id_of(s) for s in "abc"] == [0, 1, 2]
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4))
+        for arr in net.named_blocks().values():
+            arr[...] = 0.0  # uniform LM keeps the tie exact
+        post = PosteriorMatrix(labels=["c", "a", "b", BLANK_LABEL],
+                               probs=[[0.32, 0.32, 0.32, 0.04]] * frames)
+        config = DecodeConfig(beam_width=beam_width, lm_weight=2.0,
+                              insertion_bonus=3.0, width_prune=0.0)
+        results = beam_search(post, net, vocab, config)
+        assert [r.text for r in results] == want
+        tied = [r.score for r in results if len(r.prefix) == frames]
+        assert len(set(tied)) == 1
 
     def test_score_decomposition(self):
         rng = np.random.default_rng(5)
