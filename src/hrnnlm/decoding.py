@@ -31,14 +31,17 @@ beam's LM states live in one stacked NetworkState (row k serves survivor
 k) with the matching log distributions; after each frame's pruning, the
 survivors that end in a new label and can still grow are advanced together
 by one batched Network.forward step, so the LM runs at most beam_width rows
-per frame.  On the benchmark's ``decode`` LM (H=64) this decodes about
-2,000 frames/s at beam 16, 1,400 at beam 64 and 200 at beam 512.
+per frame.  With the benchmark's ``decode`` LM (hlstm_b, H=64) on its
+utterances, one thread of a 2-CPU x86-64 machine decodes about 3,000
+frames/s at beam 16, 1,500 at beam 64 and 400 at beam 512; 10 ms frames
+arrive at 100 per second.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -69,12 +72,10 @@ class PosteriorMatrix:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 2 or self.probs.shape[1] != len(self.labels):
             raise PosteriorFormatError("posterior shape does not match labels")
-        seen = set()
-        for sym in self.labels:
-            if sym in seen:
-                raise PosteriorFormatError(
-                    f"posterior label {sym!r} appears more than once")
-            seen.add(sym)
+        twice = [s for s, n in Counter(self.labels).items() if n > 1]
+        if twice:
+            raise PosteriorFormatError(
+                f"posterior label {twice[0]!r} appears more than once")
         if BLANK_LABEL not in self.labels:
             raise PosteriorFormatError(f"no {BLANK_LABEL} column")
         if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):  # NaN too
