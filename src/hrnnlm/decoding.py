@@ -30,9 +30,9 @@ distribution, so candidates are scored without running the network.  The
 beam's LM states live in one stacked NetworkState (row k serves survivor
 k) with the matching log distributions; after each frame's pruning, the
 survivors that end in a new label and can still grow are advanced together
-by one batched Network.forward step, so the LM runs at most beam_width rows
-per frame.  With the benchmark's ``decode`` LM (hlstm_b, H=64) on its
-utterances, one thread of a 2-CPU x86-64 machine decodes about 3,000
+by one batched Network.step over their ids, so the LM runs at most
+beam_width rows per frame.  With the benchmark's ``decode`` LM (hlstm_b,
+H=64) on its utterances, one thread of a 2-CPU x86-64 machine decodes about 3,000
 frames/s at beam 16, 1,500 at beam 64 and 400 at beam 512; 10 ms frames
 arrive at 100 per second.
 """
@@ -397,11 +397,10 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
             live &= length < depth
         live = np.flatnonzero(live)
         if live.size:
-            probs, stepped, _ = net.forward(pending[live][:, None],
-                                            state=state.take(live))
+            probs, stepped = net.step(state.take(live), pending[live])
             _set_rows(state, live, stepped)
             with np.errstate(divide="ignore"):
-                logprobs[live] = np.log(probs[:, 0])
+                logprobs[live] = np.log(probs)
             pending[live] = -1
 
     ctc = np.logaddexp(p_blank, p_nonblank)

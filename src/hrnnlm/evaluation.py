@@ -14,6 +14,7 @@ words but is not one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,6 +77,27 @@ def format_report_table(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
+def _distribution(probs: np.ndarray, temperature: float) -> np.ndarray:
+    """softmax(log probs / temperature), normalized to sum to 1."""
+    if temperature == 1.0:
+        return probs / probs.sum()
+    with np.errstate(divide="ignore"):
+        logits = np.log(probs) / temperature
+    logits -= logits.max()
+    p = np.exp(logits)
+    p /= p.sum()
+    return p
+
+
+def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The token ``rng.choice(len(p), p=p)`` draws, and with the same use
+    of rng: one uniform number looked up in p's cumulative sum, the
+    inverse CDF that ``choice`` computes, without its argument checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @one_blas_thread()
 def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
            temperature: float = 1.0, seed: int = 0) -> str:
@@ -84,12 +106,16 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
     A prime is fed from the zero state exactly the way training conditions
     a line, and generation continues from there.  Without a prime the zero
     state is bootstrapped with one word-boundary token to obtain a first
-    distribution.  Tokens are drawn from softmax(log p / temperature);
-    clocks fall out of the emitted tokens themselves, so word/sentence
-    boundaries drive the word-level module exactly as during scoring.
+    distribution.  Tokens are drawn from softmax(log p / temperature),
+    which must be finite and positive (else ConfigError), one
+    ``Network.step`` per token; each draw is the one
+    ``Generator.choice(len(p), p=p)`` would make, from the same stream of
+    ``default_rng(seed)``.  Clocks fall out of the emitted tokens
+    themselves, so word/sentence boundaries drive the word-level module
+    exactly as during scoring.
     """
-    if temperature <= 0.0:
-        raise ConfigError("temperature must be positive")
+    if not 0.0 < temperature < math.inf:  # NaN too
+        raise ConfigError("temperature must be finite and positive")
     rng = np.random.default_rng(seed)
     state = net.init_state(1)
     echo_ids = tokenize_fragment(prime, vocab) if prime else []
@@ -99,15 +125,7 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
         probs, state = net.step(state, tok)
     out: list[int] = []
     for _ in range(length):
-        if temperature != 1.0:
-            with np.errstate(divide="ignore"):
-                logits = np.log(probs) / temperature
-            logits -= logits.max()
-            p = np.exp(logits)
-            p /= p.sum()
-        else:
-            p = probs / probs.sum()
-        tok = int(rng.choice(len(p), p=p))
+        tok = _draw(_distribution(probs, temperature), rng)
         out.append(tok)
         probs, state = net.step(state, tok)
     # echo the prime as tokenized, so its whitespace matches what was fed

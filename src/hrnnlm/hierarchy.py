@@ -34,6 +34,10 @@ from .errors import ConfigError, DimensionError
 
 VARIANTS = ("mono", "hlstm_a", "hlstm_b")
 
+# The tape of a layer that an idle step passes through: clock low on every
+# row, reset low, nothing computed (what ``lstm_step`` would return).
+_IDLE = LstmTape(None, rows=False, reset=False, skipped=True)
+
 # Clock rank of a token: ordinary characters advance only level 1, word
 # boundaries advance level 2, sentence boundaries advance levels 2 and 3.
 _RANK_WORD = 2
@@ -339,6 +343,16 @@ class Network:
                 start += width
             self.input_slices[d.name] = slices
         self._token_ids = np.arange(spec.vocab_size)  # one-hot columns
+        # What a one-token step feeds: its id as a (1,) row, and the word
+        # module's indicator row of a boundary token.
+        self._id_rows = list(self._token_ids[:, None])
+        self._boundary_rows = {}
+        if spec.levels > 1:
+            for tok, row in ((spec.word_boundary_id, [[1.0, 0.0]]),
+                             (spec.sentence_boundary_id, [[0.0, 1.0]])):
+                row = np.array(row)
+                row.flags.writeable = False
+                self._boundary_rows[tok] = row
         self.flat = np.zeros(
             sum(LstmParams.size(self._input_dim(d), d.hidden)
                 for d in self.layer_defs)
@@ -466,9 +480,11 @@ class Network:
         clock comes with the rows it selects (``char_rows``, ``word_rows``,
         as ``clock_rows`` gives them).  A layer computes only those rows,
         into ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
-        columns receive those rows' inputs directly.  probs holds the
-        next-token distributions of ``char_rows`` (None when that is no
-        row)."""
+        columns receive those rows' inputs directly.  A layer that computes
+        no row and is not reset (the word layers on a character) passes
+        its state through with the ``_IDLE`` tape, without a call to
+        ``lstm_step``.  probs holds the next-token distributions of
+        ``char_rows`` (None when that is no row)."""
         new_states = dict(states)
         tapes = {}
         for d in self.step_order:
@@ -476,6 +492,9 @@ class Network:
                 c, r, rows = clock, word_clock, char_rows
             else:
                 c, r, rows = word_clock, False, word_rows
+            if rows is False and r is False:
+                tapes[d.name] = _IDLE
+                continue
             tape = x = None
             if rows is not False:
                 tape = slot(d.name, rows)
@@ -583,27 +602,58 @@ class Network:
             return probs_out[0], final, tape
         return probs_out, final, tape
 
-    def step(self, state: NetworkState, token_id: int):
-        """Streaming single-token step: (next-char probs, new state).
+    def step(self, state: NetworkState, ids):
+        """One streaming step: (next-token probs, new state).
 
-        Functionally one step of forward(); the given state is left intact,
-        so callers may branch a hypothesis by cloning.
+        With an int id, the state has one row and probs is (V,).  With a
+        (B,) id array, the state has B rows, each advanced by its own
+        token, and probs is (B, V): the same arithmetic, row for row and
+        bit for bit, as ``forward(ids[:, None], state=state)``.  The word
+        clock comes straight from the ids; the word layers run only the
+        boundary rows, and not at all when no id is a boundary.  The given
+        state is never mutated, so callers may branch a hypothesis from
+        it.  An id outside the vocabulary raises ConfigError; ids of more
+        than one dimension, or a state of another batch size, raise
+        DimensionError.
         """
-        token_id = int(token_id)
-        if not 0 <= token_id < self.spec.vocab_size:
-            raise ConfigError(f"token id {token_id} out of range")
+        if isinstance(ids, (int, np.integer)):
+            tok = int(ids)
+            if not 0 <= tok < self.spec.vocab_size:
+                raise ConfigError(f"token id {tok} out of range")
+            indicator = self._boundary_rows.get(tok)
+            word = indicator is not None
+            states, delay, probs, _ = self._run_step(
+                dict(state.layers), state.delay, self._id_rows[tok], True,
+                True, word, word, indicator, self._scratch(1))
+            return probs[0], NetworkState(layers=states, delay=delay)
+
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim == 0:
+            return self.step(state, int(ids))
+        if ids.ndim != 1:
+            raise DimensionError("step takes one id or a (batch,) id array")
+        B = ids.size
+        if state.batch != B:
+            raise DimensionError(f"{B} ids for a state of {state.batch} rows")
+        if B and (ids.min() < 0 or ids.max() >= self.spec.vocab_size):
+            raise ConfigError("token id out of vocabulary range")
         spec = self.spec
-        if spec.levels > 1:  # _window's flags for one row and step
-            word = token_id == spec.word_boundary_id
-            sentence = token_id == spec.sentence_boundary_id
-            word_clock = word or sentence
-            indicator = np.array([[float(word), float(sentence)]])
-        else:
-            word_clock, indicator = False, None
+        word = rows = False
+        indicator = None
+        if spec.levels > 1:  # forward's word clock for one step
+            boundary = np.stack([ids == spec.word_boundary_id,
+                                 ids == spec.sentence_boundary_id], axis=-1)
+            clock = boundary.any(axis=1)
+            k = np.count_nonzero(clock)
+            if k:
+                indicator = boundary.astype(np.float64)
+                word = rows = True
+                if k < B:
+                    word, rows = clock, clock.nonzero()[0]
         states, delay, probs, _ = self._run_step(
-            dict(state.layers), state.delay, np.array([token_id]), True, True,
-            word_clock, word_clock, indicator, self._scratch(1))
-        return probs[0], NetworkState(layers=states, delay=delay)
+            dict(state.layers), state.delay, ids, True, True, word, rows,
+            indicator, self._scratch(B))
+        return probs, NetworkState(layers=states, delay=delay)
 
     def backward(self, tape: WindowTape, d_logits) -> Blocks:
         """Reverse-mode gradients of a taped forward run.

@@ -134,6 +134,15 @@ class TestSample:
         assert capsys.readouterr().out == first
         assert len(first.strip()) > 0
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "0", "-2"])
+    def test_bad_temperature_is_config_error(self, trained_dir, capsys,
+                                             temperature):
+        code = main(["sample", "--checkpoint",
+                     str(trained_dir / "checkpoint.bin"), "--length", "5",
+                     "--temperature", temperature])
+        assert code == 1
+        assert "temperature" in capsys.readouterr().err
+
 
 class TestDecode:
     def test_single_frame_fixture(self, tmp_path, capsys):

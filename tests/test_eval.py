@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hrnnlm.corpus import build_vocab, byte_vocab, tokenize, tokenize_lines
 from hrnnlm.errors import ConfigError
-from hrnnlm.evaluation import (bpc, evaluate, format_report_table,
-                               ppl_from_bpc, sample, sequence_bits)
+from hrnnlm.evaluation import (_distribution, _draw, bpc, evaluate,
+                               format_report_table, ppl_from_bpc, sample,
+                               sequence_bits)
 from hrnnlm.hierarchy import VARIANTS, NetworkSpec, build_network
 from hrnnlm.training import TrainConfig, train
 
@@ -214,8 +215,45 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample(net, vocab4, length=5, temperature=0.0)
 
+    @pytest.mark.parametrize("temperature",
+                             [math.nan, math.inf, -math.inf, -1.0])
+    def test_temperature_must_be_finite_and_positive(self, vocab4,
+                                                     temperature):
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4))
+        with pytest.raises(ConfigError, match="finite and positive"):
+            sample(net, vocab4, length=5, temperature=temperature)
+
     def test_prime_is_prefix_of_output(self, vocab4):
         net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4),
                             rng_seed=9)
         out = sample(net, vocab4, length=10, prime="ab a", seed=5)
         assert out.startswith("ab a")
+
+
+@st.composite
+def distributions(draw):
+    """A next-token distribution as a softmax gives it: positive entries,
+    some of them exactly 0 (underflowed), summing to 1 within rounding."""
+    V = draw(st.integers(2, 40))
+    weights = np.array(draw(st.lists(
+        st.floats(1e-6, 1.0), min_size=V, max_size=V)))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=V, max_size=V)))
+    zero[draw(st.integers(0, V - 1))] = False
+    weights[zero] = 0.0
+    return weights / weights.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(probs=distributions(),
+       temperature=st.sampled_from([1.0, 0.01, 0.7, 1.3, 50.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(probs=np.array([0.0, 0.5, 0.0, 0.5, 0.0]), temperature=1.0, seed=0)
+@example(probs=np.array([0.25, 0.0, 0.75]), temperature=0.7, seed=1)
+def test_draw_equals_generator_choice(probs, temperature, seed):
+    """sample's draw is Generator.choice's, token for token, and leaves the
+    generator where choice leaves it, at both temperature branches."""
+    p = _distribution(probs, temperature)
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(8):
+        assert _draw(p, mine) == theirs.choice(len(p), p=p)
+    assert mine.random() == theirs.random()

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hrnnlm.cells import LstmState, lstm_step, softmax
 from hrnnlm.corpus import build_vocab
-from hrnnlm.errors import ConfigError
+from hrnnlm.errors import ConfigError, DimensionError
 from hrnnlm.hierarchy import (VARIANTS, NetworkSpec, NetworkState,
                               build_network, derive_clocks)
 
@@ -361,17 +361,26 @@ def _assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
 
 
-@settings(max_examples=40, deadline=None)
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
 @given(variant=st.sampled_from(VARIANTS),
        rows=st.lists(st.tuples(st.lists(ABC_TOKENS, max_size=8), ABC_TOKENS),
                      min_size=1, max_size=6))
 @example(variant="hlstm_b", rows=[([0, 3, 1], 3), ([2], 4), ([], 0),
                                   ([1, 4, 2, 2], 1)])
 @example(variant="hlstm_a", rows=[([0, 1], 4), ([3, 2], 3), ([4], 2)])
+@example(variant="hlstm_a", rows=[([0], 0), ([3, 2], 1), ([4], 2)])
+@example(variant="hlstm_a", rows=[([0, 1], 4), ([3], 3)])
 @example(variant="mono", rows=[([], 3), ([0, 0, 4], 1)])
 def test_batched_step_equals_per_row_steps(variant, rows):
-    """One forward step over K stacked rows in different states equals K
-    separate Network.step calls; ids 3 and 4 are <w> and <s>."""
+    """Network.step over K stacked rows in different states, with a (K,) id
+    array, equals one forward step over ids[:, None] bit for bit and K
+    one-row Network.step calls within 1e-12, whether no row, some rows or
+    every row reads a boundary (ids 3 and 4 are <w> and <s>); the input
+    state is not mutated."""
     net = STEP_NETS[variant]
     states = []
     for history, _ in rows:
@@ -379,13 +388,50 @@ def test_batched_step_equals_per_row_steps(variant, rows):
         for tok in history:
             _, state = net.step(state, tok)
         states.append(state)
+    stacked = _stack_states(states)
+    before = stacked.clone()
     ids = np.array([tok for _, tok in rows])
-    probs, batched, _ = net.forward(ids[:, None], state=_stack_states(states))
+    probs, batched = net.step(stacked, ids)
+    want_probs, want, _ = net.forward(ids[:, None], state=stacked)
+    _same_bits(probs, want_probs[:, 0])
+    for name, cell in want.layers.items():
+        _same_bits(batched.layers[name].m, cell.m)
+        _same_bits(batched.layers[name].h, cell.h)
+        _same_bits(stacked.layers[name].m, before.layers[name].m)
+        _same_bits(stacked.layers[name].h, before.layers[name].h)
+    if want.delay is not None:
+        _same_bits(batched.delay, want.delay)
+        _same_bits(stacked.delay, before.delay)
     for k, (state, tok) in enumerate(zip(states, ids)):
         want_probs, want = net.step(state, tok)
-        _assert_close(probs[k, 0], want_probs)
+        _assert_close(probs[k], want_probs)
         for name, cell in want.layers.items():
             _assert_close(batched.layers[name].m[k], cell.m[0])
             _assert_close(batched.layers[name].h[k], cell.h[0])
         if want.delay is not None:
             _assert_close(batched.delay[k], want.delay[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), batch=st.integers(1, 6),
+       other=st.integers(1, 6), data=st.data())
+def test_batched_step_rejects_bad_ids_and_states(variant, batch, other,
+                                                 data):
+    net = STEP_NETS[variant]
+    V = VOCAB_ABC.size
+    ids = np.array(data.draw(st.lists(ABC_TOKENS, min_size=batch,
+                                      max_size=batch)))
+    state = net.init_state(batch)
+    bad = ids.copy()
+    bad[data.draw(st.integers(0, batch - 1))] = data.draw(
+        st.one_of(st.integers(-5, -1), st.integers(V, V + 5)))
+    with pytest.raises(ConfigError):
+        net.step(state, bad)
+    with pytest.raises(ConfigError):
+        net.step(net.init_state(1), int(bad.min() if bad.min() < 0
+                                        else bad.max()))
+    with pytest.raises(DimensionError):
+        net.step(state, ids[None, :])
+    if other != batch:
+        with pytest.raises(DimensionError):
+            net.step(net.init_state(other), ids)

@@ -1,6 +1,7 @@
 """A/B benchmark: alternating parent/change pairs of ``bench/run.py``.
 
     python3 tools/ab.py --parent REV --pr N [--pairs 10] [--seed 9000]
+                        [--workload NAME ...]
 
 The change is this checkout's working tree.  The parent is the committed
 files of REV, unpacked with ``git archive`` into a temporary directory and
@@ -8,9 +9,11 @@ removed at the end: a plain copy, like the checkout the benchmark itself
 runs in, that leaves the repository's ``.git`` untouched (a ``git
 worktree`` would register itself there and leave a stale entry behind if
 the run were cut).  Every workload in ``BENCHMARK.json`` runs untraced for
-the benchmark's ``run_seconds``.  Pair i runs both sides with seed
-``--seed`` + i, the parent first on even pairs and the change first on odd
-ones, so that a drift in the machine's speed does not favour one side.
+the benchmark's ``run_seconds``; ``--workload NAME``, which may be
+repeated, pairs only the named ones, say while iterating on one.  Pair i
+runs both sides with seed ``--seed`` + i, the parent first on even pairs
+and the change first on odd ones, so that a drift in the machine's speed
+does not favour one side.
 Each run's last line of output is its JSON result.
 
 ``BENCH_<pr>.json`` is written at the root of the checkout: per workload
@@ -105,9 +108,14 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", required=True, help="writes BENCH_<pr>.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=9000)
-    args = ap.parse_args(argv)
-
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="pair only this workload (repeatable; default: "
+                    "every workload in BENCHMARK.json)")
+    args = ap.parse_args(argv)
+    workloads = [w for w in names if w in (args.workload or names)]
+
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = spec["run_seconds"]
@@ -118,7 +126,7 @@ def main(argv=None) -> int:
         archive = git("archive", "--format=tar", parent_rev, text=False)
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(parent_dir, filter="data")
-        for wl in (w["name"] for w in spec["workloads"]):
+        for wl in workloads:
             runs = []
             for i in range(args.pairs):
                 seed = args.seed + i
