@@ -236,8 +236,8 @@ def test_packed_kernel_equals_per_gate_kernel(D, H, batch, clock, reset,
     d_out = LstmState(rng.normal(size=shape), rng.normal(size=shape))
     d_x_want, d_m_want, d_h_want, g_want = _ref_backward(
         ref, ref_tape, c, r, d_out.m, d_out.h)
-    # Backward results are sums that may cancel: each is bounded by its
-    # rounding error, not relative to its own size.
+    # Backward results are sums that may cancel far below their terms:
+    # each is also allowed the rounding of those terms.
     d_x_scale, d_m_scale, d_h_scale, g_scale = _ref_backward_scale(
         ref, ref_tape, c, r, d_out.m, d_out.h)
     d_x, d_prev = lstm_backward_step(params, tape, d_out)
