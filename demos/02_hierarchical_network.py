@@ -17,11 +17,11 @@ seq = tokenize(text, vocab)
 print(f"corpus {text!r} -> vocabulary of {vocab.size} symbols")
 print("token ids:", seq.ids.tolist())
 
-plan = derive_clocks(seq.ids, vocab, levels=2)
+c1, c2 = derive_clocks(seq.ids, vocab)
 print("\nclock rows (level 1 = characters, level 2 = words):")
-print("  c1 =", plan.clocks[0].tolist(), " (every step)")
-print("  c2 =", plan.clocks[1].tolist(), " (word/sentence boundaries)")
-print("  r1 =", plan.resets[0].tolist(), " (char module resets under c2)")
+print("  c1 =", c1.tolist(), " (every step)")
+print("  c2 =", c2.tolist(), " (word/sentence boundaries)")
+print("  r1 =", c2.tolist(), " (char module resets under c2)")
 
 for variant in ("hlstm_a", "hlstm_b"):
     spec = NetworkSpec.for_vocab(variant, vocab, 8)

@@ -16,8 +16,8 @@ from .corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, TokenSequence,
 from .cells import (LstmCell, LstmParams, LstmState, clocked_reset_step,
                     clocked_step, init_lstm_params, lstm_step, sigmoid,
                     softmax)
-from .hierarchy import (ClockPlan, Network, NetworkSpec, NetworkState,
-                        build_network, derive_clocks)
+from .hierarchy import (Network, NetworkSpec, NetworkState, build_network,
+                        derive_clocks)
 from .training import (Batch, GradCheckReport, OptimizerState, TrainConfig,
                        TrainResult, adadelta_nesterov_update, batch_sequences,
                        gradient_check, load_checkpoint, save_checkpoint,
@@ -39,7 +39,7 @@ __all__ = [
     "LstmCell", "LstmParams", "LstmState", "clocked_reset_step",
     "clocked_step", "init_lstm_params", "lstm_step",
     "sigmoid", "softmax",
-    "ClockPlan", "Network", "NetworkSpec", "NetworkState", "build_network",
+    "Network", "NetworkSpec", "NetworkState", "build_network",
     "derive_clocks",
     "Batch", "GradCheckReport", "OptimizerState", "TrainConfig",
     "TrainResult", "adadelta_nesterov_update", "batch_sequences",

@@ -5,9 +5,10 @@ steps on every character, module 2 only on word-boundary tokens (<w>, <s>),
 and module 1 is reset exactly when module 2 steps.  The activation a module
 sends upward is delayed by one step (so the embedding of the word just
 finished survives the reset); the context a module sends back down is not
-delayed.  Clock derivation is implemented for any number of levels; the
-concrete builders cover the single-module stack ("mono") and the two-level
-variants:
+delayed.  A token's clocks are a function of the token alone, read from one
+per-token table (``_boundary_table``) by ``Network.forward``, both paths of
+``Network.step`` and ``derive_clocks``.  The builders cover the single-module
+stack ("mono") and the two-level variants:
 
 * ``hlstm_a``: both character layers read the one-hot input; layer 2 is a
   generative layer conditioned on the word context, layer 1 produces the
@@ -38,10 +39,35 @@ VARIANTS = ("mono", "hlstm_a", "hlstm_b")
 # row, reset low, nothing computed (what ``lstm_step`` would return).
 _IDLE = LstmTape(None, rows=False, reset=False, skipped=True)
 
-# Clock rank of a token: ordinary characters advance only level 1, word
-# boundaries advance level 2, sentence boundaries advance levels 2 and 3.
-_RANK_WORD = 2
-_RANK_SENTENCE = 3
+
+def _boundary_table(size: int, boundary_ids) -> np.ndarray:
+    """The clock rule, as the word module's (size, 2) boundary-indicator
+    input per token id: row i is [i is <w>, i is <s>] for the
+    ``boundary_ids`` (<w>, <s>).  Token i ticks the word clock, and resets
+    the character module, exactly when its row is non-zero; without
+    boundary ids (mono) no token does.  Read-only."""
+    table = np.zeros((size, 2))
+    if boundary_ids is not None:
+        table[list(boundary_ids), [0, 1]] = 1.0
+    table.flags.writeable = False
+    return table
+
+
+def _check_ids(ids, size: int):
+    """Token ids of a vocabulary of ``size``: an int comes back as an int,
+    anything else as an int64 array.  Ids that are not integers (bools
+    included) or lie outside [0, size) raise ConfigError."""
+    if isinstance(ids, (int, np.integer)) and not isinstance(ids, bool):
+        if not 0 <= ids < size:
+            raise ConfigError(f"token id {ids} out of range")
+        return int(ids)
+    ids = np.asarray(ids)
+    if ids.size:
+        if ids.dtype.kind not in "iu":
+            raise ConfigError(f"token ids must be integers, not {ids.dtype}")
+        if ids.min() < 0 or ids.max() >= size:
+            raise ConfigError("token id out of vocabulary range")
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -153,71 +179,16 @@ def _feedup_layer(spec: NetworkSpec) -> Optional[str]:
     return "char1" if spec.variant == "hlstm_a" else "char2"
 
 
-@dataclass
-class ClockPlan:
-    """Per-level clock and reset rows for one token sequence.
-
-    Row l (0-based) drives level l+1.  Level 1 ticks every step; level l>1
-    ticks only on tokens that also tick level l-1; every level below the top
-    is reset exactly when the level above ticks.
-    """
-
-    clocks: np.ndarray  # (levels, T) of {0, 1}
-    resets: np.ndarray  # (levels, T)
-
-    @property
-    def levels(self) -> int:
-        return self.clocks.shape[0]
-
-    @property
-    def steps(self) -> int:
-        return self.clocks.shape[1]
-
-    def validate(self) -> None:
-        c, r = self.clocks, self.resets
-        if c.shape != r.shape:
-            raise DimensionError("clock/reset shapes differ")
-        if not np.all(c[0] == 1):
-            raise ConfigError("level-1 clock must tick every step")
-        for l in range(1, self.levels):
-            if np.any(c[l] > c[l - 1]):
-                raise ConfigError(f"level-{l + 1} clock ticks while "
-                                  f"level {l} is idle")
-        for l in range(self.levels - 1):
-            if not np.array_equal(r[l], c[l + 1]):
-                raise ConfigError(f"level-{l + 1} reset must equal the "
-                                  f"level-{l + 2} clock")
-        if np.any(r[self.levels - 1] != 0):
-            raise ConfigError("the top level is never reset")
-
-
-def token_ranks(ids: np.ndarray, word_boundary_id: int,
-                sentence_boundary_id: int) -> np.ndarray:
-    ranks = np.ones_like(ids, dtype=np.int64)
-    ranks[ids == word_boundary_id] = _RANK_WORD
-    ranks[ids == sentence_boundary_id] = _RANK_SENTENCE
-    return ranks
-
-
-def derive_clocks(ids, vocab: Vocabulary, levels: int) -> ClockPlan:
-    """Derive nested clock/reset rows for a token sequence.
-
-    Level l ticks on tokens of clock rank >= l: every token for level 1,
-    boundary tokens for level 2, sentence boundaries for level 3.
-    """
-    if levels < 1:
-        raise ConfigError("levels must be at least 1")
+def derive_clocks(ids, vocab: Vocabulary) -> np.ndarray:
+    """The (2, T) clock rows of a token sequence, as ``Network.forward``
+    runs them: row 0 the character clock, high on every token, and row 1
+    the word clock, high on <w> and <s>.  The character module is reset
+    exactly when the word clock ticks, so row 1 is also its reset row."""
     if isinstance(ids, TokenSequence):
         ids = ids.ids
-    ids = np.asarray(ids, dtype=np.int64)
-    ranks = token_ranks(ids, vocab.word_boundary_id, vocab.sentence_boundary_id)
-    clocks = np.stack([(ranks >= l + 1).astype(np.uint8)
-                       for l in range(levels)])
-    resets = np.zeros_like(clocks)
-    resets[:-1] = clocks[1:]
-    plan = ClockPlan(clocks=clocks, resets=resets)
-    plan.validate()
-    return plan
+    ids = np.asarray(_check_ids(ids, vocab.size))
+    word = _boundary_table(vocab.size, vocab.boundary_ids)[ids].any(axis=-1)
+    return np.stack([np.ones_like(word), word]).astype(np.uint8)
 
 
 @dataclass
@@ -343,16 +314,10 @@ class Network:
                 start += width
             self.input_slices[d.name] = slices
         self._token_ids = np.arange(spec.vocab_size)  # one-hot columns
-        # What a one-token step feeds: its id as a (1,) row, and the word
-        # module's indicator row of a boundary token.
-        self._id_rows = list(self._token_ids[:, None])
-        self._boundary_rows = {}
-        if spec.levels > 1:
-            for tok, row in ((spec.word_boundary_id, [[1.0, 0.0]]),
-                             (spec.sentence_boundary_id, [[0.0, 1.0]])):
-                row = np.array(row)
-                row.flags.writeable = False
-                self._boundary_rows[tok] = row
+        self._table = _boundary_table(
+            spec.vocab_size, (spec.word_boundary_id, spec.sentence_boundary_id)
+            if spec.levels > 1 else None)
+        self._ticks = self._table.any(axis=1)
         self.flat = np.zeros(
             sum(LstmParams.size(self._input_dim(d), d.hidden)
                 for d in self.layer_defs)
@@ -440,17 +405,13 @@ class Network:
                  if self.feedup_layer else None)
         return NetworkState(layers=layers, delay=delay)
 
-    def _window(self, ids: np.ndarray, active: np.ndarray):
-        """The character and word ``_Clock`` of a (B, T) window, plus the
-        word module's (B, T, 2) boundary-indicator input (None for mono)."""
-        clock = _Clock.of(active)
-        if self.spec.levels == 1:
-            idle = [False] * ids.shape[1]
-            return clock, _Clock(idle, idle, []), None
-        word = (ids == self.spec.word_boundary_id) & active
-        sentence = (ids == self.spec.sentence_boundary_id) & active
-        indicator = np.stack([word, sentence], axis=-1).astype(np.float64)
-        return clock, _Clock.of(word | sentence), indicator
+    def _window(self, ids: np.ndarray, active):
+        """The word ``_Clock`` of a (B, T) window, high where an active
+        position holds a boundary, and the word module's (B, T, 2)
+        indicator input, both read from the boundary table.  The indicator
+        is not masked: the word layers compute only rows whose word clock
+        is high."""
+        return _Clock.of(self._ticks[ids] & active), self._table[ids]
 
     def _scratch(self, batch: int):
         """A slot source for untaped steps: each layer reuses one scratch
@@ -541,15 +502,13 @@ class Network:
         for ``backward``; each layer's window holds a slot only for the
         steps the layer computes, with a row for each row it computes.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(_check_ids(ids, self.spec.vocab_size))
         single = ids.ndim == 1
         if single:
             ids = ids[None, :]
         if ids.ndim != 2:
             raise DimensionError("ids must be a 1-D or 2-D integer array")
         B, T = ids.shape
-        if ids.size and (ids.min() < 0 or ids.max() >= self.spec.vocab_size):
-            raise ConfigError("token id out of vocabulary range")
         if active is None:
             active = np.ones((B, T), dtype=bool)
         else:
@@ -558,10 +517,14 @@ class Network:
                 raise DimensionError("active mask shape must match ids")
 
         state = self.init_state(B) if state is None else state
+        if state.batch != B:
+            raise DimensionError(f"{B} id rows for a state of {state.batch} "
+                                 "rows")
         states = dict(state.layers)
         delay = state.delay
         probs_out = np.zeros((B, T, self.spec.vocab_size))
-        clock, word, indicator = self._window(ids, active)
+        clock = _Clock.of(active)
+        word, indicator = self._window(ids, active)
         tape = None
         if collect_tape:
             windows = {}
@@ -585,8 +548,7 @@ class Network:
             rows = clock.rows[t]
             states, delay, probs, tapes = self._run_step(
                 states, delay, ids[:, t], clock.flags[t], rows,
-                word.flags[t], word.rows[t],
-                None if indicator is None else indicator[:, t], slot)
+                word.flags[t], word.rows[t], indicator[:, t], slot)
             if probs is not None:
                 probs_out[slice(None) if rows is True else rows, t] = probs
             if collect_tape:
@@ -608,26 +570,27 @@ class Network:
         With an int id, the state has one row and probs is (V,).  With a
         (B,) id array, the state has B rows, each advanced by its own
         token, and probs is (B, V): the same arithmetic, row for row and
-        bit for bit, as ``forward(ids[:, None], state=state)``.  The word
-        clock comes straight from the ids; the word layers run only the
+        bit for bit, as ``forward(ids[:, None], state=state)``, whose
+        ``_window`` it runs.  The int path reads the same boundary table
+        without building a window; either way the word layers run only the
         boundary rows, and not at all when no id is a boundary.  The given
         state is never mutated, so callers may branch a hypothesis from
-        it.  An id outside the vocabulary raises ConfigError; ids of more
-        than one dimension, or a state of another batch size, raise
-        DimensionError.
+        it.  An id that is not an integer, or lies outside the vocabulary,
+        raises ConfigError; ids of more than one dimension, or a state of
+        another batch size, raise DimensionError.
         """
-        if isinstance(ids, (int, np.integer)):
-            tok = int(ids)
-            if not 0 <= tok < self.spec.vocab_size:
-                raise ConfigError(f"token id {tok} out of range")
-            indicator = self._boundary_rows.get(tok)
-            word = indicator is not None
+        ids = _check_ids(ids, self.spec.vocab_size)
+        if isinstance(ids, int):
+            if state.batch != 1:
+                raise DimensionError(
+                    f"1 id for a state of {state.batch} rows")
+            word = bool(self._ticks[ids])
             states, delay, probs, _ = self._run_step(
-                dict(state.layers), state.delay, self._id_rows[tok], True,
-                True, word, word, indicator, self._scratch(1))
+                dict(state.layers), state.delay,
+                self._token_ids[ids:ids + 1], True, True, word, word,
+                self._table[ids:ids + 1], self._scratch(1))
             return probs[0], NetworkState(layers=states, delay=delay)
 
-        ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim == 0:
             return self.step(state, int(ids))
         if ids.ndim != 1:
@@ -635,24 +598,10 @@ class Network:
         B = ids.size
         if state.batch != B:
             raise DimensionError(f"{B} ids for a state of {state.batch} rows")
-        if B and (ids.min() < 0 or ids.max() >= self.spec.vocab_size):
-            raise ConfigError("token id out of vocabulary range")
-        spec = self.spec
-        word = rows = False
-        indicator = None
-        if spec.levels > 1:  # forward's word clock for one step
-            boundary = np.stack([ids == spec.word_boundary_id,
-                                 ids == spec.sentence_boundary_id], axis=-1)
-            clock = boundary.any(axis=1)
-            k = np.count_nonzero(clock)
-            if k:
-                indicator = boundary.astype(np.float64)
-                word = rows = True
-                if k < B:
-                    word, rows = clock, clock.nonzero()[0]
+        word, indicator = self._window(ids[:, None], True)
         states, delay, probs, _ = self._run_step(
-            dict(state.layers), state.delay, ids, True, True, word, rows,
-            indicator, self._scratch(B))
+            dict(state.layers), state.delay, ids, True, True, word.flags[0],
+            word.rows[0], indicator[:, 0], self._scratch(B))
         return probs, NetworkState(layers=states, delay=delay)
 
     def backward(self, tape: WindowTape, d_logits) -> Blocks:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hrnnlm
 from hrnnlm.cells import LstmState, lstm_step, softmax
 from hrnnlm.corpus import build_vocab
 from hrnnlm.errors import ConfigError, DimensionError
@@ -35,45 +36,37 @@ class TestDeriveClocks:
     def test_boundary_pattern(self, vocab):
         ids = [vocab.id_of("a"), vocab.word_boundary_id, vocab.id_of("b"),
                vocab.sentence_boundary_id]
-        plan = derive_clocks(ids, vocab, levels=2)
-        assert plan.clocks[0].tolist() == [1, 1, 1, 1]
-        assert plan.clocks[1].tolist() == [0, 1, 0, 1]
-        assert plan.resets[0].tolist() == [0, 1, 0, 1]
-        assert plan.resets[1].tolist() == [0, 0, 0, 0]
+        clocks = derive_clocks(ids, vocab)
+        assert clocks.shape == (2, 4)
+        assert clocks[0].tolist() == [1, 1, 1, 1]
+        assert clocks[1].tolist() == [0, 1, 0, 1]  # also the char reset
 
     def test_no_boundaries(self, vocab):
         ids = [vocab.id_of(c) for c in "abcd"]
-        plan = derive_clocks(ids, vocab, levels=2)
-        assert plan.clocks[1].sum() == 0
+        clocks = derive_clocks(ids, vocab)
+        assert clocks[1].sum() == 0
 
     def test_single_level(self, vocab):
-        plan = derive_clocks([vocab.id_of("a")] * 5, vocab, levels=1)
-        assert plan.clocks.shape == (1, 5)
-        assert plan.clocks[0].all()
-        assert not plan.resets.any()
-
-    def test_three_levels(self, vocab):
-        ids = [vocab.id_of("a"), vocab.word_boundary_id,
-               vocab.sentence_boundary_id]
-        plan = derive_clocks(ids, vocab, levels=3)
-        assert plan.clocks[1].tolist() == [0, 1, 1]
-        assert plan.clocks[2].tolist() == [0, 0, 1]
-        assert plan.resets[0].tolist() == [0, 1, 1]
-        assert plan.resets[1].tolist() == [0, 0, 1]
-
-    def test_validity_on_random_sequences(self, vocab):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            ids = rng.integers(0, vocab.size, size=rng.integers(1, 30))
-            plan = derive_clocks(ids, vocab, levels=rng.integers(1, 4))
-            plan.validate()  # raises on any violated nesting rule
+        # the character level ticks on every token, boundaries included
+        ids = [vocab.word_boundary_id, vocab.id_of("a"),
+               vocab.sentence_boundary_id, vocab.word_boundary_id]
+        assert derive_clocks(ids, vocab)[0].all()
 
     def test_byte_mode_space_fires_word_clock(self):
         from hrnnlm.corpus import byte_vocab, tokenize
         bv = byte_vocab()
         seq = tokenize("a b", bv)  # [97, 32, 98, 256]
-        plan = derive_clocks(seq, bv, levels=2)
-        assert plan.clocks[1].tolist() == [0, 1, 0, 1]
+        assert derive_clocks(seq, bv)[1].tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("ids", [[1.0, 2.0], [True], [-1], [11]])
+    def test_rejects_bad_ids(self, vocab, ids):
+        with pytest.raises(ConfigError):
+            derive_clocks(ids, vocab)
+
+
+def test_every_exported_name_resolves():
+    for name in hrnnlm.__all__:
+        assert getattr(hrnnlm, name) is not None, name
 
 
 class TestSpecValidation:
@@ -430,8 +423,92 @@ def test_batched_step_rejects_bad_ids_and_states(variant, batch, other,
     with pytest.raises(ConfigError):
         net.step(net.init_state(1), int(bad.min() if bad.min() < 0
                                         else bad.max()))
+    for not_ids in (ids + 0.5, ids.astype(str), ids > 2):
+        with pytest.raises(ConfigError):
+            net.step(state, not_ids)
+    for not_id in (2.5, True, np.bool_(False), "1", np.float64(1.0)):
+        with pytest.raises(ConfigError):
+            net.step(net.init_state(1), not_id)
     with pytest.raises(DimensionError):
         net.step(state, ids[None, :])
     if other != batch:
         with pytest.raises(DimensionError):
             net.step(net.init_state(other), ids)
+    if other != 1:
+        with pytest.raises(DimensionError, match=f"1 id .* {other} rows"):
+            net.step(net.init_state(other), int(ids[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), batch=st.integers(1, 4),
+       steps=st.integers(1, 5), data=st.data())
+def test_forward_rejects_bad_ids(variant, batch, steps, data):
+    """forward's counterpart of the step checks: ids that are not integers,
+    or lie outside the vocabulary (negative ones included, which a table
+    gather would wrap), raise ConfigError, and a state of another batch
+    size DimensionError; an empty id list still runs."""
+    net = STEP_NETS[variant]
+    V = VOCAB_ABC.size
+    ids = np.array(data.draw(st.lists(
+        st.lists(ABC_TOKENS, min_size=steps, max_size=steps),
+        min_size=batch, max_size=batch)))
+    bad = ids.copy()
+    row = data.draw(st.integers(0, batch - 1))
+    bad[row, data.draw(st.integers(0, steps - 1))] = data.draw(
+        st.one_of(st.integers(-5, -1), st.integers(V, V + 5)))
+    for not_ids in (bad, bad[row], ids + 0.5, ids.astype(str), ids > 2,
+                    ids.astype(float).tolist()):
+        with pytest.raises(ConfigError):
+            net.forward(not_ids)
+    with pytest.raises(DimensionError, match=f"{batch} id rows .* "
+                       f"{batch + 1} rows"):
+        net.forward(ids, state=net.init_state(batch + 1))
+    probs, _, _ = net.forward(ids)
+    assert probs.shape == (batch, steps, V)
+    assert net.forward([])[0].shape == (0, V)
+
+
+def _row_mask(rows, batch: int) -> np.ndarray:
+    """A tape's ``rows`` (True, False or indices) or ``reset`` (True, False
+    or a (b, 1) mask) as a (batch,) bool mask."""
+    if rows is True or rows is False:
+        return np.full(batch, rows)
+    rows = np.asarray(rows)
+    if rows.dtype == bool:
+        return rows.reshape(batch)
+    mask = np.zeros(batch, dtype=bool)
+    mask[rows] = True
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), batch=st.integers(1, 4),
+       steps=st.integers(1, 8), data=st.data())
+def test_derive_clocks_matches_forward(variant, batch, steps, data):
+    """In a taped window, the word layers compute at step t exactly the
+    active rows whose ``derive_clocks`` word clock is high, the character
+    layers exactly the active rows, and the character layers are reset on
+    exactly the word-clocked rows (on none in mono, which has no word
+    module); ids 3 and 4 are <w> and <s>."""
+    net = STEP_NETS[variant]
+    ids = np.array(data.draw(st.lists(
+        st.lists(ABC_TOKENS, min_size=steps, max_size=steps),
+        min_size=batch, max_size=batch)))
+    active = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=steps, max_size=steps),
+        min_size=batch, max_size=batch)))
+    clocks = np.stack([derive_clocks(row, VOCAB_ABC) for row in ids])
+    assert clocks[:, 0].all()
+    assert np.array_equal(clocks[:, 1] == 1, np.isin(ids, [3, 4]))
+    word = (clocks[:, 1] == 1) & active
+    if variant == "mono":
+        word[...] = False
+    _, _, tape = net.forward(ids, active=active, collect_tape=True)
+    for d in net.layer_defs:
+        for t, step_tape in enumerate(tape.steps[d.name]):
+            want = active[:, t] if d.level == 1 else word[:, t]
+            assert np.array_equal(_row_mask(step_tape.rows, batch), want)
+            assert step_tape.skipped == (not want.any())
+            if d.level == 1:
+                assert np.array_equal(_row_mask(step_tape.reset, batch),
+                                      word[:, t])
