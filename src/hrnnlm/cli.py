@@ -20,7 +20,7 @@ from .corpus import build_vocab, save_vocab, split_heldout, \
 from .decoding import DecodeConfig, DecodeResult, beam_search, read_posteriors
 from .errors import ConfigError, DataError, HrnnlmError, NumericError
 from .evaluation import evaluate, format_report_table, sample
-from .files import atomic_write
+from .files import atomic_write, read_text
 from .hierarchy import NetworkSpec, build_network
 from .training import TrainConfig, gradient_check, load_checkpoint, \
     train
@@ -106,20 +106,19 @@ def load_config_file(path: str, keyset: dict) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in keyset:
-                raise ConfigError(f"{path}:{lineno}: unknown config key "
-                                  f"{key!r}")
-            values[key] = _parse_value(key, raw.strip(), keyset[key][0])
+    lines = read_text(path, ConfigError, "config file").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in keyset:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _parse_value(key, raw.strip(), keyset[key][0])
     return values
 
 
@@ -164,9 +163,7 @@ def _require_path(values: dict, key: str) -> str:
 
 
 def _read_corpus(values: dict) -> str:
-    path = _require_path(values, "corpus")
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(_require_path(values, "corpus"), DataError, "corpus")
     if values.get("uppercase"):
         text = text.upper()
     return text

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyCorpusError, OovError
-from .files import atomic_write
+from .files import atomic_write, read_text
 
 WORD_BOUNDARY = "<w>"
 SENTENCE_BOUNDARY = "<s>"
@@ -291,9 +291,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def load_vocab(path) -> Vocabulary:
     """Load a vocabulary file; the mode is inferred from the symbol layout."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    lines = text.split("\n")
+    lines = read_text(path, DataError, "vocabulary file").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     symbols = tuple(unescape_symbol(line) for line in lines)

@@ -51,7 +51,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .corpus import Vocabulary, detokenize, escape_symbol, unescape_symbol
 from .errors import ConfigError, DataError, PosteriorFormatError, check_count
-from .files import read_exact
+from .files import read_exact, read_text
 from .hierarchy import Network, NetworkState
 
 BLANK_LABEL = "<blank>"
@@ -105,12 +105,8 @@ def write_posteriors_text(path, post: PosteriorMatrix) -> None:
 
 
 def read_posteriors_text(path) -> PosteriorMatrix:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError:
-        raise PosteriorFormatError(
-            f"posterior file {path} is not UTF-8") from None
+    lines = read_text(path, PosteriorFormatError,
+                      "posterior file").splitlines()
     header = lines[0].split() if lines else []
     if len(header) < 2:
         raise PosteriorFormatError(f"bad posterior header in {path}")
@@ -251,8 +247,6 @@ def _set_rows(state: NetworkState, rows, src: NetworkState):
     for name, cell in src.layers.items():
         state.layers[name].m[rows] = cell.m
         state.layers[name].h[rows] = cell.h
-    if state.delay is not None:
-        state.delay[rows] = src.delay
 
 
 def _select(neg: np.ndarray, width: int, prefix_of) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .corpus import TokenSequence, Vocabulary, detokenize, tokenize_fragment
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .hierarchy import Network
 from .training import bpc, sequence_bits  # noqa: F401  (re-exported)
 
@@ -112,8 +112,10 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
     ``Generator.choice(len(p), p=p)`` would make, from the same stream of
     ``default_rng(seed)``.  Clocks fall out of the emitted tokens
     themselves, so word/sentence boundaries drive the word-level module
-    exactly as during scoring.
+    exactly as during scoring.  ``length``, the number of tokens drawn
+    after the prime, must be an integer of at least 0 (else ConfigError).
     """
+    check_count("length", length, 0)
     if not 0.0 < temperature < math.inf:  # NaN too
         raise ConfigError("temperature must be finite and positive")
     rng = np.random.default_rng(seed)

@@ -3,7 +3,8 @@
 ``atomic_write`` hands out a temporary file in the target's directory and
 moves it over the target only once everything was written and synced, so
 a crash or an exception mid-write leaves the previous file as it was.
-``read_exact`` reads a fixed number of bytes or raises the format's error.
+``read_exact`` reads a fixed number of bytes or raises the format's error,
+and ``read_text`` reads a UTF-8 text file or raises the caller's error.
 """
 
 from __future__ import annotations
@@ -52,3 +53,13 @@ def read_exact(f, n: int, error: type[Exception]) -> bytes:
     if len(data) != n:
         raise error(f"{getattr(f, 'name', 'file')} is truncated")
     return data
+
+
+def read_text(path, error: type[Exception], what: str = "file") -> str:
+    """The text of a UTF-8 file, newlines translated as ``open`` does;
+    raises ``error`` when the file is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{what} {path} is not UTF-8 (byte {e.start})") from None

@@ -3,12 +3,14 @@
 A network is a stack of LSTM modules running at nested rates: module 1
 steps on every character, module 2 only on word-boundary tokens (<w>, <s>),
 and module 1 is reset exactly when module 2 steps.  The activation a module
-sends upward is delayed by one step (so the embedding of the word just
-finished survives the reset); the context a module sends back down is not
-delayed.  A token's clocks are a function of the token alone, read from one
-per-token table (``_boundary_table``) by ``Network.forward``, both paths of
-``Network.step`` and ``derive_clocks``.  The builders cover the single-module
-stack ("mono") and the two-level variants:
+sends upward is delayed by one step: the word module reads the feed-up
+layer's activation from the state going into the step, so the embedding of
+the word just finished survives the reset; a state is just its layers'
+cells.  The context a module sends back down is not delayed.  A token's
+clocks are a function of the token alone, read from one per-token table
+(``_boundary_table``) by ``Network.forward``, both paths of
+``Network.step`` and ``derive_clocks``.  The builders cover the
+single-module stack ("mono") and the two-level variants:
 
 * ``hlstm_a``: both character layers read the one-hot input; layer 2 is a
   generative layer conditioned on the word context, layer 1 produces the
@@ -157,13 +159,16 @@ def _layer_defs(spec: NetworkSpec) -> list[_LayerDef]:
             src = [("onehot", None)] if k == 0 else [("hidden", f"layer{k}")]
             defs.append(_LayerDef(f"layer{k + 1}", 1, dims[k], src))
         return defs
-    char2_src = ([("onehot", None), ("hidden", "word2")]
-                 if spec.variant == "hlstm_a"
-                 else [("hidden", "char1"), ("hidden", "word2")])
+    # The layer that feeds the word module: the word embedding.
+    if spec.variant == "hlstm_a":
+        feedup, char2_in = "char1", ("onehot", None)
+    else:
+        feedup, char2_in = "char2", ("hidden", "char1")
     return [
         _LayerDef("char1", 1, dims[0], [("onehot", None)]),
-        _LayerDef("char2", 1, dims[1], char2_src),
-        _LayerDef("word1", 2, dims[2], [("delay", None), ("indicator", None)]),
+        _LayerDef("char2", 1, dims[1], [char2_in, ("hidden", "word2")]),
+        _LayerDef("word1", 2, dims[2],
+                  [("delay", feedup), ("indicator", None)]),
         _LayerDef("word2", 2, dims[3], [("hidden", "word1")]),
     ]
 
@@ -171,12 +176,6 @@ def _layer_defs(spec: NetworkSpec) -> list[_LayerDef]:
 def _output_layer(spec: NetworkSpec) -> str:
     return (f"layer{spec.layers_per_module}" if spec.variant == "mono"
             else "char2")
-
-
-def _feedup_layer(spec: NetworkSpec) -> Optional[str]:
-    if spec.variant == "mono":
-        return None
-    return "char1" if spec.variant == "hlstm_a" else "char2"
 
 
 def derive_clocks(ids, vocab: Vocabulary) -> np.ndarray:
@@ -193,11 +192,10 @@ def derive_clocks(ids, vocab: Vocabulary) -> np.ndarray:
 
 @dataclass
 class NetworkState:
-    """Cloneable full-stack runtime state: one cell state per layer plus the
-    one-step feed-up delay buffer."""
+    """Cloneable full-stack runtime state: one cell state per layer.  The
+    word module's delayed input is the feed-up layer's ``h`` here."""
 
     layers: dict[str, LstmState]
-    delay: Optional[np.ndarray] = None
 
     @property
     def batch(self) -> int:
@@ -205,25 +203,25 @@ class NetworkState:
         return h.shape[0]
 
     def clone(self) -> "NetworkState":
-        return NetworkState(
-            layers={k: v.copy() for k, v in self.layers.items()},
-            delay=None if self.delay is None else self.delay.copy())
+        return NetworkState({k: v.copy() for k, v in self.layers.items()})
 
     def reset_where(self, mask) -> "NetworkState":
-        """Zero every array on the batch rows where mask is true."""
-        m = np.asarray(mask, dtype=bool)[:, None]
-        layers = {k: LstmState(np.where(m, 0.0, v.m), np.where(m, 0.0, v.h))
-                  for k, v in self.layers.items()}
-        delay = None if self.delay is None else np.where(m, 0.0, self.delay)
-        return NetworkState(layers=layers, delay=delay)
+        """Zero every array on the batch rows where mask is true; a mask
+        without exactly one entry per row raises DimensionError."""
+        m = np.asarray(mask, dtype=bool)
+        if m.shape != (self.batch,):
+            raise DimensionError(f"a mask of shape {m.shape} for a state of "
+                                 f"{self.batch} rows")
+        m = m[:, None]
+        return NetworkState({k: LstmState(np.where(m, 0.0, v.m),
+                                          np.where(m, 0.0, v.h))
+                             for k, v in self.layers.items()})
 
     def take(self, rows) -> "NetworkState":
         """A new state of the given batch rows, in order (copies)."""
         rows = np.asarray(rows, dtype=np.int64)
-        layers = {k: LstmState(v.m[rows], v.h[rows])
-                  for k, v in self.layers.items()}
-        delay = None if self.delay is None else self.delay[rows]
-        return NetworkState(layers=layers, delay=delay)
+        return NetworkState({k: LstmState(v.m[rows], v.h[rows])
+                             for k, v in self.layers.items()})
 
 
 @dataclass
@@ -299,9 +297,9 @@ class Network:
         self.spec = spec
         self.layer_defs = _layer_defs(spec)
         self.output_layer = _output_layer(spec)
-        self.feedup_layer = _feedup_layer(spec)
-        # Per-step processing order: the word module consumes last step's
-        # delayed embedding first, so the character module sees fresh context.
+        # Per-step processing order: the word module steps first, so the
+        # character module reads this step's context.  (A delayed source
+        # reads the step's input state, so its order does not matter.)
         self.step_order = sorted(
             self.layer_defs, key=lambda d: -d.level)
         # Where each input source sits in a layer's input vector.
@@ -363,10 +361,8 @@ class Network:
     def _source_width(self, kind: str, ref: Optional[str]) -> int:
         if kind == "onehot":
             return self.spec.vocab_size
-        if kind == "hidden":
+        if kind in ("hidden", "delay"):
             return self._hidden_of(ref)
-        if kind == "delay":
-            return self._hidden_of(self.feedup_layer)
         if kind == "indicator":
             return 2
         raise ConfigError(f"unknown input source {kind!r}")
@@ -376,15 +372,8 @@ class Network:
 
     def connections(self) -> list[tuple[str, str, int]]:
         """Wiring table as (source, target, delay) triples."""
-        table = []
-        for d in self.layer_defs:
-            for kind, ref in d.sources:
-                if kind == "hidden":
-                    table.append((ref, d.name, 0))
-                elif kind == "delay":
-                    table.append((self.feedup_layer, d.name, 1))
-                else:
-                    table.append((kind, d.name, 0))
+        table = [(ref or kind, d.name, int(kind == "delay"))
+                 for d in self.layer_defs for kind, ref in d.sources]
         table.append((self.output_layer, "softmax", 0))
         return table
 
@@ -399,11 +388,8 @@ class Network:
     # -- running -----------------------------------------------------------
 
     def init_state(self, batch: int = 1) -> NetworkState:
-        layers = {d.name: LstmState.zeros(d.hidden, batch)
-                  for d in self.layer_defs}
-        delay = (np.zeros((batch, self._hidden_of(self.feedup_layer)))
-                 if self.feedup_layer else None)
-        return NetworkState(layers=layers, delay=delay)
+        return NetworkState({d.name: LstmState.zeros(d.hidden, batch)
+                             for d in self.layer_defs})
 
     def _window(self, ids: np.ndarray, active):
         """The word ``_Clock`` of a (B, T) window, high where an active
@@ -433,10 +419,10 @@ class Network:
             return head
         return slot
 
-    def _run_step(self, states: dict, delay, ids_t, clock, char_rows,
-                  word_clock, word_rows, indicator, slot):
-        """Advance every layer one step; returns updated (states, delay,
-        probs, tapes).  Character layers tick with ``clock`` and reset
+    def _run_step(self, states: dict, ids_t, clock, char_rows, word_clock,
+                  word_rows, indicator, slot):
+        """Advance every layer one step; returns updated (states, probs,
+        tapes).  Character layers tick with ``clock`` and reset
         under ``word_clock``, word layers tick with ``word_clock``; each
         clock comes with the rows it selects (``char_rows``, ``word_rows``,
         as ``clock_rows`` gives them).  A layer computes only those rows,
@@ -444,7 +430,9 @@ class Network:
         columns receive those rows' inputs directly.  A layer that computes
         no row and is not reset (the word layers on a character) passes
         its state through with the ``_IDLE`` tape, without a call to
-        ``lstm_step``.  probs holds the next-token distributions of
+        ``lstm_step``.  A "hidden" source reads its layer's new state, a
+        "delay" source its layer's state in ``states``, the state going
+        into the step.  probs holds the next-token distributions of
         ``char_rows`` (None when that is no row)."""
         new_states = dict(states)
         tapes = {}
@@ -467,7 +455,7 @@ class Network:
                     elif kind == "hidden":
                         x[:, cols] = take_rows(new_states[ref].h, rows)
                     elif kind == "delay":
-                        x[:, cols] = take_rows(delay, rows)
+                        x[:, cols] = take_rows(states[ref].h, rows)
                     else:
                         x[:, cols] = take_rows(indicator, rows)
             new_states[d.name], tapes[d.name] = lstm_step(
@@ -477,9 +465,7 @@ class Network:
         if char_rows is not False:
             top_h = take_rows(new_states[self.output_layer].h, char_rows)
             probs = softmax(top_h @ self.softmax_W.T + self.softmax_b)
-        new_delay = (new_states[self.feedup_layer].h if self.feedup_layer
-                     else None)
-        return new_states, new_delay, probs, tapes
+        return new_states, probs, tapes
 
     def forward(self, ids, state: Optional[NetworkState] = None, *,
                 active=None, collect_tape: bool = False):
@@ -521,7 +507,6 @@ class Network:
             raise DimensionError(f"{B} id rows for a state of {state.batch} "
                                  "rows")
         states = dict(state.layers)
-        delay = state.delay
         probs_out = np.zeros((B, T, self.spec.vocab_size))
         clock = _Clock.of(active)
         word, indicator = self._window(ids, active)
@@ -546,8 +531,8 @@ class Network:
             slot = self._scratch(B)
         for t in range(T):
             rows = clock.rows[t]
-            states, delay, probs, tapes = self._run_step(
-                states, delay, ids[:, t], clock.flags[t], rows,
+            states, probs, tapes = self._run_step(
+                states, ids[:, t], clock.flags[t], rows,
                 word.flags[t], word.rows[t], indicator[:, t], slot)
             if probs is not None:
                 probs_out[slice(None) if rows is True else rows, t] = probs
@@ -559,7 +544,7 @@ class Network:
             # The memory cells are views into the windows: copy them, so
             # the state carried on does not keep the tape alive.
             states = {k: LstmState(v.m.copy(), v.h) for k, v in states.items()}
-        final = NetworkState(layers=states, delay=delay)
+        final = NetworkState(states)
         if single:
             return probs_out[0], final, tape
         return probs_out, final, tape
@@ -585,11 +570,10 @@ class Network:
                 raise DimensionError(
                     f"1 id for a state of {state.batch} rows")
             word = bool(self._ticks[ids])
-            states, delay, probs, _ = self._run_step(
-                dict(state.layers), state.delay,
-                self._token_ids[ids:ids + 1], True, True, word, word,
-                self._table[ids:ids + 1], self._scratch(1))
-            return probs[0], NetworkState(layers=states, delay=delay)
+            states, probs, _ = self._run_step(
+                dict(state.layers), self._token_ids[ids:ids + 1], True, True,
+                word, word, self._table[ids:ids + 1], self._scratch(1))
+            return probs[0], NetworkState(states)
 
         if ids.ndim == 0:
             return self.step(state, int(ids))
@@ -599,10 +583,10 @@ class Network:
         if state.batch != B:
             raise DimensionError(f"{B} ids for a state of {state.batch} rows")
         word, indicator = self._window(ids[:, None], True)
-        states, delay, probs, _ = self._run_step(
-            dict(state.layers), state.delay, ids, True, True, word.flags[0],
-            word.rows[0], indicator[:, 0], self._scratch(B))
-        return probs, NetworkState(layers=states, delay=delay)
+        states, probs, _ = self._run_step(
+            dict(state.layers), ids, True, True, word.flags[0], word.rows[0],
+            indicator[:, 0], self._scratch(B))
+        return probs, NetworkState(states)
 
     def backward(self, tape: WindowTape, d_logits) -> Blocks:
         """Reverse-mode gradients of a taped forward run.
@@ -641,29 +625,19 @@ class Network:
         d_top = d_top.reshape(B, T, H)
         running = {d.name: LstmState.zeros(d.hidden, B)
                    for d in self.layer_defs}
-        d_delay = (np.zeros((B, self._hidden_of(self.feedup_layer)))
-                   if self.feedup_layer else None)
-
+        # Reversed, a step runs the word layers last: a delayed source's
+        # gradient then lands on the step's input state, as a hidden one's
+        # on its output state.
         for t in range(T - 1, -1, -1):
             running[self.output_layer].h += d_top[:, t]
-            if self.feedup_layer:
-                running[self.feedup_layer].h += d_delay
-
             for d in reversed(self.step_order):
                 st = tape.steps[d.name][t]
                 d_x, running[d.name] = lstm_backward_step(
                     self.layers[d.name], st, running[d.name])
                 rows = slice(None) if st.rows is True else st.rows
                 for kind, ref, cols in self.input_slices[d.name]:
-                    if kind == "hidden" and d_x is not None:
+                    if ref is not None and d_x is not None:
                         running[ref].h[rows] += d_x[:, cols]
-                    elif kind == "delay":
-                        if st.rows is True:
-                            d_delay = d_x[:, cols]
-                        else:
-                            d_delay = np.zeros_like(d_delay)
-                            if d_x is not None:
-                                d_delay[rows] = d_x[:, cols]
                     # onehot / indicator inputs are not trainable
         # One weight-gradient GEMM per layer for the whole window.
         for name, window in tape.windows.items():

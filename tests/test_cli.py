@@ -66,6 +66,22 @@ class TestTrain:
         lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert len(lines) == 3  # header + the overridden 2 epochs
 
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes(b"ab cd\ncaf\xe9 ab\n")
+        assert main(["train", "--corpus", str(corpus),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "latin1.txt is not UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_file_is_config_error(self, tmp_path,
+                                                  corpus_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"corpus={corpus_file}\n# \xff\n".encode("latin-1"))
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "run.cfg is not UTF-8" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, corpus_file,
                                          capsys):
         cfg = tmp_path / "run.cfg"
@@ -142,6 +158,12 @@ class TestSample:
                      "--temperature", temperature])
         assert code == 1
         assert "temperature" in capsys.readouterr().err
+
+    def test_negative_length_is_config_error(self, trained_dir, capsys):
+        code = main(["sample", "--checkpoint",
+                     str(trained_dir / "checkpoint.bin"), "--length", "-5"])
+        assert code == 1
+        assert "length must be at least 0" in capsys.readouterr().err
 
 
 class TestDecode:

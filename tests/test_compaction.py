@@ -82,8 +82,6 @@ def test_batched_window_equals_one_row_runs(variant, B, T, kind, idle, words,
         for name, cell in row_final.layers.items():
             _close(final.layers[name].m[b], cell.m[0])
             _close(final.layers[name].h[b], cell.h[0])
-        if row_final.delay is not None:
-            _close(final.delay[b], row_final.delay[0])
         want_grads += net.backward(row_tape, d_logits[b, active[b]]).flat
     want = net._blocks(*net._views(want_grads), want_grads)
     for name in want:

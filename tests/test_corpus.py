@@ -230,6 +230,13 @@ class TestVocabFile:
         assert lines[v.word_boundary_id] == WORD_BOUNDARY
 
 
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        p = tmp_path / "vocab.txt"
+        save_vocab(build_vocab("ab"), p)
+        p.write_bytes(p.read_bytes() + b"\xff\n")
+        with pytest.raises(DataError, match="vocab.txt is not UTF-8"):
+            load_vocab(p)
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         p = tmp_path / "vocab.txt"
         save_vocab(build_vocab("ab"), p)

@@ -223,6 +223,16 @@ class TestSampling:
         with pytest.raises(ConfigError, match="finite and positive"):
             sample(net, vocab4, length=5, temperature=temperature)
 
+    @pytest.mark.parametrize("length", [-1, 2.5, True])
+    def test_length_must_be_a_count(self, vocab4, length):
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4))
+        with pytest.raises(ConfigError, match="length"):
+            sample(net, vocab4, length=length, prime="ab")
+
+    def test_zero_length_returns_the_prime(self, vocab4):
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4))
+        assert sample(net, vocab4, length=0, prime="ab") == "ab"
+
     def test_prime_is_prefix_of_output(self, vocab4):
         net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4),
                             rng_seed=9)

@@ -252,7 +252,8 @@ class TestStatefulStepping:
         for name in state.layers:
             assert np.array_equal(state.layers[name].h,
                                   snapshot.layers[name].h)
-        assert np.array_equal(state.delay, snapshot.delay)
+            assert np.array_equal(state.layers[name].m,
+                                  snapshot.layers[name].m)
 
     def test_cloned_states_evolve_independently(self, vocab):
         net = build_network(tiny_spec(vocab, "hlstm_b"), rng_seed=13)
@@ -272,10 +273,12 @@ class TestStatefulStepping:
 
 class TestInterWordBottleneck:
     def test_word_state_pins_the_future(self, vocab):
-        # Two different histories; then the word-module states and delay
-        # buffer of one are grafted onto the other.  From the next word
-        # boundary on, outputs must match exactly: the reset wipes the
-        # character module and the context vector is the only carrier.
+        # Two different histories; then the word-module states and the
+        # feed-up layer's h (the word module's delayed input) of one are
+        # grafted onto the other, whose char1 and feed-up memory cell stay.
+        # From the next word boundary on, outputs must match exactly: the
+        # reset wipes the character module and the context vector is the
+        # only carrier.
         net = build_network(tiny_spec(vocab, "hlstm_b"), rng_seed=21)
         rng = np.random.default_rng(22)
         hist1 = random_sequence(vocab, rng, length=12)[:-1]
@@ -284,7 +287,10 @@ class TestInterWordBottleneck:
         _, s2, _ = net.forward(hist2)
         s2.layers["word1"] = s1.layers["word1"].copy()
         s2.layers["word2"] = s1.layers["word2"].copy()
-        s2.delay = s1.delay.copy()
+        s2.layers["char2"] = LstmState(s2.layers["char2"].m.copy(),
+                                       s1.layers["char2"].h.copy())
+        assert not np.array_equal(s1.layers["char2"].m, s2.layers["char2"].m)
+        assert not np.array_equal(s1.layers["char1"].h, s2.layers["char1"].h)
 
         suffix = [vocab.word_boundary_id] + \
             [vocab.id_of(c) for c in "abba"] + [vocab.sentence_boundary_id]
@@ -319,6 +325,15 @@ class TestWiring:
             assert np.array_equal(layer.h[0], np.zeros_like(layer.h[0]))
             assert np.any(layer.h[1] != 0)
 
+    @pytest.mark.parametrize("mask", [[True], [True, False], True,
+                                      [[True, False, True]],
+                                      [True, False, True, False]])
+    def test_reset_where_needs_one_entry_per_row(self, vocab, mask):
+        net = build_network(tiny_spec(vocab, "hlstm_b"), rng_seed=1)
+        _, state, _ = net.forward(np.ones((3, 4), dtype=np.int64))
+        with pytest.raises(DimensionError, match="3 rows"):
+            state.reset_where(mask)
+
     def test_state_take(self, vocab):
         net = build_network(tiny_spec(vocab, "hlstm_b"), rng_seed=1)
         ids = np.stack([random_sequence(vocab, np.random.default_rng(s), 8)
@@ -329,7 +344,6 @@ class TestWiring:
             src = state.layers[name]
             assert np.array_equal(layer.m, src.m[[2, 0, 2]])
             assert np.array_equal(layer.h, src.h[[2, 0, 2]])
-        assert np.array_equal(taken.delay, state.delay[[2, 0, 2]])
         taken.layers["char1"].h[...] = 0.0  # a copy, not a view
         assert np.any(state.layers["char1"].h != 0)
 
@@ -342,11 +356,9 @@ ABC_TOKENS = st.integers(0, VOCAB_ABC.size - 1)
 
 def _stack_states(states):
     return NetworkState(
-        layers={k: LstmState(np.concatenate([s.layers[k].m for s in states]),
-                             np.concatenate([s.layers[k].h for s in states]))
-                for k in states[0].layers},
-        delay=(None if states[0].delay is None
-               else np.concatenate([s.delay for s in states])))
+        {k: LstmState(np.concatenate([s.layers[k].m for s in states]),
+                      np.concatenate([s.layers[k].h for s in states]))
+         for k in states[0].layers})
 
 
 def _assert_close(got, want):
@@ -392,17 +404,12 @@ def test_batched_step_equals_per_row_steps(variant, rows):
         _same_bits(batched.layers[name].h, cell.h)
         _same_bits(stacked.layers[name].m, before.layers[name].m)
         _same_bits(stacked.layers[name].h, before.layers[name].h)
-    if want.delay is not None:
-        _same_bits(batched.delay, want.delay)
-        _same_bits(stacked.delay, before.delay)
     for k, (state, tok) in enumerate(zip(states, ids)):
         want_probs, want = net.step(state, tok)
         _assert_close(probs[k], want_probs)
         for name, cell in want.layers.items():
             _assert_close(batched.layers[name].m[k], cell.m[0])
             _assert_close(batched.layers[name].h[k], cell.h[0])
-        if want.delay is not None:
-            _assert_close(batched.delay[k], want.delay[0])
 
 
 @settings(max_examples=40, deadline=None)

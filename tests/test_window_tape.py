@@ -90,14 +90,15 @@ def _ref_backward(net, tape, d_logits):
     d_top = d_logits @ net.softmax_W
     running = {d.name: [np.zeros((B, d.hidden)), np.zeros((B, d.hidden))]
                for d in net.layer_defs}
-    d_delay = (np.zeros((B, net._hidden_of(net.feedup_layer)))
-               if net.feedup_layer else None)
+    # The gradient of the one-step-delayed feed-up input is held back and
+    # added to the feed-up layer's output at the step before.
+    feedup = next((src for src, _, lag in net.connections() if lag), None)
+    d_delay = (np.zeros((B, net._hidden_of(feedup))) if feedup else None)
     for t in range(T - 1, -1, -1):
         running[net.output_layer][1] = running[net.output_layer][1] \
             + d_top[:, t]
-        if net.feedup_layer:
-            running[net.feedup_layer][1] = running[net.feedup_layer][1] \
-                + d_delay
+        if feedup:
+            running[feedup][1] = running[feedup][1] + d_delay
         for d in reversed(net.step_order):
             d_m, d_h = running[d.name]
             st = tape.steps[d.name][t]

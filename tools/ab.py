@@ -101,12 +101,20 @@ def git(*args: str, text: bool = True):
                           capture_output=True, text=text).stdout
 
 
+def pair_count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True,
                     help="git revision of the parent")
     ap.add_argument("--pr", required=True, help="writes BENCH_<pr>.json")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seed", type=int, default=9000)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
