@@ -172,8 +172,12 @@ def read_posteriors_binary(path) -> PosteriorMatrix:
 
 
 def read_posteriors(path) -> PosteriorMatrix:
-    with open(path, "rb") as f:
-        head = f.read(len(_BIN_MAGIC))
+    try:
+        with open(path, "rb") as f:
+            head = f.read(len(_BIN_MAGIC))
+    except IsADirectoryError:
+        raise PosteriorFormatError(
+            f"posterior file {path} is a directory") from None
     if head == _BIN_MAGIC:
         return read_posteriors_binary(path)
     return read_posteriors_text(path)

@@ -4,7 +4,8 @@
 moves it over the target only once everything was written and synced, so
 a crash or an exception mid-write leaves the previous file as it was.
 ``read_exact`` reads a fixed number of bytes or raises the format's error,
-and ``read_text`` reads a UTF-8 text file or raises the caller's error.
+and ``read_text`` reads a UTF-8 text file or raises the caller's error,
+also for a directory.
 """
 
 from __future__ import annotations
@@ -57,9 +58,12 @@ def read_exact(f, n: int, error: type[Exception]) -> bytes:
 
 def read_text(path, error: type[Exception], what: str = "file") -> str:
     """The text of a UTF-8 file, newlines translated as ``open`` does;
-    raises ``error`` when the file is not UTF-8."""
+    raises ``error`` when the path is a directory or the file is not
+    UTF-8."""
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
+    except IsADirectoryError:
+        raise error(f"{what} {path} is a directory") from None
     except UnicodeDecodeError as e:
         raise error(f"{what} {path} is not UTF-8 (byte {e.start})") from None

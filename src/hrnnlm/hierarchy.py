@@ -19,7 +19,14 @@ single-module stack ("mono") and the two-level variants:
   that feeds layer 2 (together with the context); layer 2's activation
   feeds the word module.
 
-The softmax layer always reads the top character layer.
+The softmax layer always reads the top character layer.  It feeds nothing
+back into the recurrence, so it runs outside the time loop: ``forward``
+keeps the output layer's activation at every step and computes the
+distributions of a window's active positions in one call of
+``Network._probs``, which ``step`` calls on its rows.  ``_probs`` computes
+the logits row by row, since BLAS rounds a row of a GEMM differently
+depending on how many rows the product has; so a row gets the same bits
+from a window as from a step, and ``forward`` stays a fold of ``step``.
 """
 
 from __future__ import annotations
@@ -421,19 +428,19 @@ class Network:
 
     def _run_step(self, states: dict, ids_t, clock, char_rows, word_clock,
                   word_rows, indicator, slot):
-        """Advance every layer one step; returns updated (states, probs,
-        tapes).  Character layers tick with ``clock`` and reset
-        under ``word_clock``, word layers tick with ``word_clock``; each
-        clock comes with the rows it selects (``char_rows``, ``word_rows``,
-        as ``clock_rows`` gives them).  A layer computes only those rows,
+        """Advance every layer one step; returns updated (states, tapes).
+        Character layers tick with ``clock`` and reset under
+        ``word_clock``, word layers tick with ``word_clock``; each clock
+        comes with the rows it selects (``char_rows``, ``word_rows``, as
+        ``clock_rows`` gives them).  A layer computes only those rows,
         into ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
         columns receive those rows' inputs directly.  A layer that computes
         no row and is not reset (the word layers on a character) passes
         its state through with the ``_IDLE`` tape, without a call to
         ``lstm_step``.  A "hidden" source reads its layer's new state, a
         "delay" source its layer's state in ``states``, the state going
-        into the step.  probs holds the next-token distributions of
-        ``char_rows`` (None when that is no row)."""
+        into the step.  No probabilities are computed here: the callers
+        pass the output layer's new ``h`` to ``_probs``."""
         new_states = dict(states)
         tapes = {}
         for d in self.step_order:
@@ -460,12 +467,14 @@ class Network:
                         x[:, cols] = take_rows(indicator, rows)
             new_states[d.name], tapes[d.name] = lstm_step(
                 self.layers[d.name], x, states[d.name], c, r, tape)
+        return new_states, tapes
 
-        probs = None
-        if char_rows is not False:
-            top_h = take_rows(new_states[self.output_layer].h, char_rows)
-            probs = softmax(top_h @ self.softmax_W.T + self.softmax_b)
-        return new_states, probs, tapes
+    def _probs(self, h: np.ndarray) -> np.ndarray:
+        """The (N, V) next-token distributions of N output-layer rows.
+        The logits are one product per row, so a row's bits do not depend
+        on the rows that come with it (see the module docstring)."""
+        return softmax(np.matmul(h[:, None, :], self.softmax_W.T)[:, 0]
+                       + self.softmax_b)
 
     def forward(self, ids, state: Optional[NetworkState] = None, *,
                 active=None, collect_tape: bool = False):
@@ -480,11 +489,13 @@ class Network:
         last active position.  The input state is never mutated.
 
         Each step computes only the rows that tick: the character layers
-        and the softmax the rows active at that step, the word layers the
-        rows whose word clock is high.  A step where every row ticks runs
-        the whole batch; otherwise its rows are gathered, computed and
-        scattered back, and a row with no active position in the window
-        costs nothing.  With ``collect_tape`` the tape is a ``WindowTape``
+        the rows active at that step, the word layers the rows whose word
+        clock is high.  A step where every row ticks runs the whole batch;
+        otherwise its rows are gathered, computed and scattered back, and a
+        row with no active position in the window costs nothing.  The
+        output layer's ``h`` is kept at every step, and after the time loop
+        one ``_probs`` call computes the distributions of every active
+        position.  With ``collect_tape`` the tape is a ``WindowTape``
         for ``backward``; each layer's window holds a slot only for the
         steps the layer computes, with a row for each row it computes.
         """
@@ -507,9 +518,9 @@ class Network:
             raise DimensionError(f"{B} id rows for a state of {state.batch} "
                                  "rows")
         states = dict(state.layers)
-        probs_out = np.zeros((B, T, self.spec.vocab_size))
         clock = _Clock.of(active)
         word, indicator = self._window(ids, active)
+        top_h = np.empty((B, T, self._hidden_of(self.output_layer)))
         tape = None
         if collect_tape:
             windows = {}
@@ -519,8 +530,7 @@ class Network:
                     p.input_dim, p.hidden_dim,
                     (clock if d.level == 1 else word).counts)
             tape = WindowTape(windows, {name: [] for name in windows},
-                              np.empty((B, T, self._hidden_of(
-                                  self.output_layer))), active)
+                              top_h, active)
             filled = dict.fromkeys(windows, 0)
 
             def slot(name: str, rows) -> LstmTape:
@@ -530,16 +540,17 @@ class Network:
         else:
             slot = self._scratch(B)
         for t in range(T):
-            rows = clock.rows[t]
-            states, probs, tapes = self._run_step(
-                states, ids[:, t], clock.flags[t], rows,
+            states, tapes = self._run_step(
+                states, ids[:, t], clock.flags[t], clock.rows[t],
                 word.flags[t], word.rows[t], indicator[:, t], slot)
-            if probs is not None:
-                probs_out[slice(None) if rows is True else rows, t] = probs
+            top_h[:, t] = states[self.output_layer].h
             if collect_tape:
-                tape.top_h[:, t] = states[self.output_layer].h
                 for name, st in tapes.items():
                     tape.steps[name].append(st)
+        # The softmax feeds nothing back into the recurrence: one pass over
+        # every active position of the window.
+        probs_out = np.zeros((B, T, self.spec.vocab_size))
+        probs_out[active] = self._probs(top_h[active])
         if collect_tape:
             # The memory cells are views into the windows: copy them, so
             # the state carried on does not keep the tape alive.
@@ -556,7 +567,7 @@ class Network:
         (B,) id array, the state has B rows, each advanced by its own
         token, and probs is (B, V): the same arithmetic, row for row and
         bit for bit, as ``forward(ids[:, None], state=state)``, whose
-        ``_window`` it runs.  The int path reads the same boundary table
+        ``_window`` and ``_probs`` it runs.  The int path reads the same boundary table
         without building a window; either way the word layers run only the
         boundary rows, and not at all when no id is a boundary.  The given
         state is never mutated, so callers may branch a hypothesis from
@@ -570,10 +581,11 @@ class Network:
                 raise DimensionError(
                     f"1 id for a state of {state.batch} rows")
             word = bool(self._ticks[ids])
-            states, probs, _ = self._run_step(
+            states, _ = self._run_step(
                 dict(state.layers), self._token_ids[ids:ids + 1], True, True,
                 word, word, self._table[ids:ids + 1], self._scratch(1))
-            return probs[0], NetworkState(states)
+            return (self._probs(states[self.output_layer].h)[0],
+                    NetworkState(states))
 
         if ids.ndim == 0:
             return self.step(state, int(ids))
@@ -583,10 +595,10 @@ class Network:
         if state.batch != B:
             raise DimensionError(f"{B} ids for a state of {state.batch} rows")
         word, indicator = self._window(ids[:, None], True)
-        states, probs, _ = self._run_step(
+        states, _ = self._run_step(
             dict(state.layers), ids, True, True, word.flags[0], word.rows[0],
             indicator[:, 0], self._scratch(B))
-        return probs, NetworkState(states)
+        return self._probs(states[self.output_layer].h), NetworkState(states)
 
     def backward(self, tape: WindowTape, d_logits) -> Blocks:
         """Reverse-mode gradients of a taped forward run.

@@ -82,6 +82,18 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "run.cfg is not UTF-8" in capsys.readouterr().err
 
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "is a directory" in err and "Errno" not in err
+
+    def test_corpus_directory_is_data_error(self, tmp_path, capsys):
+        assert main(["train", "--corpus", str(tmp_path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "is a directory" in err and "Errno" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, corpus_file,
                                          capsys):
         cfg = tmp_path / "run.cfg"

@@ -237,6 +237,10 @@ class TestVocabFile:
         with pytest.raises(DataError, match="vocab.txt is not UTF-8"):
             load_vocab(p)
 
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="is a directory"):
+            load_vocab(tmp_path)
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         p = tmp_path / "vocab.txt"
         save_vocab(build_vocab("ab"), p)

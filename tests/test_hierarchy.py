@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 import hrnnlm
 from hrnnlm.cells import LstmState, lstm_step, softmax
 from hrnnlm.corpus import build_vocab
-from hrnnlm.errors import ConfigError, DimensionError
+from hrnnlm.errors import ConfigError, DimensionError, NumericError
 from hrnnlm.hierarchy import (VARIANTS, NetworkSpec, NetworkState,
                               build_network, derive_clocks)
 
@@ -519,3 +519,58 @@ def test_derive_clocks_matches_forward(variant, batch, steps, data):
             if d.level == 1:
                 assert np.array_equal(_row_mask(step_tape.reset, batch),
                                       word[:, t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 200), hidden=st.integers(1, 128),
+       size=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+def test_probs_of_stacked_rows_equal_one_row_each(rows, hidden, size, seed):
+    """Network._probs, which forward runs once over every active position
+    of a window and step over its B rows, gives each of N stacked rows the
+    same bits as that row on its own: the fold of step equals forward
+    only because the logits do not depend on how many rows come along."""
+    net = build_network(NetworkSpec(variant="mono", vocab_size=size,
+                                    hidden_dim=hidden), rng_seed=seed)
+    h = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, hidden))
+    stacked = net._probs(h)
+    assert stacked.shape == (rows, size)
+    for k in range(rows):
+        _same_bits(stacked[k:k + 1], net._probs(h[k:k + 1]))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("collect_tape", [False, True])
+def test_window_without_active_positions(variant, collect_tape):
+    """A window of no steps, and one whose positions are all inactive,
+    returns zero probabilities and the input state's bits."""
+    net = STEP_NETS[variant]
+    start = net.init_state(3)
+    for k in range(3):
+        start.layers[net.output_layer].h[k] = k + 0.25
+        start.layers[net.output_layer].m[k] = -k
+    ids = np.array([[0, 3, 1, 4], [2, 2, 4, 1], [3, 0, 0, 1]])
+    for window, active in ((ids[:, :0], None),
+                           (ids, np.zeros(ids.shape, dtype=bool))):
+        probs, final, _ = net.forward(window, state=start, active=active,
+                                      collect_tape=collect_tape)
+        assert probs.shape == window.shape + (VOCAB_ABC.size,)
+        assert not probs.any()
+        for name, cell in start.layers.items():
+            _same_bits(final.layers[name].m, cell.m)
+            _same_bits(final.layers[name].h, cell.h)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_nan_softmax_bias_is_numeric_error(variant):
+    """The softmax's finiteness check, run once per window, still stops
+    taped and untaped forward and both step paths."""
+    net = build_network(tiny_spec(VOCAB_ABC, variant, 3), rng_seed=9)
+    net.softmax_b[1] = np.nan
+    ids = np.array([[0, 3, 1], [2, 4, 1]])
+    for collect_tape in (False, True):
+        with pytest.raises(NumericError):
+            net.forward(ids, collect_tape=collect_tape)
+    with pytest.raises(NumericError):
+        net.step(net.init_state(1), 0)
+    with pytest.raises(NumericError):
+        net.step(net.init_state(2), ids[:, 0])

@@ -1,5 +1,6 @@
 """The command-line checks of the scripts under tools/."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,54 @@ def test_ab_rejects_pair_counts_below_one(pairs):
         timeout=60)
     assert proc.returncode == 2
     assert "--pairs" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _load_ab():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools/ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    return ab
+
+
+ab = _load_ab()
+
+
+def _stats(better, parent, change):
+    """A ``summarize`` entry for pairs of runs."""
+    wins = sum((c - p) * (-1 if better == "lower" else 1) > 0
+               for p, c in zip(parent, change))
+    return {"better": better, "parent": ab.quartiles(parent),
+            "change": ab.quartiles(change), "wins": wins,
+            "pairs": len(parent)}
+
+
+PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
+
+
+@pytest.mark.parametrize("better, change, want", [
+    # 10/10 wins, median 110 against a parent IQR of about 2
+    ("higher", [p * 1.1 for p in PARENT], "gain"),
+    # 9/10 wins is enough
+    ("higher", [p * 1.1 for p in PARENT[:9]] + [90.0], "gain"),
+    # every pair won, but by less than the parent's q3 - q1
+    ("higher", [p + 0.5 for p in PARENT], "within"),
+    # 8/10 wins is not a gain, however large
+    ("higher", [p * 1.5 for p in PARENT[:8]] + [50.0, 50.0], "within"),
+    # a 30% loss is past the 0.25 bound; a 20% loss is not
+    ("higher", [p * 0.7 for p in PARENT], "worse"),
+    ("higher", [p * 0.8 for p in PARENT], "within"),
+    # lower is better: smaller is the gain, 30% larger is worse
+    ("lower", [p * 0.9 for p in PARENT], "gain"),
+    ("lower", [p * 1.3 for p in PARENT], "worse"),
+    ("lower", [p * 1.1 for p in PARENT], "within"),
+])
+def test_ab_verdict(better, change, want):
+    assert ab.verdict(_stats(better, PARENT, change), 0.25) == want
+
+
+def test_ab_verdict_table_has_a_line_per_metric():
+    stats = _stats("higher", PARENT, [p * 1.1 for p in PARENT])
+    results = {"w": {"metrics": {"m": {**stats, "median_ratio": 1.1}}}}
+    header, line = ab.verdict_table(results, {"m": 0.25, "absent": 0.1})
+    assert line.split()[:2] == ["w", "m"] and line.endswith("gain")
+    assert "10/10" in line

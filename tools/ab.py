@@ -22,6 +22,11 @@ change / parent, and the pairs the change won (better in the metric's
 direction, from ``BENCHMARK.json``); whether every run was correct and how
 many operations failed; and the environment: Python, numpy, the BLAS
 build and the thread variables.
+
+Then one line per workload and end-to-end metric is printed: both
+medians, their ratio, the pairs won, the parent's interquartile range as a
+share of its median, and a verdict (``verdict``): ``gain``, ``worse`` or
+``within``.
 """
 
 from __future__ import annotations
@@ -81,6 +86,43 @@ def summarize(runs: list, better: dict) -> dict:
             "change_runs": change,
         }
     return out
+
+
+def verdict(stats: dict, bound: float) -> str:
+    """``gain`` when the change won at least 9 in 10 pairs and its median
+    beats the parent's by more than the parent's q3 - q1; ``worse`` when
+    its median is worse than the parent's by more than ``bound``, a share
+    of the parent's median; else ``within``.  ``stats`` is one metric's
+    entry of ``summarize``."""
+    sign = -1.0 if stats["better"] == "lower" else 1.0
+    p, c = stats["parent"], stats["change"]
+    if (10 * stats["wins"] >= 9 * stats["pairs"]
+            and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]):
+        return "gain"
+    if sign * (p["median"] - c["median"]) > bound * abs(p["median"]):
+        return "worse"
+    return "within"
+
+
+def verdict_table(results: dict, bounds: dict) -> list:
+    """The printed lines: per workload, one per end-to-end metric."""
+    lines = [f"{'workload':<12} {'metric':<20} {'parent':>10} {'change':>10} "
+             f"{'ratio':>6} {'wins':>5} {'IQR':>6}  verdict"]
+    for wl, res in results.items():
+        for name, bound in bounds.items():
+            stats = res["metrics"].get(name)
+            if stats is None:
+                continue
+            p = stats["parent"]
+            ratio = stats["median_ratio"]
+            iqr = (p["q3"] - p["q1"]) / p["median"] if p["median"] else 0.0
+            lines.append(
+                f"{wl:<12} {name:<20} {p['median']:>10.4g} "
+                f"{stats['change']['median']:>10.4g} "
+                f"{'-' if ratio is None else format(ratio, '.3f'):>6} "
+                f"{stats['wins']:>2}/{stats['pairs']:<2} {iqr:>6.1%}  "
+                f"{verdict(stats, bound)}")
+    return lines
 
 
 def environment() -> dict:
@@ -168,6 +210,8 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"ab: wrote {out}", file=sys.stderr)
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    print("\n".join(verdict_table(results, bounds)))
     return 0
 
 
