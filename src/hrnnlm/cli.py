@@ -2,7 +2,8 @@
 
 Every subcommand reads a flat key=value config file (``--config``) whose
 keys mirror the command-line flags one to one; flags override file values.
-Unknown config keys are rejected.  All randomness flows from the single
+A subcommand accepts only the keys its handler reads: any other key, as a
+flag or in the file, is rejected.  All randomness flows from the single
 ``seed`` key.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/format error,
@@ -18,7 +19,8 @@ import sys
 from .corpus import build_vocab, save_vocab, split_heldout, \
     tokenize_lines
 from .decoding import DecodeConfig, DecodeResult, beam_search, read_posteriors
-from .errors import ConfigError, DataError, HrnnlmError, NumericError
+from .errors import ConfigError, DataError, HrnnlmError, NumericError, \
+    check_count
 from .evaluation import evaluate, format_report_table, sample
 from .files import atomic_write, read_text
 from .hierarchy import NetworkSpec, build_network
@@ -26,25 +28,17 @@ from .training import TrainConfig, gradient_check, load_checkpoint, \
     train
 
 # key -> (type, default, help); shared across config files and flags
-_COMMON_KEYS = {
+_KEYS = {
     "seed": (int, 0, "seed for all randomness"),
     "output_dir": (str, ".", "directory for produced artifacts"),
-}
-
-_CORPUS_KEYS = {
     "corpus": (str, None, "path to a UTF-8 text file, one sentence per line"),
     "mode": (str, "char", "vocabulary mode: char or byte"),
     "uppercase": (bool, False, "uppercase the corpus before tokenizing"),
-}
-
-_SPEC_KEYS = {
     "variant": (str, "hlstm_b", "mono | hlstm_a | hlstm_b"),
     "hidden": (str, "16", "hidden units per layer (int or comma list)"),
     "layers_per_module": (int, 2, "LSTM layers per module"),
-}
-
-_TRAIN_KEYS = {
-    "heldout_fraction": (float, 0.01, "fraction of lines held out"),
+    "heldout_fraction": (float, 0.01, "fraction of lines held out, in "
+                                      "[0, 1); 0 holds none out"),
     "bptt": (int, 128, "truncation window length"),
     "batch": (int, 64, "parallel sequence streams"),
     "rho": (float, 0.95, "squared-average decay"),
@@ -54,10 +48,11 @@ _TRAIN_KEYS = {
     "epochs": (int, 10, "training epochs"),
     "timing": (bool, False, "record wall time in the metrics CSV (makes "
                             "reruns non-identical)"),
-}
-
-_DECODE_KEYS = {
     "checkpoint": (str, None, "model checkpoint path"),
+    "csv_out": (str, "", "also append a CSV row to this path"),
+    "length": (int, 200, "characters to draw"),
+    "prime": (str, "", "prompt text"),
+    "temperature": (float, 1.0, "sampling temperature"),
     "posterior": (str, None, "frame-posterior file (text or binary)"),
     "beam": (int, 512, "beam width"),
     "lm_weight": (float, 2.0, "language-model weight"),
@@ -65,22 +60,23 @@ _DECODE_KEYS = {
     "width_prune": (float, 1e-4, "drop labels below this frame posterior"),
     "depth_prune": (int, 0, "max transcript length; 0 = unlimited"),
     "nbest": (int, 0, "write an n-best CSV with this many rows"),
+    "tolerance": (float, 1e-4, "max relative error allowed"),
 }
 
-_KEYSETS = {
-    "train": {**_COMMON_KEYS, **_CORPUS_KEYS, **_SPEC_KEYS, **_TRAIN_KEYS},
-    "eval": {**_COMMON_KEYS, **_CORPUS_KEYS,
-             "checkpoint": (str, None, "model checkpoint path"),
-             "csv_out": (str, "", "also append a CSV row to this path")},
-    "sample": {**_COMMON_KEYS,
-               "checkpoint": (str, None, "model checkpoint path"),
-               "length": (int, 200, "characters to draw"),
-               "prime": (str, "", "prompt text"),
-               "temperature": (float, 1.0, "sampling temperature")},
-    "decode": {**_COMMON_KEYS, **_DECODE_KEYS},
-    "gradcheck": {**_COMMON_KEYS, **_CORPUS_KEYS, **_SPEC_KEYS,
-                  "tolerance": (float, 1e-4, "max relative error allowed")},
+# Each command accepts exactly the keys its handler reads.
+_CORPUS = "corpus mode uppercase"
+_SPEC = "variant hidden layers_per_module"
+_COMMAND_KEYS = {
+    "train": f"seed output_dir {_CORPUS} {_SPEC} heldout_fraction bptt batch "
+             "rho eps momentum clip epochs timing",
+    "eval": "checkpoint corpus uppercase csv_out",
+    "sample": "seed checkpoint length prime temperature",
+    "decode": "output_dir checkpoint posterior beam lm_weight insertion_bonus "
+              "width_prune depth_prune nbest",
+    "gradcheck": f"seed {_CORPUS} {_SPEC} tolerance",
 }
+_KEYSETS = {cmd: {key: _KEYS[key] for key in names.split()}
+            for cmd, names in _COMMAND_KEYS.items()}
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -179,11 +175,14 @@ def _spec_from(values: dict, vocab) -> NetworkSpec:
 
 
 def _cmd_train(values: dict) -> int:
+    fraction = values["heldout_fraction"]
+    if not 0.0 <= fraction < 1.0:  # NaN fails too
+        raise ConfigError(f"heldout_fraction must be in [0, 1), got {fraction}")
     text = _read_corpus(values)
     vocab = build_vocab(text, values["mode"])
     lines = tokenize_lines(text, vocab)
-    if len(lines) >= 2 and 0.0 < values["heldout_fraction"] < 1.0:
-        train_seqs, heldout = split_heldout(lines, values["heldout_fraction"])
+    if len(lines) >= 2 and fraction > 0.0:
+        train_seqs, heldout = split_heldout(lines, fraction)
     else:
         train_seqs, heldout = lines, None
     spec = _spec_from(values, vocab)
@@ -241,6 +240,7 @@ def _cmd_sample(values: dict) -> int:
 
 
 def _cmd_decode(values: dict) -> int:
+    check_count("nbest", values["nbest"], 0)
     net, vocab = load_checkpoint(_require_path(values, "checkpoint"))
     if vocab is None:
         raise DataError("checkpoint carries no vocabulary")

@@ -2,12 +2,14 @@
 
 Text is line-delimited, one sentence per line.  Tokenization collapses each
 whitespace run to a single word-boundary token and terminates every line
-with a sentence-boundary token.  Two vocabulary modes exist:
+with a sentence-boundary token.  A vocabulary is its symbols in id order;
+the symbols alone decide its mode and boundary ids:
 
-* ``char``: distinct non-whitespace characters of the corpus plus the two
-  boundary tokens.
-* ``byte``: the 256 possible UTF-8 byte values plus a reserved
-  sentence-boundary id 256; the word boundary is byte 0x20.
+* ``char``: symbols that include ``<w>`` and ``<s>`` (``build_vocab`` takes
+  the distinct non-whitespace characters of the corpus, then the two).
+  The boundary ids are the positions of those two symbols.
+* ``byte``: the fixed layout of the 256 byte values, then ``<s>`` as id
+  256; the word boundary is byte 0x20.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -27,9 +29,7 @@ from .files import atomic_write, read_text
 WORD_BOUNDARY = "<w>"
 SENTENCE_BOUNDARY = "<s>"
 
-BYTE_VOCAB_SIZE = 257
-_BYTE_SENTENCE_ID = 256
-_BYTE_WORD_ID = 0x20
+_BYTE_SYMBOLS = tuple(chr(i) for i in range(256)) + (SENTENCE_BOUNDARY,)
 
 _WORD_RE = re.compile(r"\S+")
 # A backslash, then a backslash or x/u/U and exactly 2/4/8 hex digits; a
@@ -40,39 +40,38 @@ _ESCAPE_RE = re.compile(
 
 @dataclass
 class Vocabulary:
-    """Bijective symbol <-> id map including the boundary tokens."""
+    """Bijective symbol <-> id map over ``symbols``, in id order.
+
+    ``Vocabulary(symbols)`` derives the rest: the fixed byte layout makes a
+    ``byte`` vocabulary whose word boundary is byte 0x20; symbols that
+    include ``<w>`` make a ``char`` vocabulary whose word boundary is that
+    symbol's id.  The sentence boundary is always the ``<s>`` symbol's id.
+    Repeated symbols raise ConfigError; symbols that are neither layout, or
+    that lack ``<s>``, raise DataError.
+    """
 
     symbols: tuple[str, ...]
-    word_boundary_id: int
-    sentence_boundary_id: int
-    mode: str  # "char" | "byte"
+    mode: str = field(init=False)  # "char" | "byte"
+    word_boundary_id: int = field(init=False)
+    sentence_boundary_id: int = field(init=False)
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.symbols = tuple(self.symbols)
         self._index = {s: i for i, s in enumerate(self.symbols)}
         if len(self._index) != len(self.symbols):
             raise ConfigError("vocabulary symbols are not distinct")
-        if self.mode not in ("char", "byte"):
-            raise ConfigError(f"unknown vocabulary mode {self.mode!r}")
-        for name, i in (("word", self.word_boundary_id),
-                        ("sentence", self.sentence_boundary_id)):
-            if not 0 <= i < self.size:
-                raise ConfigError(f"{name} boundary id {i} out of range")
-        if self.word_boundary_id == self.sentence_boundary_id:
-            raise ConfigError("boundary ids must be distinct")
-
-    @classmethod
-    def from_symbols(cls, symbols) -> "Vocabulary":
-        """A char-mode vocabulary over ``symbols`` in id order; both boundary
-        tokens must be among them."""
-        symbols = tuple(symbols)
-        for token in (WORD_BOUNDARY, SENTENCE_BOUNDARY):
-            if token not in symbols:
-                raise DataError(f"char vocabulary lacks the {token} token")
-        return cls(symbols=symbols,
-                   word_boundary_id=symbols.index(WORD_BOUNDARY),
-                   sentence_boundary_id=symbols.index(SENTENCE_BOUNDARY),
-                   mode="char")
+        if self.symbols == _BYTE_SYMBOLS:
+            self.mode, word = "byte", " "
+        elif WORD_BOUNDARY in self._index:
+            self.mode, word = "char", WORD_BOUNDARY
+        else:
+            raise DataError(f"vocabulary lacks the {WORD_BOUNDARY} token and "
+                            "is not the fixed byte layout")
+        if SENTENCE_BOUNDARY not in self._index:
+            raise DataError(f"vocabulary lacks the {SENTENCE_BOUNDARY} token")
+        self.word_boundary_id = self._index[word]
+        self.sentence_boundary_id = self._index[SENTENCE_BOUNDARY]
 
     @property
     def size(self) -> int:
@@ -105,7 +104,6 @@ class TokenSequence:
     """
 
     ids: np.ndarray
-    n_chars: int
     n_words: int
 
     @classmethod
@@ -122,7 +120,11 @@ class TokenSequence:
             elif not in_run:
                 n_words += 1
                 in_run = True
-        return cls(ids=ids, n_chars=int(ids.size), n_words=n_words)
+        return cls(ids=ids, n_words=n_words)
+
+    @property
+    def n_chars(self) -> int:
+        return int(self.ids.size)
 
     def __len__(self) -> int:
         return self.n_chars
@@ -130,9 +132,7 @@ class TokenSequence:
 
 def byte_vocab() -> Vocabulary:
     """The fixed 257-entry vocabulary: ids 0..255 are byte values, 256 is <s>."""
-    symbols = tuple(chr(i) for i in range(256)) + (SENTENCE_BOUNDARY,)
-    return Vocabulary(symbols=symbols, word_boundary_id=_BYTE_WORD_ID,
-                      sentence_boundary_id=_BYTE_SENTENCE_ID, mode="byte")
+    return Vocabulary(_BYTE_SYMBOLS)
 
 
 def build_vocab(text: str, mode: str = "char") -> Vocabulary:
@@ -151,7 +151,7 @@ def build_vocab(text: str, mode: str = "char") -> Vocabulary:
     chars = sorted({c for c in text if not c.isspace()})
     if not chars:
         raise EmptyCorpusError("corpus contains no non-whitespace characters")
-    return Vocabulary.from_symbols(chars + [WORD_BOUNDARY, SENTENCE_BOUNDARY])
+    return Vocabulary(chars + [WORD_BOUNDARY, SENTENCE_BOUNDARY])
 
 
 def _line_ids(line: str, vocab: Vocabulary, line_no: int) -> list[int]:
@@ -290,17 +290,8 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    """Load a vocabulary file; the mode is inferred from the symbol layout."""
+    """Load a vocabulary file; its symbols decide the mode (see Vocabulary)."""
     lines = read_text(path, DataError, "vocabulary file").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    symbols = tuple(unescape_symbol(line) for line in lines)
-    if not symbols:
-        raise DataError(f"vocabulary file {path} is empty")
-    if WORD_BOUNDARY in symbols:
-        return Vocabulary.from_symbols(symbols)
-    expected = byte_vocab()
-    if symbols != expected.symbols:
-        raise DataError("vocabulary file is neither char mode nor the fixed "
-                        "byte layout")
-    return expected
+    return Vocabulary(unescape_symbol(line) for line in lines)

@@ -13,7 +13,7 @@ drops frame labels below a posterior threshold; depth pruning caps the
 prefix length.  Ties break lexicographically on the prefix ids.
 
 The beam is held as arrays, one entry per survivor (the masses, the LM log
-probability, the length, the last and the pending label) next to one
+probability, the length and the last label) next to one
 prefix tuple per survivor, and each frame is a few numpy operations over
 the whole beam.  The K survivors and L labels give K "keep" candidates
 (blank, or the last label repeated) and a (K, L) array of extensions.  An
@@ -292,17 +292,13 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
     # is scored from its parent's row and stepped only if it survives.
     state, start_logp = _lm_start(net, vocab)
     logprobs = start_logp[None, :]
-    # The beam, one entry per survivor.  pending is the last label while
-    # the survivor's row still holds its parent's state; label ids are -1
-    # where there is none (no last label of the empty prefix, nothing
-    # pending).
+    # The beam, one entry per survivor; last is -1 for the empty prefix.
     prefixes: list[tuple[int, ...]] = [()]
     p_blank = np.zeros(1)                  # log mass ending in blank
     p_nonblank = np.full(1, NEG_INF)       # log mass ending in the last label
     lm_logp = np.zeros(1)                  # LM log prob of the prefix
     length = np.zeros(1, dtype=np.int64)
     last = np.full(1, -1)
-    pending = np.full(1, -1)
     # Per vocabulary id, the frame's log posterior and extension column; the
     # extra slot, which last = -1 reads, stays -inf / -1.
     log_label = np.empty(vocab.size + 1)
@@ -376,7 +372,7 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
                     for k, j in zip(src.tolist(), col.tolist())]
         p_blank, p_nonblank = keep_pb[src], keep_pnb[src]
         lm_logp, length = lm_logp[src], length[src]
-        last, pending = last[src], pending[src]
+        last = last[src]
         e = np.flatnonzero(col >= 0)
         if e.size:
             ek, ej = src[e], col[e]
@@ -384,22 +380,19 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
             p_nonblank[e] = ext_pnb[ek, ej]
             lm_logp[e] = ext_lm[ek, ej]
             length[e] += 1
-            last[e] = pending[e] = ids[ej]
+            last[e] = ids[ej]
         if t == post.frames - 1:
             break
         # Gather the survivors' rows, then step the ones that will be read:
-        # pending labels of prefixes that may still grow, in one batch.
+        # this frame's extensions that may still grow, in one batch.
         state, logprobs = state.take(src), logprobs[src]
-        live = pending >= 0
         if depth is not None:
-            live &= length < depth
-        live = np.flatnonzero(live)
-        if live.size:
-            probs, stepped = net.step(state.take(live), pending[live])
-            _set_rows(state, live, stepped)
+            e = e[length[e] < depth]
+        if e.size:
+            probs, stepped = net.step(state.take(e), last[e])
+            _set_rows(state, e, stepped)
             with np.errstate(divide="ignore"):
-                logprobs[live] = np.log(probs)
-            pending[live] = -1
+                logprobs[e] = np.log(probs)
 
     ctc = np.logaddexp(p_blank, p_nonblank)
     score = ctc + lm_weight * lm_logp + bonus * length

@@ -40,7 +40,7 @@ from .cells import (LstmParams, LstmState, LstmTape, LstmWindow,
                     lstm_backward_step, lstm_step, lstm_window_grads,
                     scratch_tape, softmax, take_rows)
 from .corpus import TokenSequence, Vocabulary
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_count
 
 VARIANTS = ("mono", "hlstm_a", "hlstm_b")
 
@@ -92,22 +92,17 @@ class NetworkSpec:
     sentence_boundary_id: Optional[int] = None
 
     def __post_init__(self):
+        """Validate the spec and store every size and id as a Python int
+        (the checkpoint header is JSON)."""
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; "
                               f"expected one of {VARIANTS}")
         if self.levels is None:
             self.levels = 1 if self.variant == "mono" else 2
-        if isinstance(self.hidden_dim, (int, np.integer)):
-            self.hidden_dim = (int(self.hidden_dim),) * self.total_layers
-        else:
-            self.hidden_dim = tuple(int(h) for h in self.hidden_dim)
-        self.validate()
-
-    def validate(self) -> None:
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must be at least 2")
-        if self.layers_per_module < 1:
-            raise ConfigError("layers_per_module must be at least 1")
+        for name, minimum in (("vocab_size", 2), ("levels", 1),
+                              ("layers_per_module", 1)):
+            check_count(name, getattr(self, name), minimum)
+            setattr(self, name, int(getattr(self, name)))
         if self.variant == "mono":
             if self.levels != 1:
                 raise ConfigError("mono networks have exactly one level")
@@ -119,16 +114,22 @@ class NetworkSpec:
                 raise ConfigError("hlstm variants use two layers per module")
             for name in ("word_boundary_id", "sentence_boundary_id"):
                 v = getattr(self, name)
-                if v is None or not 0 <= v < self.vocab_size:
-                    raise ConfigError(f"hlstm variants need a valid {name}")
+                check_count(name, v, 0)
+                if v >= self.vocab_size:
+                    raise ConfigError(f"{name} lies outside the vocabulary")
+                setattr(self, name, int(v))
             if self.word_boundary_id == self.sentence_boundary_id:
                 raise ConfigError("boundary ids must be distinct")
-        if len(self.hidden_dim) != self.total_layers:
+        try:
+            dims = tuple(self.hidden_dim)
+        except TypeError:  # one size for every layer
+            dims = (self.hidden_dim,) * self.total_layers
+        if len(dims) != self.total_layers:
             raise ConfigError(
-                f"need {self.total_layers} hidden sizes, got "
-                f"{len(self.hidden_dim)}")
-        if any(h < 1 for h in self.hidden_dim):
-            raise ConfigError("hidden sizes must be positive")
+                f"need {self.total_layers} hidden sizes, got {len(dims)}")
+        for h in dims:
+            check_count("hidden size", h, 1)
+        self.hidden_dim = tuple(int(h) for h in dims)
 
     @property
     def total_layers(self) -> int:

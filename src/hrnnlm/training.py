@@ -517,8 +517,12 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
         if "vocab" in header:
             try:
                 v = header["vocab"]
-                vocab = (byte_vocab() if v["mode"] == "byte"
-                         else Vocabulary.from_symbols(v["symbols"]))
+                # Version 1 stores a byte vocabulary's symbols as null.
+                vocab = (byte_vocab() if v["symbols"] is None
+                         else Vocabulary(v["symbols"]))
+                if vocab.mode != v["mode"]:
+                    raise DataError(f"mode {v['mode']!r} but the symbols "
+                                    f"make a {vocab.mode} vocabulary")
             except (ConfigError, DataError, KeyError, TypeError) as e:
                 raise CheckpointError(
                     f"bad checkpoint vocabulary: {e}") from None

@@ -196,7 +196,10 @@ def _with_header(data: bytes, edit) -> bytes:
 
 @pytest.mark.parametrize("key, value", [
     ("variant", "hlstm_x"), ("levels", 3), ("layers_per_module", 0),
-    ("hidden_dim", [3, -4, 2, 5]), ("word_boundary_id", 9)])
+    ("hidden_dim", [3, -4, 2, 5]), ("word_boundary_id", 9),
+    ("hidden_dim", [3.7, 4, 2, 5]), ("hidden_dim", [3.0, 4, 2, 5]),
+    ("vocab_size", 6.5), ("word_boundary_id", 4.0),
+    ("layers_per_module", True)])
 def test_invalid_header_spec_is_checkpoint_error(tmp_path, key, value):
     path = tmp_path / "bad.bin"
     path.write_bytes(_with_header(
@@ -205,6 +208,21 @@ def test_invalid_header_spec_is_checkpoint_error(tmp_path, key, value):
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(path)
     assert main(["sample", "--checkpoint", str(path)]) == 2
+
+
+@pytest.mark.parametrize("vocab", [
+    {"mode": "char", "symbols": None},
+    {"mode": "char", "symbols": list(byte_vocab().symbols)},
+    {"mode": "byte", "symbols": list(VOCAB.symbols)},
+    {"mode": "xyz", "symbols": list(VOCAB.symbols)},
+    {"mode": "xyz", "symbols": None}])
+def test_header_mode_must_be_the_symbols_mode(tmp_path, vocab):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_with_header(
+        (DATA / "checkpoint_v1_hlstm_a.bin").read_bytes(),
+        lambda h: h.update(vocab=vocab)))
+    with pytest.raises(CheckpointError, match="mode"):
+        load_checkpoint(path)
 
 
 def test_boundary_ids_must_match_the_vocabulary(tmp_path):

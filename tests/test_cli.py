@@ -1,5 +1,6 @@
 import pytest
 
+from hrnnlm import cli
 from hrnnlm.cli import main
 from hrnnlm.corpus import build_vocab
 from hrnnlm.decoding import BLANK_LABEL, PosteriorMatrix, \
@@ -100,6 +101,16 @@ class TestTrain:
         cfg.write_text(f"corpus={corpus_file}\nhiden=4\n")
         assert main(["train", "--config", str(cfg)]) == 1
         assert "hiden" in capsys.readouterr().err
+
+    def test_zero_heldout_fraction_holds_none_out(self, tmp_path,
+                                                  corpus_file):
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus_file), "--hidden", "2",
+                     "--epochs", "1", "--bptt", "8", "--batch", "2",
+                     "--heldout-fraction", "0",
+                     "--output-dir", str(out)]) == 0
+        row = (out / "metrics.csv").read_text().split("\n")[1]
+        assert row.split(",")[2] == ""  # no held-out BPC
 
     def test_byte_mode_end_to_end(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "byte_run"
@@ -215,6 +226,16 @@ class TestDecode:
         assert lines[0] == "text,score,ctc_logp,lm_logp,length"
         assert 2 <= len(lines) <= 6
 
+    def test_negative_nbest_is_config_error(self, tmp_path, trained_dir,
+                                            capsys):
+        out = tmp_path / "out"
+        assert main(["decode", "--checkpoint",
+                     str(trained_dir / "checkpoint.bin"),
+                     "--posterior", str(_posterior_file(tmp_path)),
+                     "--nbest", "-2", "--output-dir", str(out)]) == 1
+        assert "nbest must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_posterior_is_data_error(self, tmp_path, trained_dir):
         post_path = tmp_path / "post.txt"
         post_path.write_text("1 2 a <blank>\n0.7 0.7\n")
@@ -289,7 +310,9 @@ class TestUsage:
 
     @pytest.mark.parametrize("flag, value", [
         ("--hidden", "4,x"), ("--hidden", "4,,4"), ("--eps", "nan"),
-        ("--eps", "inf"), ("--clip", "nan")])
+        ("--eps", "inf"), ("--clip", "nan"), ("--heldout-fraction", "1.5"),
+        ("--heldout-fraction", "1"), ("--heldout-fraction", "-0.1"),
+        ("--heldout-fraction", "nan")])
     def test_bad_train_value_is_config_error(self, corpus_file, tmp_path,
                                              capsys, flag, value):
         out = tmp_path / "run"
@@ -311,3 +334,69 @@ class TestUsage:
         assert main(["decode", "--checkpoint", str(ckpt),
                      "--posterior", str(post_path), flag, "nan"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _posterior_file(tmp_path):
+    """A two-frame text posterior over two of CORPUS's characters."""
+    path = tmp_path / "post.txt"
+    write_posteriors_text(path, PosteriorMatrix(
+        labels=["a", "b", BLANK_LABEL],
+        probs=[[0.5, 0.3, 0.2], [0.25, 0.5, 0.25]]))
+    return path
+
+
+def _valid_args(command, trained_dir, corpus_file, tmp_path):
+    """Flags that make command run to exit 0 on this file's fixtures."""
+    ckpt = str(trained_dir / "checkpoint.bin")
+    return {
+        "train": ["--corpus", str(corpus_file), "--hidden", "2",
+                  "--epochs", "1", "--bptt", "8", "--batch", "2",
+                  "--output-dir", str(tmp_path / "run")],
+        "eval": ["--checkpoint", ckpt, "--corpus", str(corpus_file)],
+        "sample": ["--checkpoint", ckpt, "--length", "5"],
+        "decode": ["--checkpoint", ckpt,
+                   "--posterior", str(_posterior_file(tmp_path)),
+                   "--nbest", "1", "--output-dir", str(tmp_path / "nbest")],
+        "gradcheck": ["--corpus", str(corpus_file), "--variant", "hlstm_b",
+                      "--hidden", "2"],
+    }[command]
+
+
+def test_every_key_is_read(trained_dir, corpus_file, tmp_path, monkeypatch):
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve",
+                        lambda args, command: Recording(resolve(args, command)))
+    for command, keyset in cli._KEYSETS.items():
+        read.clear()
+        args = _valid_args(command, trained_dir, corpus_file, tmp_path)
+        assert main([command, *args]) == 0, command
+        assert read == set(keyset), command
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "seed", "3"), ("eval", "output_dir", "out"),
+    ("eval", "mode", "byte"), ("sample", "output_dir", "out"),
+    ("decode", "seed", "3"), ("gradcheck", "output_dir", "out")])
+def test_removed_key_is_rejected(trained_dir, corpus_file, tmp_path, capsys,
+                                 command, key, value):
+    args = [command, *_valid_args(command, trained_dir, corpus_file,
+                                  tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--" + key.replace("_", "-"), value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +12,10 @@ from hrnnlm.corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, Vocabulary,
                            split_heldout, tokenize, tokenize_lines,
                            unescape_symbol)
 from hrnnlm.errors import ConfigError, DataError, EmptyCorpusError, OovError
+from hrnnlm.hierarchy import NetworkSpec, build_network
+from hrnnlm.training import load_checkpoint, save_checkpoint
+
+BYTE_SYMBOLS = tuple(chr(i) for i in range(256)) + (SENTENCE_BOUNDARY,)
 
 
 class TestBuildVocab:
@@ -262,14 +269,55 @@ class TestVocabFile:
 
 class TestFromSymbols:
     def test_boundary_ids_follow_positions(self):
-        v = Vocabulary.from_symbols(["<s>", "x", "<w>"])
+        v = Vocabulary(["<s>", "x", "<w>"])
         assert (v.mode, v.word_boundary_id, v.sentence_boundary_id) == \
             ("char", 2, 0)
 
     @pytest.mark.parametrize("symbols", [["a", "<s>"], ["a", "<w>"]])
     def test_missing_boundary_is_data_error(self, symbols):
         with pytest.raises(DataError):
-            Vocabulary.from_symbols(symbols)
+            Vocabulary(symbols)
+
+    def test_a_symbol_never_ticks_the_word_clock(self):
+        v = Vocabulary(("a", "<w>", "<s>"))
+        assert tokenize("a a", v).ids.tolist() == [0, 1, 0, 2]
+        assert tokenize("a a", byte_vocab()).ids.tolist() == [97, 32, 97, 256]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(["a", "é", " ", "\n", "\\", "", "ab",
+                                  "<w>", "<s>", "<x>"]), max_size=7),
+        st.lists(st.sampled_from(["a", "b", "<w>", "<s>"]), min_size=2,
+                 max_size=4, unique=True),
+        st.integers(-1, 256).map(lambda k: BYTE_SYMBOLS[:k] + BYTE_SYMBOLS[k + 1:]
+                                 if k >= 0 else BYTE_SYMBOLS),
+        st.permutations(BYTE_SYMBOLS[250:]).map(
+            lambda tail: BYTE_SYMBOLS[:250] + tuple(tail))))
+    def test_symbols_decide_mode_and_ids(self, symbols):
+        symbols = tuple(symbols)
+        if len(set(symbols)) < len(symbols):
+            with pytest.raises(ConfigError):
+                Vocabulary(symbols)
+            return
+        if symbols == BYTE_SYMBOLS:
+            want = ("byte", 0x20, 256)
+        elif WORD_BOUNDARY in symbols and SENTENCE_BOUNDARY in symbols:
+            want = ("char", symbols.index(WORD_BOUNDARY),
+                    symbols.index(SENTENCE_BOUNDARY))
+        else:
+            with pytest.raises(DataError):
+                Vocabulary(symbols)
+            return
+        v = Vocabulary(symbols)
+        assert (v.symbols, (v.mode, *v.boundary_ids)) == (symbols, want)
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", v, 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_vocab(v, Path(tmp) / "vocab.txt")
+            save_checkpoint(Path(tmp) / "model.bin", net, v)
+            loaded = [load_vocab(Path(tmp) / "vocab.txt"),
+                      load_checkpoint(Path(tmp) / "model.bin")[1]]
+        for w in loaded:
+            assert (w.symbols, (w.mode, *w.boundary_ids)) == (symbols, want)
 
 
 class TestSymbolEscapes:

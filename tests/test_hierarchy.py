@@ -94,6 +94,30 @@ class TestSpecValidation:
                            layers_per_module=4)
         assert spec.total_layers == 4
 
+    @pytest.mark.parametrize("variant, field, value", [
+        ("hlstm_b", "vocab_size", 8.5), ("mono", "layers_per_module", 2.5),
+        ("hlstm_b", "word_boundary_id", 6.0),
+        ("hlstm_b", "sentence_boundary_id", True),
+        ("hlstm_b", "hidden_dim", [4.9, 4, 4, 4]),
+        ("hlstm_b", "hidden_dim", True), ("mono", "hidden_dim", 4.0),
+        ("mono", "hidden_dim", "4"), ("mono", "levels", 1.0)])
+    def test_sizes_and_ids_must_be_integers(self, variant, field, value):
+        fields = dict(variant=variant, vocab_size=8, hidden_dim=4,
+                      word_boundary_id=6, sentence_boundary_id=7)
+        fields[field] = value
+        with pytest.raises(ConfigError, match=field.split("_dim")[0]):
+            NetworkSpec(**fields)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        spec = NetworkSpec(variant="hlstm_b", vocab_size=np.int64(8),
+                           hidden_dim=np.array([4, 3, 2, 1]),
+                           word_boundary_id=np.int32(6),
+                           sentence_boundary_id=np.uint8(7))
+        values = [spec.vocab_size, spec.word_boundary_id,
+                  spec.sentence_boundary_id, *spec.hidden_dim]
+        assert [type(v) for v in values] == [int] * 7
+        assert values == [8, 6, 7, 4, 3, 2, 1]
+
 
 class TestParameterCounts:
     @staticmethod
