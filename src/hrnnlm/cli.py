@@ -165,6 +165,15 @@ def _read_corpus(values: dict) -> str:
     return text
 
 
+def _load_model(values: dict):
+    """The (network, vocabulary) of the ``checkpoint`` key; a checkpoint
+    that carries no vocabulary raises DataError."""
+    net, vocab = load_checkpoint(_require_path(values, "checkpoint"))
+    if vocab is None:
+        raise DataError("checkpoint carries no vocabulary")
+    return net, vocab
+
+
 def _spec_from(values: dict, vocab) -> NetworkSpec:
     hidden = [_parse_value("hidden", h, int)
               for h in str(values["hidden"]).split(",")]
@@ -210,9 +219,7 @@ def _cmd_train(values: dict) -> int:
 
 
 def _cmd_eval(values: dict) -> int:
-    net, vocab = load_checkpoint(_require_path(values, "checkpoint"))
-    if vocab is None:
-        raise DataError("checkpoint carries no vocabulary")
+    net, vocab = _load_model(values)
     text = _read_corpus(values)
     seqs = tokenize_lines(text, vocab)
     dims = "x".join(str(h) for h in net.spec.hidden_dim)
@@ -229,9 +236,7 @@ def _cmd_eval(values: dict) -> int:
 
 
 def _cmd_sample(values: dict) -> int:
-    net, vocab = load_checkpoint(_require_path(values, "checkpoint"))
-    if vocab is None:
-        raise DataError("checkpoint carries no vocabulary")
+    net, vocab = _load_model(values)
     text = sample(net, vocab, length=values["length"],
                   prime=values["prime"], temperature=values["temperature"],
                   seed=values["seed"])
@@ -241,9 +246,7 @@ def _cmd_sample(values: dict) -> int:
 
 def _cmd_decode(values: dict) -> int:
     check_count("nbest", values["nbest"], 0)
-    net, vocab = load_checkpoint(_require_path(values, "checkpoint"))
-    if vocab is None:
-        raise DataError("checkpoint carries no vocabulary")
+    net, vocab = _load_model(values)
     post = read_posteriors(_require_path(values, "posterior"))
     config = DecodeConfig(beam_width=values["beam"],
                           lm_weight=values["lm_weight"],

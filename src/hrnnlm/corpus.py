@@ -46,8 +46,8 @@ class Vocabulary:
     ``byte`` vocabulary whose word boundary is byte 0x20; symbols that
     include ``<w>`` make a ``char`` vocabulary whose word boundary is that
     symbol's id.  The sentence boundary is always the ``<s>`` symbol's id.
-    Repeated symbols raise ConfigError; symbols that are neither layout, or
-    that lack ``<s>``, raise DataError.
+    Repeated symbols raise ConfigError; a symbol that is not a string, or
+    symbols that are neither layout or lack ``<s>``, raise DataError.
     """
 
     symbols: tuple[str, ...]
@@ -58,6 +58,9 @@ class Vocabulary:
 
     def __post_init__(self):
         self.symbols = tuple(self.symbols)
+        for s in self.symbols:
+            if not isinstance(s, str):
+                raise DataError(f"vocabulary symbol {s!r} is not a string")
         self._index = {s: i for i, s in enumerate(self.symbols)}
         if len(self._index) != len(self.symbols):
             raise ConfigError("vocabulary symbols are not distinct")

@@ -8,9 +8,11 @@ layer's activation from the state going into the step, so the embedding of
 the word just finished survives the reset; a state is just its layers'
 cells.  The context a module sends back down is not delayed.  A token's
 clocks are a function of the token alone, read from one per-token table
-(``_boundary_table``) by ``Network.forward``, both paths of
-``Network.step`` and ``derive_clocks``.  The builders cover the
-single-module stack ("mono") and the two-level variants:
+(``_boundary_table``) by ``Network.forward``, ``Network.step`` and
+``derive_clocks``; ``forward`` (per window column) and ``step`` (an int id
+is a one-row batch) get each clock's rows from one rule, ``_clock``.  The
+builders cover the single-module stack ("mono") and the two-level
+variants:
 
 * ``hlstm_a``: both character layers read the one-hot input; layer 2 is a
   generative layer conditioned on the word context, layer 1 produces the
@@ -60,6 +62,16 @@ def _boundary_table(size: int, boundary_ids) -> np.ndarray:
         table[list(boundary_ids), [0, 1]] = 1.0
     table.flags.writeable = False
     return table
+
+
+def _clock(column: np.ndarray):
+    """One step's clock, a (B,) bool column, as the (flag, rows) pair
+    ``_run_step`` takes: (True, True) or (False, False) when every row or
+    none ticks, else the column and its row indices (as ``clock_rows``)."""
+    k = int(np.count_nonzero(column))
+    if 0 < k < column.size:
+        return column, column.nonzero()[0]
+    return k > 0, k > 0
 
 
 def _check_ids(ids, size: int):
@@ -112,14 +124,19 @@ class NetworkSpec:
                                   "exactly two levels")
             if self.layers_per_module != 2:
                 raise ConfigError("hlstm variants use two layers per module")
-            for name in ("word_boundary_id", "sentence_boundary_id"):
-                v = getattr(self, name)
-                check_count(name, v, 0)
-                if v >= self.vocab_size:
-                    raise ConfigError(f"{name} lies outside the vocabulary")
-                setattr(self, name, int(v))
-            if self.word_boundary_id == self.sentence_boundary_id:
-                raise ConfigError("boundary ids must be distinct")
+        # A mono network reads no boundary id, so it may have none.
+        for name in ("word_boundary_id", "sentence_boundary_id"):
+            v = getattr(self, name)
+            if v is None and self.variant == "mono":
+                continue
+            check_count(name, v, 0)
+            if v >= self.vocab_size:
+                raise ConfigError(f"{name} lies outside the vocabulary")
+            setattr(self, name, int(v))
+        if (self.word_boundary_id is not None
+                and self.word_boundary_id == self.sentence_boundary_id):
+            raise ConfigError("word_boundary_id and sentence_boundary_id "
+                              "must be distinct")
         try:
             dims = tuple(self.hidden_dim)
         except TypeError:  # one size for every layer
@@ -230,33 +247,6 @@ class NetworkState:
         rows = np.asarray(rows, dtype=np.int64)
         return NetworkState({k: LstmState(v.m[rows], v.h[rows])
                              for k, v in self.layers.items()})
-
-
-@dataclass
-class _Clock:
-    """One clock over the steps of a (B, T) window, worked out once per
-    window: per step, the ``flag`` a cell takes (True or False when every
-    row agrees, else the (B,) bool column) and the ``rows`` it selects (as
-    ``cells.clock_rows`` gives them: True, False or the row indices); and
-    the ``counts`` of rows computed, one per step that computes any."""
-
-    flags: list
-    rows: list
-    counts: list
-
-    @classmethod
-    def of(cls, mask: np.ndarray) -> "_Clock":
-        B = mask.shape[0]
-        counts = np.count_nonzero(mask, axis=0).tolist()
-        flags, selected = [], []
-        for t, k in enumerate(counts):
-            if k == B or k == 0:
-                flags.append(k > 0)
-                selected.append(k > 0)
-            else:
-                flags.append(mask[:, t])
-                selected.append(flags[-1].nonzero()[0])
-        return cls(flags, selected, [k for k in counts if k])
 
 
 @dataclass
@@ -399,14 +389,6 @@ class Network:
         return NetworkState({d.name: LstmState.zeros(d.hidden, batch)
                              for d in self.layer_defs})
 
-    def _window(self, ids: np.ndarray, active):
-        """The word ``_Clock`` of a (B, T) window, high where an active
-        position holds a boundary, and the word module's (B, T, 2)
-        indicator input, both read from the boundary table.  The indicator
-        is not masked: the word layers compute only rows whose word clock
-        is high."""
-        return _Clock.of(self._ticks[ids] & active), self._table[ids]
-
     def _scratch(self, batch: int):
         """A slot source for untaped steps: each layer reuses one scratch
         tape of ``batch`` rows, allocated on first use, and one head of it
@@ -427,45 +409,40 @@ class Network:
             return head
         return slot
 
-    def _run_step(self, states: dict, ids_t, clock, char_rows, word_clock,
-                  word_rows, indicator, slot):
+    def _run_step(self, states: dict, ids_t, char, word, indicator, slot):
         """Advance every layer one step; returns updated (states, tapes).
-        Character layers tick with ``clock`` and reset under
-        ``word_clock``, word layers tick with ``word_clock``; each clock
-        comes with the rows it selects (``char_rows``, ``word_rows``, as
-        ``clock_rows`` gives them).  A layer computes only those rows,
-        into ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
+        Character layers tick with ``char`` and reset under ``word``'s
+        flag, word layers tick with ``word``: (flag, rows) pairs from
+        ``_clock``.  A layer computes only its clock's rows, into
+        ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
         columns receive those rows' inputs directly.  A layer that computes
-        no row and is not reset (the word layers on a character) passes
-        its state through with the ``_IDLE`` tape, without a call to
-        ``lstm_step``.  A "hidden" source reads its layer's new state, a
-        "delay" source its layer's state in ``states``, the state going
-        into the step.  No probabilities are computed here: the callers
-        pass the output layer's new ``h`` to ``_probs``."""
+        no row (the word layers on a character) passes its state through
+        with the ``_IDLE`` tape, without a call to ``lstm_step``.  A
+        "hidden" source reads its layer's new state, a "delay" source its
+        layer's state in ``states``, the state going into the step.  No
+        probabilities are computed here: the callers pass the output
+        layer's new ``h`` to ``_probs``."""
         new_states = dict(states)
         tapes = {}
         for d in self.step_order:
-            if d.level == 1:
-                c, r, rows = clock, word_clock, char_rows
-            else:
-                c, r, rows = word_clock, False, word_rows
-            if rows is False and r is False:
+            (c, rows), r = (char, word[0]) if d.level == 1 else (word, False)
+            # A layer that computes no row is never reset: the word clock
+            # ticks only on rows the character clock computes.
+            if rows is False:
                 tapes[d.name] = _IDLE
                 continue
-            tape = x = None
-            if rows is not False:
-                tape = slot(d.name, rows)
-                x = tape.x
-                for kind, ref, cols in self.input_slices[d.name]:
-                    if kind == "onehot":
-                        np.equal(take_rows(ids_t, rows)[:, None],
-                                 self._token_ids, out=x[:, cols])
-                    elif kind == "hidden":
-                        x[:, cols] = take_rows(new_states[ref].h, rows)
-                    elif kind == "delay":
-                        x[:, cols] = take_rows(states[ref].h, rows)
-                    else:
-                        x[:, cols] = take_rows(indicator, rows)
+            tape = slot(d.name, rows)
+            x = tape.x
+            for kind, ref, cols in self.input_slices[d.name]:
+                if kind == "onehot":
+                    np.equal(take_rows(ids_t, rows)[:, None],
+                             self._token_ids, out=x[:, cols])
+                elif kind == "hidden":
+                    x[:, cols] = take_rows(new_states[ref].h, rows)
+                elif kind == "delay":
+                    x[:, cols] = take_rows(states[ref].h, rows)
+                else:
+                    x[:, cols] = take_rows(indicator, rows)
             new_states[d.name], tapes[d.name] = lstm_step(
                 self.layers[d.name], x, states[d.name], c, r, tape)
         return new_states, tapes
@@ -519,8 +496,12 @@ class Network:
             raise DimensionError(f"{B} id rows for a state of {state.batch} "
                                  "rows")
         states = dict(state.layers)
-        clock = _Clock.of(active)
-        word, indicator = self._window(ids, active)
+        # Per step, the character clock is the active column and the word
+        # clock its boundary rows.  The indicator is not masked: the word
+        # layers compute only rows whose word clock is high.
+        clocks = {1: [_clock(c) for c in active.T],
+                  2: [_clock(c) for c in (self._ticks[ids] & active).T]}
+        indicator = self._table[ids]
         top_h = np.empty((B, T, self._hidden_of(self.output_layer)))
         tape = None
         if collect_tape:
@@ -529,7 +510,8 @@ class Network:
                 p = self.layers[d.name]
                 windows[d.name] = LstmWindow(
                     p.input_dim, p.hidden_dim,
-                    (clock if d.level == 1 else word).counts)
+                    [B if rows is True else rows.size
+                     for _, rows in clocks[d.level] if rows is not False])
             tape = WindowTape(windows, {name: [] for name in windows},
                               top_h, active)
             filled = dict.fromkeys(windows, 0)
@@ -542,8 +524,8 @@ class Network:
             slot = self._scratch(B)
         for t in range(T):
             states, tapes = self._run_step(
-                states, ids[:, t], clock.flags[t], clock.rows[t],
-                word.flags[t], word.rows[t], indicator[:, t], slot)
+                states, ids[:, t], clocks[1][t], clocks[2][t],
+                indicator[:, t], slot)
             top_h[:, t] = states[self.output_layer].h
             if collect_tape:
                 for name, st in tapes.items():
@@ -564,42 +546,34 @@ class Network:
     def step(self, state: NetworkState, ids):
         """One streaming step: (next-token probs, new state).
 
-        With an int id, the state has one row and probs is (V,).  With a
-        (B,) id array, the state has B rows, each advanced by its own
-        token, and probs is (B, V): the same arithmetic, row for row and
-        bit for bit, as ``forward(ids[:, None], state=state)``, whose
-        ``_window`` and ``_probs`` it runs.  The int path reads the same boundary table
-        without building a window; either way the word layers run only the
-        boundary rows, and not at all when no id is a boundary.  The given
-        state is never mutated, so callers may branch a hypothesis from
-        it.  An id that is not an integer, or lies outside the vocabulary,
-        raises ConfigError; ids of more than one dimension, or a state of
-        another batch size, raise DimensionError.
+        With a (B,) id array, the state has B rows, each advanced by its
+        own token, and probs is (B, V): the same arithmetic, row for row
+        and bit for bit, as ``forward(ids[:, None], state=state)``, whose
+        clock rule (``_clock``) and ``_probs`` it runs.  An int id, or a
+        0-d id array, is a one-row batch: the state has one row and probs
+        is (V,).  The word layers run only the boundary rows, and not at
+        all when no id is a boundary.  The given state is never mutated,
+        so callers may branch a hypothesis from it.  An id that is not an
+        integer, or lies outside the vocabulary, raises ConfigError; ids
+        of more than one dimension, or a state of another batch size,
+        raise DimensionError.
         """
         ids = _check_ids(ids, self.spec.vocab_size)
-        if isinstance(ids, int):
-            if state.batch != 1:
-                raise DimensionError(
-                    f"1 id for a state of {state.batch} rows")
-            word = bool(self._ticks[ids])
-            states, _ = self._run_step(
-                dict(state.layers), self._token_ids[ids:ids + 1], True, True,
-                word, word, self._table[ids:ids + 1], self._scratch(1))
-            return (self._probs(states[self.output_layer].h)[0],
-                    NetworkState(states))
-
-        if ids.ndim == 0:
-            return self.step(state, int(ids))
-        if ids.ndim != 1:
+        one = isinstance(ids, int) or ids.ndim == 0
+        if one:  # a slice reads the per-token tables without a gather
+            ids = slice(ids, ids + 1)
+        elif ids.ndim != 1:
             raise DimensionError("step takes one id or a (batch,) id array")
-        B = ids.size
+        ticks = self._ticks[ids]
+        B = ticks.size
         if state.batch != B:
-            raise DimensionError(f"{B} ids for a state of {state.batch} rows")
-        word, indicator = self._window(ids[:, None], True)
+            raise DimensionError(f"{B} id rows for a state of {state.batch} "
+                                 "rows")
         states, _ = self._run_step(
-            dict(state.layers), ids, True, True, word.flags[0], word.rows[0],
-            indicator[:, 0], self._scratch(B))
-        return self._probs(states[self.output_layer].h), NetworkState(states)
+            dict(state.layers), self._token_ids[ids], (True, True),
+            _clock(ticks), self._table[ids], self._scratch(B))
+        probs = self._probs(states[self.output_layer].h)
+        return (probs[0] if one else probs), NetworkState(states)
 
     def backward(self, tape: WindowTape, d_logits) -> Blocks:
         """Reverse-mode gradients of a taped forward run.

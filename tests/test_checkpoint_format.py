@@ -194,20 +194,50 @@ def _with_header(data: bytes, edit) -> bytes:
     return data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + hlen:]
 
 
+# The file's sizes as a mono spec: its four layers in one level.  Its
+# boundary ids (4 and 5) are valid, so only the ids a case sets are wrong.
+MONO = {"variant": "mono", "levels": 1, "layers_per_module": 4}
+
+
 @pytest.mark.parametrize("key, value", [
     ("variant", "hlstm_x"), ("levels", 3), ("layers_per_module", 0),
     ("hidden_dim", [3, -4, 2, 5]), ("word_boundary_id", 9),
     ("hidden_dim", [3.7, 4, 2, 5]), ("hidden_dim", [3.0, 4, 2, 5]),
     ("vocab_size", 6.5), ("word_boundary_id", 4.0),
-    ("layers_per_module", True)])
+    ("layers_per_module", True),
+    # "spec": fields set together, here a mono spec's boundary ids
+    ("spec", {**MONO, "word_boundary_id": 6.5}),
+    ("spec", {**MONO, "sentence_boundary_id": "x"}),
+    ("spec", {**MONO, "word_boundary_id": 9, "sentence_boundary_id": 9}),
+    ("spec", {**MONO, "word_boundary_id": 5})])
 def test_invalid_header_spec_is_checkpoint_error(tmp_path, key, value):
     path = tmp_path / "bad.bin"
     path.write_bytes(_with_header(
         (DATA / "checkpoint_v1_hlstm_a.bin").read_bytes(),
-        lambda h: h["spec"].__setitem__(key, value)))
+        lambda h: h["spec"].update(value if key == "spec" else {key: value})))
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(path)
     assert main(["sample", "--checkpoint", str(path)]) == 2
+
+
+def test_mono_header_with_valid_ids_passes_the_header(tmp_path):
+    """The mono cases above fail on their ids alone: with the file's own
+    ids the header is read, and only the blocks' names do not fit."""
+    path = tmp_path / "mono.bin"
+    path.write_bytes(_with_header(
+        (DATA / "checkpoint_v1_hlstm_a.bin").read_bytes(),
+        lambda h: h["spec"].update(MONO)))
+    with pytest.raises(CheckpointError, match="unexpected block"):
+        load_checkpoint(path)
+
+
+def test_header_symbol_that_is_not_a_string(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_with_header(
+        (DATA / "checkpoint_v1_hlstm_a.bin").read_bytes(),
+        lambda h: h["vocab"]["symbols"].__setitem__(0, 1)))
+    with pytest.raises(CheckpointError, match="not a string"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("vocab", [

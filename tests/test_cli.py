@@ -384,6 +384,20 @@ def test_every_key_is_read(trained_dir, corpus_file, tmp_path, monkeypatch):
         assert read == set(keyset), command
 
 
+@pytest.mark.parametrize("command", ["eval", "sample", "decode"])
+def test_checkpoint_without_vocabulary_is_data_error(
+        trained_dir, corpus_file, tmp_path, capsys, command):
+    bare = tmp_path / "bare.bin"
+    net = build_network(NetworkSpec.for_vocab("hlstm_b", build_vocab(CORPUS),
+                                              2))
+    save_checkpoint(bare, net)  # no vocabulary
+    args = _valid_args(command, trained_dir, corpus_file, tmp_path)
+    args[args.index("--checkpoint") + 1] = str(bare)
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == \
+        "error: checkpoint carries no vocabulary\n"
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("eval", "seed", "3"), ("eval", "output_dir", "out"),
     ("eval", "mode", "byte"), ("sample", "output_dir", "out"),

@@ -278,6 +278,13 @@ class TestFromSymbols:
         with pytest.raises(DataError):
             Vocabulary(symbols)
 
+    @pytest.mark.parametrize("symbols", [[1, "<w>", "<s>"],
+                                         ["a", ["b"], "<w>", "<s>"],
+                                         ["a", "<w>", "<s>", None]])
+    def test_symbols_must_be_strings(self, symbols):
+        with pytest.raises(DataError, match="not a string"):
+            Vocabulary(symbols)
+
     def test_a_symbol_never_ticks_the_word_clock(self):
         v = Vocabulary(("a", "<w>", "<s>"))
         assert tokenize("a a", v).ids.tolist() == [0, 1, 0, 2]

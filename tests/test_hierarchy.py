@@ -100,7 +100,12 @@ class TestSpecValidation:
         ("hlstm_b", "sentence_boundary_id", True),
         ("hlstm_b", "hidden_dim", [4.9, 4, 4, 4]),
         ("hlstm_b", "hidden_dim", True), ("mono", "hidden_dim", 4.0),
-        ("mono", "hidden_dim", "4"), ("mono", "levels", 1.0)])
+        ("mono", "hidden_dim", "4"), ("mono", "levels", 1.0),
+        # a mono spec needs no boundary ids, but those it has are checked
+        ("mono", "word_boundary_id", 6.5),
+        ("mono", "sentence_boundary_id", "x"),
+        ("mono", "word_boundary_id", 9), ("mono", "sentence_boundary_id", 8),
+        ("mono", "word_boundary_id", 7), ("hlstm_a", "word_boundary_id", 7)])
     def test_sizes_and_ids_must_be_integers(self, variant, field, value):
         fields = dict(variant=variant, vocab_size=8, hidden_dim=4,
                       word_boundary_id=6, sentence_boundary_id=7)
@@ -117,6 +122,15 @@ class TestSpecValidation:
                   spec.sentence_boundary_id, *spec.hidden_dim]
         assert [type(v) for v in values] == [int] * 7
         assert values == [8, 6, 7, 4, 3, 2, 1]
+
+    def test_mono_ids_are_optional_and_stored_as_python_ints(self):
+        spec = NetworkSpec(variant="mono", vocab_size=8, hidden_dim=4,
+                           word_boundary_id=np.int32(6),
+                           sentence_boundary_id=np.uint8(7))
+        ids = (spec.word_boundary_id, spec.sentence_boundary_id)
+        assert ids == (6, 7) and [type(v) for v in ids] == [int, int]
+        spec = NetworkSpec(variant="mono", vocab_size=8, hidden_dim=4)
+        assert spec.word_boundary_id is spec.sentence_boundary_id is None
 
 
 class TestParameterCounts:
@@ -434,6 +448,31 @@ def test_batched_step_equals_per_row_steps(variant, rows):
         for name, cell in want.layers.items():
             _assert_close(batched.layers[name].m[k], cell.m[0])
             _assert_close(batched.layers[name].h[k], cell.h[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       ids=st.tuples(*[st.lists(ABC_TOKENS, max_size=5)] * 3).map(
+           lambda parts: [*parts[0], 3, *parts[1], 4, *parts[2]]))
+@example(variant="hlstm_a", ids=[3, 4, 4, 3, 0])
+def test_int_0d_and_one_row_ids_step_alike(variant, ids):
+    """An int id, a 0-d id array and a (1,) id array are one path through
+    Network.step: folded over a sequence holding <w> and <s> (ids 3 and
+    4), every step's probs and every layer's m and h agree bit for bit."""
+    net = STEP_NETS[variant]
+    folds = []
+    for as_id in (int, np.array, lambda tok: np.array([tok])):
+        state, fold = net.init_state(1), []
+        for tok in ids:
+            probs, state = net.step(state, as_id(tok))
+            fold.append([probs.reshape(-1)] + [
+                a for cell in state.layers.values() for a in (cell.m, cell.h)])
+        folds.append(fold)
+    assert folds[0][0][0].shape == (VOCAB_ABC.size,)
+    for fold in folds[1:]:
+        for got, want in zip(fold, folds[0]):
+            for g, w in zip(got, want):
+                _same_bits(g, w)
 
 
 @settings(max_examples=40, deadline=None)

@@ -69,3 +69,23 @@ def test_ab_verdict_table_has_a_line_per_metric():
     header, line = ab.verdict_table(results, {"m": 0.25, "absent": 0.1})
     assert line.split()[:2] == ["w", "m"] and line.endswith("gain")
     assert "10/10" in line
+
+
+def test_digest_reruns_print_the_same_line():
+    cmd = [sys.executable, "tools/digest.py", "--workload", "train_small",
+           "--seed", "3"]
+    lines = [subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                            timeout=120, check=True).stdout
+             for _ in range(2)]
+    assert lines[0] == lines[1]
+    workload, seed, *digests = lines[0].split()
+    assert (workload, seed) == ("train_small", "3")
+    assert [len(d) for d in digests] == [64, 64]
+
+
+def test_digest_rejects_an_unknown_workload():
+    proc = subprocess.run(
+        [sys.executable, "tools/digest.py", "--workload", "nope"], cwd=ROOT,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "nope" in proc.stderr and "Traceback" not in proc.stderr
