@@ -9,12 +9,13 @@ either one sequence (inputs shaped ``(d,)``, states ``(h,)``) or a batch
 
 realized by row selection rather than arithmetic blending: a step computes
 only the rows whose clock is high, and every other row keeps its
-(reset-masked) previous state bit for bit.  ``clock_rows`` turns a clock
-into the rows it selects.  A clock high on every row computes the whole
-batch; a partial clock gathers its rows, computes them, and scatters the
-results into a copy of the state.  A layer whose clock is low on every row
-computes nothing and returns the (reset-masked) previous state arrays
-themselves.
+(reset-masked) previous state bit for bit.  ``clock_rows``, the one rule
+that turns a clock or reset flag into rows, gives every row, no row or
+these rows.  A clock high on every row computes the whole batch; a partial
+clock gathers its rows, computes them, and scatters the results into a
+copy of the state.  A layer whose clock is low on every row computes
+nothing and returns the (reset-masked) previous state arrays themselves,
+with a skipped tape (``IDLE_TAPE`` when no row is reset either).
 
 Parameter layout.  A layer with input width D and H units is one packed
 float64 buffer, ``LstmParams.flat``, of 4H(D + H) + 3H + 4H numbers:
@@ -95,42 +96,24 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def _check_rows(m: np.ndarray, state_arr: np.ndarray) -> None:
-    if m.ndim != state_arr.ndim - 1 or m.shape[0] != state_arr.shape[0]:
-        raise DimensionError(
-            f"clock/reset shape {m.shape} does not match state batch "
-            f"{state_arr.shape}")
-
-
-def _mask(flag, state_arr: np.ndarray):
-    """A reset flag as True or False when it is the same on every row, else
-    as a (b, 1) bool mask broadcastable over a state."""
+def clock_rows(flag, batch_shape: tuple):
+    """The one rule that turns a clock or reset flag into rows, as a
+    (flag, rows) pair: (True, True) or (False, False), Python bools, when
+    the flag is the same on every row (a 0-d flag is), else its (b,) bool
+    column and that column's row indices, ascending.  A column shaped
+    unlike ``batch_shape`` (``state.h.shape[:-1]``) raises DimensionError."""
     if flag is True or flag is False:
-        return flag
+        return flag, flag
     m = np.asarray(flag, dtype=bool)
     if m.ndim == 0:
-        return bool(m)
-    _check_rows(m, state_arr)
-    k = np.count_nonzero(m)
-    if k == m.size:
-        return True
-    if k == 0:
-        return False
-    return m[:, None]
-
-
-def clock_rows(flag, state_arr: np.ndarray):
-    """The rows of a state that a clock flag selects: True when it is high
-    on every row, False when on none, else the (k,) row indices, ascending."""
-    if flag is True or flag is False:
-        return flag
-    m = np.asarray(flag, dtype=bool)
-    if m.ndim == 0:
-        return bool(m)
-    _check_rows(m, state_arr)
+        return bool(m), bool(m)
+    if m.shape != batch_shape:
+        raise DimensionError(f"clock/reset shape {m.shape} does not match "
+                             f"state batch {batch_shape}")
     rows = m.nonzero()[0]
-    k = rows.size
-    return True if k == m.size else (rows if k else False)
+    if 0 < rows.size < m.size:
+        return m, rows
+    return rows.size > 0, rows.size > 0
 
 
 def take_rows(a: np.ndarray, rows) -> np.ndarray:
@@ -139,14 +122,14 @@ def take_rows(a: np.ndarray, rows) -> np.ndarray:
     return a if rows is True else a[rows]
 
 
-def _zero_where(mask, a: np.ndarray, copy: bool = False) -> np.ndarray:
-    """a with the rows under the mask zeroed; a itself when no row is,
-    unless a copy is asked for."""
+def _zero_where(mask, s: "LstmState", copy: bool = False) -> "LstmState":
+    """The state (or state gradient) s with the rows under the mask zeroed;
+    s itself when no row is, unless a copy is asked for."""
     if mask is False:
-        return a.copy() if copy else a
+        return s.copy() if copy else s
     if mask is True:
-        return np.zeros_like(a)
-    return np.where(mask, 0.0, a)
+        return LstmState(np.zeros_like(s.m), np.zeros_like(s.h))
+    return LstmState(np.where(mask, 0.0, s.m), np.where(mask, 0.0, s.h))
 
 
 def _gather_zeroed(a: np.ndarray, rows, mask, out: np.ndarray) -> None:
@@ -189,6 +172,7 @@ class LstmParams:
         self.flat = flat
         nw = 4 * H * (D + H)
         self.W = flat[:nw].reshape(4 * H, D + H)
+        self.W_t = self.W.T  # the step's GEMM operand, made once
         self.peep = flat[nw:nw + 3 * H].reshape(3, H)
         self.b = flat[nw + 3 * H:]
         # Shaped to broadcast over gate-major (4, b, h) pre-activations.
@@ -280,9 +264,9 @@ class LstmWindow:
 class LstmTape:
     """One step of one layer: views into its ``LstmWindow`` slot, which
     holds one row per row the step computed; the ``rows`` of the state
-    they are (as from ``clock_rows``); the reset mask; and whether the step
-    was skipped (clock low on every row: no slot, no arrays) or unbatched
-    (b = 1, ``single``).
+    they are and the reset mask (True, False or the (b, 1) reset column),
+    both from ``clock_rows``; and whether the step was skipped (clock low
+    on every row: no slot, no arrays) or unbatched (b = 1, ``single``).
 
     ``x`` and ``h_in`` are the input and recurrent columns of ``xh``: a
     caller may write the computed rows' inputs into ``x`` and pass
@@ -326,6 +310,11 @@ class LstmTape:
                         self.m_new[:rows], self.tanh_m[:rows])
 
 
+# The tape of a step whose clock and reset are low on every row: no slot,
+# nothing computed, nothing reset.
+IDLE_TAPE = LstmTape(None, rows=False, reset=False, skipped=True)
+
+
 def scratch_tape(input_dim: int, hidden_dim: int, batch: int) -> LstmTape:
     """The buffers of one step of ``batch`` rows, for steps that are not
     reversed: a caller may run every step of a pass through it, or through
@@ -350,11 +339,11 @@ def lstm_step(params: LstmParams, x, state: LstmState,
         h = o * tanh(m)
 
     where (m', h') is the previous state zeroed wherever the reset is high.
-    Only the rows whose clock is high are computed (``clock_rows``): all
-    four pre-activations come from one GEMM of their [x, h'] against the
-    packed W.  Every other row keeps its (reset-masked) previous state
-    untouched, and its x is not read (x may be None when the clock is low
-    on every row).
+    Only the rows whose clock is high are computed (``clock_rows`` gives
+    them, and the reset mask): all four pre-activations come from one GEMM
+    of their [x, h'] against the packed W.  Every other row keeps its
+    (reset-masked) previous state untouched, and its x is not read (x may
+    be None when the clock is low on every row).
 
     ``tape`` is the window slot the step writes (``LstmWindow.slot``), one
     row per computed row; a one-step window is allocated when it is
@@ -363,18 +352,20 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     copied.  When every row is computed the new m is the slot's ``m_new``,
     so a slot must not be rewritten while that state is still to be read.
     """
-    H = params.hidden_dim
-    if state.h.shape[-1] != H:
-        raise DimensionError(
-            f"state width {state.h.shape[-1]} != expected {H}")
-    rows = clock_rows(clock, state.h)
-    rm = _mask(reset, state.h)
+    H, shape = params.hidden_dim, state.h.shape
+    if shape[-1] != H:
+        raise DimensionError(f"state width {shape[-1]} != expected {H}")
+    batch = shape[:-1]
+    _, rows = clock_rows(clock, batch)
+    rm, reset_rows = clock_rows(reset, batch)
+    rm = rm if rm is reset_rows else rm[:, None]  # a partial reset, (b, 1)
     if rows is False:
         # Clock low everywhere: nothing to compute, state passes through.
-        return (LstmState(_zero_where(rm, state.m), _zero_where(rm, state.h)),
-                LstmTape(None, rows=False, reset=rm, skipped=True))
+        return _zero_where(rm, state), (
+            IDLE_TAPE if rm is False
+            else LstmTape(None, rows=False, reset=rm, skipped=True))
 
-    D, n = params.input_dim, 1 if state.h.ndim == 1 else len(state.h)
+    D, n = params.input_dim, batch[0] if batch else 1
     if rows is not True:
         n = rows.size
     if tape is not None and tape.xh.shape[0] != n:
@@ -384,9 +375,9 @@ def lstm_step(params: LstmParams, x, state: LstmState,
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != D:
             raise DimensionError(f"input width {x.shape[-1]} != expected {D}")
-        if x.shape[:-1] != state.h.shape[:-1]:
+        if x.shape[:-1] != batch:
             raise DimensionError(f"input rows {x.shape[:-1]} != state rows "
-                                 f"{state.h.shape[:-1]}")
+                                 f"{batch}")
         if tape is None:
             tape = LstmWindow(D, H, [n]).slot(0, single=x.ndim == 1)
         np.copyto(tape.x, take_rows(x, rows))
@@ -397,12 +388,11 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     if rows is not True:
         # The rows that do not compute keep their state: copied before the
         # slot is written, since a scratch slot may hold that state.
-        m_out, h_out = (_zero_where(rm, state.m, copy=True),
-                        _zero_where(rm, state.h, copy=True))
+        out = _zero_where(rm, state, copy=True)
     # One GEMM for all gates, then bias and a gate-major copy in one pass:
     # ufuncs over contiguous (b, h) gate blocks cost about half as much as
     # over strided column slices at small sizes.
-    np.add((xh @ params.W.T).reshape(-1, 4, H).transpose(1, 0, 2),
+    np.add((xh @ params.W_t).reshape(-1, 4, H).transpose(1, 0, 2),
            params.b4, out=z)
     z_if = z[:2]
     z_if += m_in * params.peep_if4
@@ -417,8 +407,8 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     h_new = o * tanh_m
 
     if rows is not True:
-        m_out[rows], h_out[rows] = m_new, h_new
-        return LstmState(m_out, h_out), tape
+        out.m[rows], out.h[rows] = m_new, h_new
+        return out, tape
     if tape.single:
         m_new, h_new = m_new[0], h_new[0]
     return LstmState(m_new, h_new), tape
@@ -439,9 +429,7 @@ def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState
     """
     rows, rm = tape.rows, tape.reset
     if tape.skipped:
-        d_prev = LstmState(_zero_where(rm, d_state.m),
-                           _zero_where(rm, d_state.h))
-        return None, d_prev
+        return None, _zero_where(rm, d_state)
 
     H, D = params.hidden_dim, params.input_dim
     d_m_out, d_h_out = d_state.m, d_state.h

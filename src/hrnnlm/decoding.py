@@ -50,7 +50,8 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .corpus import Vocabulary, detokenize, escape_symbol, unescape_symbol
-from .errors import ConfigError, DataError, PosteriorFormatError, check_count
+from .errors import (ConfigError, DataError, PosteriorFormatError,
+                     check_count, check_real)
 from .files import read_exact, read_text
 from .hierarchy import Network, NetworkState
 
@@ -193,6 +194,8 @@ class DecodeConfig:
 
     def __post_init__(self):
         check_count("beam_width", self.beam_width, 1)
+        for key in ("lm_weight", "insertion_bonus", "width_prune"):
+            check_real(key, getattr(self, key))
         if not self.width_prune >= 0.0:  # NaN too
             raise ConfigError("width_prune must be non-negative")
         for key in ("lm_weight", "insertion_bonus"):

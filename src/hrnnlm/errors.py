@@ -54,3 +54,9 @@ def check_count(key: str, value, minimum: int) -> None:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{key} must be at least {minimum}")
+
+
+def check_real(key: str, value) -> None:
+    """ConfigError unless value is a real number, Python or numpy (no bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")

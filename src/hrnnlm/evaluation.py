@@ -22,7 +22,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .corpus import TokenSequence, Vocabulary, detokenize, tokenize_fragment
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_real
 from .hierarchy import Network
 from .training import bpc, sequence_bits  # noqa: F401  (re-exported)
 
@@ -116,6 +116,7 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
     after the prime, must be an integer of at least 0 (else ConfigError).
     """
     check_count("length", length, 0)
+    check_real("temperature", temperature)
     if not 0.0 < temperature < math.inf:  # NaN too
         raise ConfigError("temperature must be finite and positive")
     rng = np.random.default_rng(seed)

@@ -10,9 +10,9 @@ cells.  The context a module sends back down is not delayed.  A token's
 clocks are a function of the token alone, read from one per-token table
 (``_boundary_table``) by ``Network.forward``, ``Network.step`` and
 ``derive_clocks``; ``forward`` (per window column) and ``step`` (an int id
-is a one-row batch) get each clock's rows from one rule, ``_clock``.  The
-builders cover the single-module stack ("mono") and the two-level
-variants:
+is a one-row batch) get each clock's rows from the kernels' one rule,
+``clock_rows``.  The builders cover the single-module stack ("mono") and
+the two-level variants:
 
 * ``hlstm_a``: both character layers read the one-hot input; layer 2 is a
   generative layer conditioned on the word context, layer 1 produces the
@@ -38,17 +38,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cells import (LstmParams, LstmState, LstmTape, LstmWindow,
-                    lstm_backward_step, lstm_step, lstm_window_grads,
-                    scratch_tape, softmax, take_rows)
+from .cells import (IDLE_TAPE, LstmParams, LstmState, LstmTape, LstmWindow,
+                    clock_rows, lstm_backward_step, lstm_step,
+                    lstm_window_grads, scratch_tape, softmax, take_rows)
 from .corpus import TokenSequence, Vocabulary
 from .errors import ConfigError, DimensionError, check_count
 
 VARIANTS = ("mono", "hlstm_a", "hlstm_b")
-
-# The tape of a layer that an idle step passes through: clock low on every
-# row, reset low, nothing computed (what ``lstm_step`` would return).
-_IDLE = LstmTape(None, rows=False, reset=False, skipped=True)
 
 
 def _boundary_table(size: int, boundary_ids) -> np.ndarray:
@@ -62,16 +58,6 @@ def _boundary_table(size: int, boundary_ids) -> np.ndarray:
         table[list(boundary_ids), [0, 1]] = 1.0
     table.flags.writeable = False
     return table
-
-
-def _clock(column: np.ndarray):
-    """One step's clock, a (B,) bool column, as the (flag, rows) pair
-    ``_run_step`` takes: (True, True) or (False, False) when every row or
-    none ticks, else the column and its row indices (as ``clock_rows``)."""
-    k = int(np.count_nonzero(column))
-    if 0 < k < column.size:
-        return column, column.nonzero()[0]
-    return k > 0, k > 0
 
 
 def _check_ids(ids, size: int):
@@ -243,8 +229,13 @@ class NetworkState:
                              for k, v in self.layers.items()})
 
     def take(self, rows) -> "NetworkState":
-        """A new state of the given batch rows, in order (copies)."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """A new state of the given batch rows, in order (copies); rows
+        other than 1-D integers in [0, batch) raise DimensionError."""
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
+                rows.min() < 0 or rows.max() >= self.batch):
+            raise DimensionError(f"take needs a 1-D sequence of integer "
+                                 f"rows in [0, {self.batch}), got {rows!r}")
         return NetworkState({k: LstmState(v.m[rows], v.h[rows])
                              for k, v in self.layers.items()})
 
@@ -413,11 +404,11 @@ class Network:
         """Advance every layer one step; returns updated (states, tapes).
         Character layers tick with ``char`` and reset under ``word``'s
         flag, word layers tick with ``word``: (flag, rows) pairs from
-        ``_clock``.  A layer computes only its clock's rows, into
+        ``clock_rows``.  A layer computes only its clock's rows, into
         ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
         columns receive those rows' inputs directly.  A layer that computes
         no row (the word layers on a character) passes its state through
-        with the ``_IDLE`` tape, without a call to ``lstm_step``.  A
+        with ``IDLE_TAPE``, without a call to ``lstm_step``.  A
         "hidden" source reads its layer's new state, a "delay" source its
         layer's state in ``states``, the state going into the step.  No
         probabilities are computed here: the callers pass the output
@@ -429,7 +420,7 @@ class Network:
             # A layer that computes no row is never reset: the word clock
             # ticks only on rows the character clock computes.
             if rows is False:
-                tapes[d.name] = _IDLE
+                tapes[d.name] = IDLE_TAPE
                 continue
             tape = slot(d.name, rows)
             x = tape.x
@@ -499,8 +490,9 @@ class Network:
         # Per step, the character clock is the active column and the word
         # clock its boundary rows.  The indicator is not masked: the word
         # layers compute only rows whose word clock is high.
-        clocks = {1: [_clock(c) for c in active.T],
-                  2: [_clock(c) for c in (self._ticks[ids] & active).T]}
+        clocks = {1: [clock_rows(c, (B,)) for c in active.T],
+                  2: [clock_rows(c, (B,))
+                      for c in (self._ticks[ids] & active).T]}
         indicator = self._table[ids]
         top_h = np.empty((B, T, self._hidden_of(self.output_layer)))
         tape = None
@@ -549,7 +541,7 @@ class Network:
         With a (B,) id array, the state has B rows, each advanced by its
         own token, and probs is (B, V): the same arithmetic, row for row
         and bit for bit, as ``forward(ids[:, None], state=state)``, whose
-        clock rule (``_clock``) and ``_probs`` it runs.  An int id, or a
+        clock rule (``clock_rows``) and ``_probs`` it runs.  An int id, or a
         0-d id array, is a one-row batch: the state has one row and probs
         is (V,).  The word layers run only the boundary rows, and not at
         all when no id is a boundary.  The given state is never mutated,
@@ -571,7 +563,7 @@ class Network:
                                  "rows")
         states, _ = self._run_step(
             dict(state.layers), self._token_ids[ids], (True, True),
-            _clock(ticks), self._table[ids], self._scratch(B))
+            clock_rows(ticks, (B,)), self._table[ids], self._scratch(B))
         probs = self._probs(states[self.output_layer].h)
         return (probs[0] if one else probs), NetworkState(states)
 

@@ -28,7 +28,7 @@ from .blas import one_blas_thread
 from .corpus import TokenSequence, Vocabulary, byte_vocab
 from .errors import (CheckpointError, ConfigError, DataError,
                      DimensionError, DivergenceError, NumericError,
-                     check_count)
+                     check_count, check_real)
 from .files import atomic_write, read_exact
 from .hierarchy import Blocks, Network, NetworkSpec, build_network
 
@@ -52,14 +52,18 @@ class TrainConfig:
     def __post_init__(self):
         for key in ("bptt_length", "batch_size", "max_epochs"):
             check_count(key, getattr(self, key), 1)
+        for key in ("adadelta_rho", "adadelta_eps", "momentum"):
+            check_real(key, getattr(self, key))
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ConfigError("adadelta_rho must be in (0, 1)")
         if not 0.0 < self.adadelta_eps < math.inf:  # NaN too
             raise ConfigError("adadelta_eps must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.clip_norm is not None and not self.clip_norm > 0.0:
-            raise ConfigError("clip_norm must be positive or None")
+        if self.clip_norm is not None:
+            check_real("clip_norm", self.clip_norm)
+            if not self.clip_norm > 0.0:
+                raise ConfigError("clip_norm must be positive or None")
 
 
 # Elements per pass of the flat optimizer update: bounds its scratch memory
@@ -500,7 +504,11 @@ def save_checkpoint(path, net: Network, vocab: Optional[Vocabulary] = None
 
 
 def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except IsADirectoryError:
+        raise CheckpointError(f"checkpoint {path} is a directory") from None
+    with f:
         read = partial(read_exact, f, error=CheckpointError)
         if read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"bad checkpoint magic in {path}")

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hrnnlm.cells import (LstmCell, LstmParams, LstmState, LstmWindow,
-                          clocked_reset_step, clocked_step, init_lstm_params,
-                          lstm_step, lstm_window_grads, softmax)
+                          clock_rows, clocked_reset_step, clocked_step,
+                          init_lstm_params, lstm_step, lstm_window_grads,
+                          softmax)
 from hrnnlm.errors import DimensionError, NumericError
 
 
@@ -333,3 +335,48 @@ class TestBatchedKernels:
             # batched GEMM and single-row GEMV may differ in the last ulp
             np.testing.assert_allclose(out.m[b], row.m, rtol=0, atol=1e-14)
             np.testing.assert_allclose(out.h[b], row.h, rtol=0, atol=1e-14)
+
+
+class TestClockRows:
+    @pytest.mark.parametrize("which", ["clock", "reset"])
+    @pytest.mark.parametrize("batch, flag", [
+        ((3,), [True, False]), ((3,), [[True, False, True]]), ((), [True])])
+    def test_flag_shaped_unlike_the_batch_raises(self, which, batch, flag):
+        rng = np.random.default_rng(31)
+        cell = random_lstm(rng)
+        state = LstmState(np.zeros((*batch, 3)), np.zeros((*batch, 3)))
+        x = rng.normal(size=(*batch, 4))
+        with pytest.raises(DimensionError, match="clock/reset shape"):
+            lstm_step(cell.params, x, state, **{which: flag})
+
+
+# 0-d flags: Python bools and ints, numpy scalars and 0-d arrays
+UNIFORM_SCALARS = [bool, int, np.bool_, np.int64, np.uint8,
+                   lambda v: np.array(v, dtype=bool)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.booleans(), make=st.sampled_from(UNIFORM_SCALARS),
+       batch=st.sampled_from([(), (1,), (4,)]))
+def test_clock_rows_of_a_scalar_is_a_python_bool(value, make, batch):
+    flag, rows = clock_rows(make(value), batch)
+    assert type(flag) is bool and type(rows) is bool
+    assert flag is rows is value
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.booleans(), min_size=1, max_size=6),
+       dtype=st.sampled_from([None, bool, np.int8, np.int64, np.uint8]))
+def test_clock_rows_of_a_column(values, dtype):
+    """A column that is the same on every row gives Python bools, any
+    other the bool column and its ascending row indices; a list (dtype
+    None) counts as its array."""
+    flag = values if dtype is None else np.array(values, dtype=dtype)
+    got, rows = clock_rows(flag, (len(values),))
+    if all(values) or not any(values):
+        assert type(got) is bool and type(rows) is bool
+        assert got is rows is values[0]
+    else:
+        column = np.array(values)
+        assert got.dtype == bool and np.array_equal(got, column)
+        assert np.array_equal(rows, column.nonzero()[0])

@@ -414,3 +414,10 @@ def test_removed_key_is_rejected(trained_dir, corpus_file, tmp_path, capsys,
     cfg.write_text(f"{key}={value}\n")
     assert main(args + ["--config", str(cfg)]) == 1
     assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "sample", "decode"])
+def test_checkpoint_directory_is_data_error(tmp_path, capsys, command):
+    assert main([command, "--checkpoint", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "is a directory" in err and "Errno" not in err

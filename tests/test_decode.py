@@ -13,6 +13,7 @@ from hrnnlm.decoding import (BLANK_LABEL, DecodeConfig, PosteriorMatrix,
                              wer, write_posteriors_binary,
                              write_posteriors_text)
 from hrnnlm.errors import ConfigError, DataError, PosteriorFormatError
+from hrnnlm.evaluation import sample
 from hrnnlm.hierarchy import NetworkSpec, build_network
 from hrnnlm.training import TrainConfig, train
 
@@ -294,6 +295,26 @@ class TestBeamSearchBasics:
     def test_config_rejects_non_integer_counts(self, cls, key, value):
         with pytest.raises(ConfigError, match=key):
             cls(**{key: value})
+
+    @pytest.mark.parametrize("target, key, value", [
+        ("train", "adadelta_rho", "0.95"), ("train", "adadelta_eps", None),
+        ("train", "momentum", [0.9]), ("train", "momentum", True),
+        ("train", "clip_norm", "5"), ("decode", "lm_weight", "2"),
+        ("decode", "insertion_bonus", None), ("decode", "width_prune", "0"),
+        ("sample", "temperature", "1.0"), ("sample", "temperature", None)])
+    def test_non_numeric_float_settings_are_config_errors(self, target, key,
+                                                          value):
+        vocab = build_vocab("ab")
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4))
+        make = {"train": TrainConfig, "decode": DecodeConfig,
+                "sample": lambda **kw: sample(net, vocab, 3, **kw)}[target]
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            make(**{key: value})
+
+    def test_config_accepts_numpy_floats_and_no_clip(self):
+        config = TrainConfig(momentum=np.float32(0.5), clip_norm=None)
+        assert config.momentum == 0.5 and config.clip_norm is None
+        assert DecodeConfig(lm_weight=np.float64(1.5)).lm_weight == 1.5
 
     def test_config_accepts_numpy_integer_counts(self):
         config = DecodeConfig(beam_width=np.int64(4), depth_prune=np.int32(2))

@@ -385,6 +385,13 @@ class TestWiring:
         taken.layers["char1"].h[...] = 0.0  # a copy, not a view
         assert np.any(state.layers["char1"].h != 0)
 
+    @pytest.mark.parametrize("rows", [[True, False, True], [-1], [0.5],
+                                      [3], [5], [[0, 1]], 1])
+    def test_state_take_rejects_rows_it_cannot_take(self, vocab, rows):
+        state = build_network(tiny_spec(vocab, "hlstm_b")).init_state(3)
+        with pytest.raises(DimensionError):
+            state.take(rows)
+
 
 VOCAB_ABC = build_vocab("abc")  # a, b, c, <w>, <s>
 STEP_NETS = {v: build_network(tiny_spec(VOCAB_ABC, v, 3), rng_seed=9)

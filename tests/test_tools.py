@@ -89,3 +89,30 @@ def test_digest_rejects_an_unknown_workload():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "nope" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("blocks", ["0", "-1", "x"])
+def test_stepab_rejects_block_counts_below_one(blocks):
+    proc = subprocess.run(
+        [sys.executable, "tools/stepab.py", "--parent", "HEAD", "--blocks",
+         blocks], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--blocks" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_stepab_summary(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # stepab imports ab
+    spec = importlib.util.spec_from_file_location("stepab",
+                                                  ROOT / "tools/stepab.py")
+    stepab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stepab)
+    parent = [10.0, 12.0, 11.0, 13.0, 14.0]
+    change = [11.0, 11.0, 12.0, 12.0, 15.0]  # faster in blocks 2 and 4
+    stats = stepab.summarize(parent, change)
+    assert stats["median"] == {"parent": 12.0, "change": 12.0}
+    assert stats["p10"] == pytest.approx({"parent": 10.4, "change": 11.0})
+    assert stats["ratio"] == 1.0
+    assert (stats["wins"], stats["blocks"]) == (2, 5)
+    line = stepab.format_line("step H16", "us/step", stats)
+    assert line.split() == ["step", "H16", "us/step", "12.00", "10.40",
+                            "12.00", "11.00", "1.000", "2/5"]
