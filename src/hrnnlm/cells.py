@@ -48,7 +48,10 @@ with one ``dz.T @ [x, h']`` GEMM over every computed row, plus the
 peephole and bias reductions: the weight gradient once per sequence, not
 once per step (Appleyard et al. 2016, arXiv 1604.01946).  Steps that are
 never reversed (scoring, streaming, decoding) run through a
-``scratch_tape``: one step's buffers, reused for every step of a call.
+``scratch_tape``: one step's buffers, reused for every step of a
+workspace (``hierarchy.StepWorkspace``).  A scratch tape keeps no new
+memory cell: a step through one writes its new m to a fresh array, so the
+state it returns never aliases the reused buffers.
 """
 
 from __future__ import annotations
@@ -301,13 +304,13 @@ class LstmTape:
     o = property(lambda self: self._gate(3))
 
     def head(self, rows: int) -> "LstmTape":
-        """A tape over the first ``rows`` rows of this one's buffers, which
-        cannot be reversed.  Its gates are the first 4 x rows x h numbers
-        of this tape's (contiguous) gates, so each gate stays one block."""
+        """A scratch tape over the first ``rows`` rows of this scratch
+        tape's buffers.  Its gates are the first 4 x rows x h numbers of
+        this tape's (contiguous) gates, so each gate stays one block."""
         H = self.m_in.shape[1]
         gates = self.gates.reshape(-1)[:4 * rows * H].reshape(4, rows, H)
         return LstmTape(None, self.xh[:rows], self.m_in[:rows], gates,
-                        self.m_new[:rows], self.tanh_m[:rows])
+                        None, self.tanh_m[:rows])
 
 
 # The tape of a step whose clock and reset are low on every row: no slot,
@@ -317,12 +320,12 @@ IDLE_TAPE = LstmTape(None, rows=False, reset=False, skipped=True)
 
 def scratch_tape(input_dim: int, hidden_dim: int, batch: int) -> LstmTape:
     """The buffers of one step of ``batch`` rows, for steps that are not
-    reversed: a caller may run every step of a pass through it, or through
-    its ``head`` when a step computes fewer rows, since a step reads its
-    input state before it writes the tape."""
+    reversed: a caller may run any number of steps through it, or through
+    its ``head`` when a step computes fewer rows.  It has no ``m_new``, so
+    a step through it returns a state of fresh arrays."""
     xh = np.empty((batch, input_dim + hidden_dim))
-    buf = np.empty((7, batch, hidden_dim))  # gates, m_in, m_new, tanh_m
-    return LstmTape(None, xh, buf[4], buf[:4], buf[5], buf[6])
+    buf = np.empty((6, batch, hidden_dim))  # gates, m_in, tanh_m
+    return LstmTape(None, xh, buf[4], buf[:4], None, buf[5])
 
 
 def lstm_step(params: LstmParams, x, state: LstmState,
@@ -350,7 +353,8 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     omitted.  x has a row for every row of the state, or it is ``tape.x``
     itself, already holding the computed rows' inputs, and is then not
     copied.  When every row is computed the new m is the slot's ``m_new``,
-    so a slot must not be rewritten while that state is still to be read.
+    so a slot must not be rewritten while that state is still to be read;
+    a ``scratch_tape`` has none, and the new m is a fresh array.
     """
     H, shape = params.hidden_dim, state.h.shape
     if shape[-1] != H:
@@ -386,8 +390,8 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     _gather_zeroed(state.h, rows, rm, tape.h_in)
     _gather_zeroed(state.m, rows, rm, m_in)
     if rows is not True:
-        # The rows that do not compute keep their state: copied before the
-        # slot is written, since a scratch slot may hold that state.
+        # The rows that do not compute keep their state, in a copy: the
+        # input state is never written.
         out = _zero_where(rm, state, copy=True)
     # One GEMM for all gates, then bias and a gate-major copy in one pass:
     # ufuncs over contiguous (b, h) gate blocks cost about half as much as

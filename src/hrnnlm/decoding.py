@@ -145,8 +145,18 @@ def write_posteriors_binary(path, post: PosteriorMatrix) -> None:
         f.write(post.probs.astype("<f4").tobytes())
 
 
+def _open_posteriors(path):
+    """path opened for reading bytes; a directory raises
+    PosteriorFormatError."""
+    try:
+        return open(path, "rb")
+    except IsADirectoryError:
+        raise PosteriorFormatError(
+            f"posterior file {path} is a directory") from None
+
+
 def read_posteriors_binary(path) -> PosteriorMatrix:
-    with open(path, "rb") as f:
+    with _open_posteriors(path) as f:
         read = partial(read_exact, f, error=PosteriorFormatError)
         if f.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
             raise PosteriorFormatError(f"bad posterior magic in {path}")
@@ -173,12 +183,8 @@ def read_posteriors_binary(path) -> PosteriorMatrix:
 
 
 def read_posteriors(path) -> PosteriorMatrix:
-    try:
-        with open(path, "rb") as f:
-            head = f.read(len(_BIN_MAGIC))
-    except IsADirectoryError:
-        raise PosteriorFormatError(
-            f"posterior file {path} is a directory") from None
+    with _open_posteriors(path) as f:
+        head = f.read(len(_BIN_MAGIC))
     if head == _BIN_MAGIC:
         return read_posteriors_binary(path)
     return read_posteriors_text(path)

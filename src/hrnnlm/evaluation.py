@@ -108,28 +108,30 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
     state is bootstrapped with one word-boundary token to obtain a first
     distribution.  Tokens are drawn from softmax(log p / temperature),
     which must be finite and positive (else ConfigError), one
-    ``Network.step`` per token; each draw is the one
-    ``Generator.choice(len(p), p=p)`` would make, from the same stream of
-    ``default_rng(seed)``.  Clocks fall out of the emitted tokens
-    themselves, so word/sentence boundaries drive the word-level module
-    exactly as during scoring.  ``length``, the number of tokens drawn
-    after the prime, must be an integer of at least 0 (else ConfigError).
+    ``Network.step`` per token, every step through one one-row workspace;
+    each draw is the one ``Generator.choice(len(p), p=p)`` would make,
+    from the same stream of ``default_rng(seed)``.  Clocks fall out of the
+    emitted tokens themselves, so word/sentence boundaries drive the
+    word-level module exactly as during scoring.  ``length``, the number
+    of tokens drawn after the prime, and ``seed`` must be integers of at
+    least 0 (else ConfigError).
     """
     check_count("length", length, 0)
+    check_count("seed", seed, 0)
     check_real("temperature", temperature)
     if not 0.0 < temperature < math.inf:  # NaN too
         raise ConfigError("temperature must be finite and positive")
     rng = np.random.default_rng(seed)
-    state = net.init_state(1)
+    state, workspace = net.init_state(1), net.workspace(1)
     echo_ids = tokenize_fragment(prime, vocab) if prime else []
     feed = echo_ids if echo_ids else [vocab.word_boundary_id]
     probs = None
     for tok in feed:
-        probs, state = net.step(state, tok)
+        probs, state = net.step(state, tok, workspace)
     out: list[int] = []
     for _ in range(length):
         tok = _draw(_distribution(probs, temperature), rng)
         out.append(tok)
-        probs, state = net.step(state, tok)
+        probs, state = net.step(state, tok, workspace)
     # echo the prime as tokenized, so its whitespace matches what was fed
     return detokenize(echo_ids + out, vocab)

@@ -9,10 +9,11 @@ the word just finished survives the reset; a state is just its layers'
 cells.  The context a module sends back down is not delayed.  A token's
 clocks are a function of the token alone, read from one per-token table
 (``_boundary_table``) by ``Network.forward``, ``Network.step`` and
-``derive_clocks``; ``forward`` (per window column) and ``step`` (an int id
-is a one-row batch) get each clock's rows from the kernels' one rule,
-``clock_rows``.  The builders cover the single-module stack ("mono") and
-the two-level variants:
+``derive_clocks``; ``forward`` (per window column) and ``step`` (per id
+array) get each clock's rows from the kernels' one rule, ``clock_rows``,
+and an int id, a one-row batch, reads its flag from the table.  The
+builders cover the single-module stack ("mono") and the two-level
+variants:
 
 * ``hlstm_a``: both character layers read the one-hot input; layer 2 is a
   generative layer conditioned on the word context, layer 1 produces the
@@ -29,6 +30,13 @@ distributions of a window's active positions in one call of
 the logits row by row, since BLAS rounds a row of a GEMM differently
 depending on how many rows the product has; so a row gets the same bits
 from a window as from a step, and ``forward`` stays a fold of ``step``.
+
+Steps that are not reversed run through a ``StepWorkspace``: per layer,
+one step's scratch buffers, made once and written again by every step.
+A caller that streams, such as ``evaluation.sample``, makes one with
+``Network.workspace`` and passes it to every ``step``; untaped ``forward``
+makes one per call.  The workspace belongs to its caller, not to the
+network, so two threads may step one network, each through its own.
 """
 
 from __future__ import annotations
@@ -260,6 +268,43 @@ class WindowTape:
         return self.top_h.shape[1]
 
 
+def _input_views(tape: LstmTape, sources) -> list:
+    """(kind, ref, view) per input source: the view of the tape's x
+    columns that the source fills."""
+    return [(kind, ref, tape.x[:, cols]) for kind, ref, cols in sources]
+
+
+class StepWorkspace:
+    """The scratch buffers of untaped steps of up to ``batch`` rows, owned
+    by the caller (``Network.workspace``).
+
+    Per layer it holds one ``scratch_tape`` of ``batch`` rows and, per
+    smaller number of rows a step computes, a head of it, each made on
+    first use and then kept, together with the views of the tape's x
+    columns that the layer's input sources fill.  A scratch tape keeps
+    no new memory cell, so the states that steps return never alias these
+    buffers: one workspace serves every step of its caller, one step at a
+    time.  ``layout`` is the network's layer shapes and input slices.
+    """
+
+    def __init__(self, layout: dict, batch: int):
+        self.layout, self.batch = layout, batch
+        self._slots: dict = {}
+
+    def slot(self, name: str, n: int):
+        """(tape, input views) of layer ``name`` for a step computing n
+        rows, n <= batch."""
+        s = self._slots.get((name, n))
+        if s is None:
+            input_dim, hidden, sources = self.layout[name]
+            if n == self.batch:
+                tape = scratch_tape(input_dim, hidden, n)
+            else:
+                tape = self.slot(name, self.batch)[0].head(n)
+            s = self._slots[name, n] = (tape, _input_views(tape, sources))
+        return s
+
+
 class Blocks(dict):
     """Named parameter (or gradient) blocks that are all views into one
     flat float64 buffer, ``flat``."""
@@ -300,11 +345,16 @@ class Network:
                 slices.append((kind, ref, slice(start, start + width)))
                 start += width
             self.input_slices[d.name] = slices
-        self._token_ids = np.arange(spec.vocab_size)  # one-hot columns
+        self._onehot = np.eye(spec.vocab_size)  # row i: token i's one-hot
+        self._onehot.flags.writeable = False
         self._table = _boundary_table(
             spec.vocab_size, (spec.word_boundary_id, spec.sentence_boundary_id)
             if spec.levels > 1 else None)
         self._ticks = self._table.any(axis=1)
+        # What a StepWorkspace is built from, and must match to be used.
+        self._layout = {d.name: (self._input_dim(d), d.hidden,
+                                 self.input_slices[d.name])
+                        for d in self.layer_defs}
         self.flat = np.zeros(
             sum(LstmParams.size(self._input_dim(d), d.hidden)
                 for d in self.layer_defs)
@@ -380,41 +430,32 @@ class Network:
         return NetworkState({d.name: LstmState.zeros(d.hidden, batch)
                              for d in self.layer_defs})
 
-    def _scratch(self, batch: int):
-        """A slot source for untaped steps: each layer reuses one scratch
-        tape of ``batch`` rows, allocated on first use, and one head of it
-        per number of rows."""
-        slots: dict = {}
+    def workspace(self, batch: int) -> "StepWorkspace":
+        """Scratch buffers for untaped steps of up to ``batch`` rows, for
+        ``step`` (see ``StepWorkspace``).  The caller owns it: each thread
+        stepping this network needs its own."""
+        check_count("batch", batch, 0)
+        return StepWorkspace(self._layout, int(batch))
 
-        def slot(name: str, rows) -> LstmTape:
-            s = slots.get(name)
-            if s is None:
-                p = self.layers[name]
-                s = slots[name] = scratch_tape(p.input_dim, p.hidden_dim,
-                                               batch)
-            if rows is True:
-                return s
-            head = slots.get((name, rows.size))
-            if head is None:
-                head = slots[name, rows.size] = s.head(rows.size)
-            return head
-        return slot
-
-    def _run_step(self, states: dict, ids_t, char, word, indicator, slot):
+    def _run_step(self, states: dict, tokens: dict, char, word, slot):
         """Advance every layer one step; returns updated (states, tapes).
         Character layers tick with ``char`` and reset under ``word``'s
         flag, word layers tick with ``word``: (flag, rows) pairs from
-        ``clock_rows``.  A layer computes only its clock's rows, into
-        ``slot(name, rows)``, an ``LstmTape`` of as many rows, whose x
-        columns receive those rows' inputs directly.  A layer that computes
-        no row (the word layers on a character) passes its state through
-        with ``IDLE_TAPE``, without a call to ``lstm_step``.  A
-        "hidden" source reads its layer's new state, a "delay" source its
-        layer's state in ``states``, the state going into the step.  No
+        ``clock_rows``.  A layer computes only its clock's rows, into the
+        tape that ``slot(name, n)`` gives for its n rows, with the views of
+        the tape's x columns that the layer's input sources fill (a
+        ``StepWorkspace`` slot, or a window slot): the inputs are written
+        there directly.  A layer that computes no row (the word layers on
+        a character) passes its state through with ``IDLE_TAPE``, without
+        a call to ``lstm_step``.  A "hidden" source reads its layer's new
+        state, a "delay" source its layer's state in ``states``, the state
+        going into the step, and a "onehot" or "indicator" source its
+        per-token table rows of the step's tokens, ``tokens[kind]``.  No
         probabilities are computed here: the callers pass the output
         layer's new ``h`` to ``_probs``."""
         new_states = dict(states)
         tapes = {}
+        batch = tokens["onehot"].shape[0]
         for d in self.step_order:
             (c, rows), r = (char, word[0]) if d.level == 1 else (word, False)
             # A layer that computes no row is never reset: the word clock
@@ -422,20 +463,16 @@ class Network:
             if rows is False:
                 tapes[d.name] = IDLE_TAPE
                 continue
-            tape = slot(d.name, rows)
-            x = tape.x
-            for kind, ref, cols in self.input_slices[d.name]:
-                if kind == "onehot":
-                    np.equal(take_rows(ids_t, rows)[:, None],
-                             self._token_ids, out=x[:, cols])
-                elif kind == "hidden":
-                    x[:, cols] = take_rows(new_states[ref].h, rows)
+            tape, inputs = slot(d.name, batch if rows is True else rows.size)
+            for kind, ref, x in inputs:
+                if kind == "hidden":
+                    x[...] = take_rows(new_states[ref].h, rows)
                 elif kind == "delay":
-                    x[:, cols] = take_rows(states[ref].h, rows)
+                    x[...] = take_rows(states[ref].h, rows)
                 else:
-                    x[:, cols] = take_rows(indicator, rows)
+                    x[...] = take_rows(tokens[kind], rows)
             new_states[d.name], tapes[d.name] = lstm_step(
-                self.layers[d.name], x, states[d.name], c, r, tape)
+                self.layers[d.name], tape.x, states[d.name], c, r, tape)
         return new_states, tapes
 
     def _probs(self, h: np.ndarray) -> np.ndarray:
@@ -493,7 +530,7 @@ class Network:
         clocks = {1: [clock_rows(c, (B,)) for c in active.T],
                   2: [clock_rows(c, (B,))
                       for c in (self._ticks[ids] & active).T]}
-        indicator = self._table[ids]
+        onehot, indicator = self._onehot[ids], self._table[ids]
         top_h = np.empty((B, T, self._hidden_of(self.output_layer)))
         tape = None
         if collect_tape:
@@ -508,16 +545,17 @@ class Network:
                               top_h, active)
             filled = dict.fromkeys(windows, 0)
 
-            def slot(name: str, rows) -> LstmTape:
+            def slot(name: str, n: int):
                 k = filled[name]
                 filled[name] = k + 1
-                return windows[name].slot(k)
+                tape = windows[name].slot(k)
+                return tape, _input_views(tape, self.input_slices[name])
         else:
-            slot = self._scratch(B)
+            slot = self.workspace(B).slot
         for t in range(T):
             states, tapes = self._run_step(
-                states, ids[:, t], clocks[1][t], clocks[2][t],
-                indicator[:, t], slot)
+                states, {"onehot": onehot[:, t], "indicator": indicator[:, t]},
+                clocks[1][t], clocks[2][t], slot)
             top_h[:, t] = states[self.output_layer].h
             if collect_tape:
                 for name, st in tapes.items():
@@ -535,7 +573,8 @@ class Network:
             return probs_out[0], final, tape
         return probs_out, final, tape
 
-    def step(self, state: NetworkState, ids):
+    def step(self, state: NetworkState, ids,
+             workspace: Optional["StepWorkspace"] = None):
         """One streaming step: (next-token probs, new state).
 
         With a (B,) id array, the state has B rows, each advanced by its
@@ -543,27 +582,45 @@ class Network:
         and bit for bit, as ``forward(ids[:, None], state=state)``, whose
         clock rule (``clock_rows``) and ``_probs`` it runs.  An int id, or a
         0-d id array, is a one-row batch: the state has one row and probs
-        is (V,).  The word layers run only the boundary rows, and not at
-        all when no id is a boundary.  The given state is never mutated,
-        so callers may branch a hypothesis from it.  An id that is not an
-        integer, or lies outside the vocabulary, raises ConfigError; ids
-        of more than one dimension, or a state of another batch size,
-        raise DimensionError.
+        is (V,); its word clock is read straight from the per-token table.
+        The word layers run only the boundary rows, and not at all when no
+        id is a boundary.
+
+        The step runs through ``workspace``, a ``StepWorkspace`` of at
+        least B rows from ``workspace(batch)``, or through a new one when
+        it is omitted: a caller that steps many times passes one and saves
+        its allocations.  The given state is never mutated, so callers may
+        branch a hypothesis from it, and the returned state owns its
+        arrays: later steps through the same workspace leave it as it is.
+        An id that is not an integer, or lies outside the vocabulary,
+        raises ConfigError; ids of more than one dimension, a state of
+        another batch size, or a workspace of fewer rows or of another
+        network's layer shapes raise DimensionError.
         """
         ids = _check_ids(ids, self.spec.vocab_size)
         one = isinstance(ids, int) or ids.ndim == 0
         if one:  # a slice reads the per-token tables without a gather
-            ids = slice(ids, ids + 1)
+            tick = bool(self._ticks[ids])
+            word, ids = (tick, tick), slice(ids, ids + 1)
         elif ids.ndim != 1:
             raise DimensionError("step takes one id or a (batch,) id array")
-        ticks = self._ticks[ids]
-        B = ticks.size
+        else:
+            word = clock_rows(self._ticks[ids], ids.shape)
+        tokens = {"onehot": self._onehot[ids], "indicator": self._table[ids]}
+        B = tokens["onehot"].shape[0]
         if state.batch != B:
             raise DimensionError(f"{B} id rows for a state of {state.batch} "
                                  "rows")
-        states, _ = self._run_step(
-            dict(state.layers), self._token_ids[ids], (True, True),
-            clock_rows(ticks, (B,)), self._table[ids], self._scratch(B))
+        if workspace is None:
+            workspace = self.workspace(B)
+        elif workspace.batch < B:
+            raise DimensionError(f"a workspace of {workspace.batch} rows for "
+                                 f"a step of {B}")
+        elif (workspace.layout is not self._layout
+              and workspace.layout != self._layout):
+            raise DimensionError("a workspace of another network's layers")
+        states, _ = self._run_step(dict(state.layers), tokens, (True, True),
+                                   word, workspace.slot)
         probs = self._probs(states[self.output_layer].h)
         return (probs[0] if one else probs), NetworkState(states)
 

@@ -52,6 +52,7 @@ class TrainConfig:
     def __post_init__(self):
         for key in ("bptt_length", "batch_size", "max_epochs"):
             check_count(key, getattr(self, key), 1)
+        check_count("seed", self.seed, 0)
         for key in ("adadelta_rho", "adadelta_eps", "momentum"):
             check_real(key, getattr(self, key))
         if not 0.0 < self.adadelta_rho < 1.0:

@@ -192,6 +192,10 @@ class TestPosteriorFiles:
         with pytest.raises(PosteriorFormatError, match="is a directory"):
             read_posteriors(tmp_path)
 
+    def test_binary_reader_directory_is_format_error(self, tmp_path):
+        with pytest.raises(PosteriorFormatError, match="is a directory"):
+            read_posteriors_binary(tmp_path)
+
     def test_zero_frames_round_trip(self, tmp_path):
         empty = PosteriorMatrix(labels=["a", BLANK_LABEL],
                                 probs=np.zeros((0, 2)))

@@ -229,6 +229,14 @@ class TestSampling:
         with pytest.raises(ConfigError, match="length"):
             sample(net, vocab4, length=length, prime="ab")
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_seed_must_be_a_count(self, vocab4, seed):
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4))
+        with pytest.raises(ConfigError, match="seed"):
+            sample(net, vocab4, length=3, seed=seed)
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=seed)
+
     def test_zero_length_returns_the_prime(self, vocab4):
         net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4))
         assert sample(net, vocab4, length=0, prime="ab") == "ab"

@@ -1,12 +1,16 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hrnnlm
+from hrnnlm import hierarchy
+from hrnnlm.blas import one_blas_thread
 from hrnnlm.cells import LstmState, lstm_step, softmax
 from hrnnlm.corpus import build_vocab
 from hrnnlm.errors import ConfigError, DimensionError, NumericError
-from hrnnlm.hierarchy import (VARIANTS, NetworkSpec, NetworkState,
+from hrnnlm.hierarchy import (VARIANTS, Network, NetworkSpec, NetworkState,
                               build_network, derive_clocks)
 
 
@@ -644,3 +648,124 @@ def test_nan_softmax_bias_is_numeric_error(variant):
         net.step(net.init_state(1), 0)
     with pytest.raises(NumericError):
         net.step(net.init_state(2), ids[:, 0])
+
+
+WORKSPACE_ROWS = 4
+STEP_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["int", "0-d"]), ABC_TOKENS),
+    st.tuples(st.just("rows"), st.lists(ABC_TOKENS, min_size=1,
+                                        max_size=WORKSPACE_ROWS)))
+
+
+def _cells(state):
+    return [a for cell in state.layers.values() for a in (cell.m, cell.h)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       calls=st.lists(STEP_CALLS, min_size=1, max_size=12))
+@example(variant="hlstm_a", calls=[("int", 3), ("rows", [4, 0, 3, 1]),
+                                   ("0-d", 4), ("rows", [2]),
+                                   ("rows", [1, 3]), ("int", 0)])
+@example(variant="hlstm_b", calls=[("rows", [0, 1, 2, 3]),
+                                   ("rows", [3, 3, 1, 4]), ("0-d", 3)])
+def test_steps_through_one_workspace_equal_steps_without(variant, calls):
+    """One workspace, reused for every call at every batch size up to its
+    rows, gives the probs and every layer's m and h, bit for bit, that
+    steps without a workspace give; each batch size carries its own
+    state on, and ids 3 and 4 are <w> and <s>."""
+    net = STEP_NETS[variant]
+    workspace = net.workspace(WORKSPACE_ROWS)
+    states = {}
+    for kind, ids in calls:
+        ids = ids if kind == "int" else np.array(ids)
+        B = np.size(ids)
+        state = states[B] if B in states else net.init_state(B)
+        want_probs, want = net.step(state, ids)
+        probs, states[B] = net.step(state, ids, workspace)
+        _same_bits(probs, want_probs)
+        for got, cell in zip(_cells(states[B]), _cells(want)):
+            _same_bits(got, cell)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("first", [0, 3])
+def test_a_stepped_state_owns_its_arrays(variant, first):
+    """Five more steps through the workspace that made a state, boundaries
+    among them, leave that state as it was."""
+    net = STEP_NETS[variant]
+    workspace = net.workspace(1)
+    _, kept = net.step(net.init_state(1), first, workspace)
+    snapshot = kept.clone()
+    state = kept
+    for tok in (1, 3, 2, 4, 0):
+        _, state = net.step(state, tok, workspace)
+    for got, want in zip(_cells(kept), _cells(snapshot)):
+        _same_bits(got, want)
+
+
+def test_step_rejects_a_workspace_it_cannot_use():
+    net = STEP_NETS["hlstm_b"]
+    ids = np.array([0, 3, 1])
+    with pytest.raises(DimensionError, match="2 rows for a step of 3"):
+        net.step(net.init_state(3), ids, net.workspace(2))
+    with pytest.raises(DimensionError):
+        net.step(net.init_state(1), 0, net.workspace(0))
+    wider = build_network(tiny_spec(VOCAB_ABC, "hlstm_b", 4))
+    for other in (STEP_NETS["hlstm_a"], STEP_NETS["mono"], wider):
+        with pytest.raises(DimensionError, match="another network"):
+            net.step(net.init_state(3), ids, other.workspace(3))
+    # A network of the same layers may share one.
+    twin = build_network(tiny_spec(VOCAB_ABC, "hlstm_b", 3), rng_seed=1)
+    net.step(net.init_state(3), ids, twin.workspace(3))
+    for rows in (-1, 1.5, True):
+        with pytest.raises(ConfigError, match="batch"):
+            net.workspace(rows)
+
+
+def test_threads_with_their_own_workspaces_sample_alike(monkeypatch):
+    """A network keeps no scratch state: two threads sampling from one
+    network, each through its own workspace and made to take turns at
+    every kernel call (after a layer's inputs are written, before they are
+    read), draw the texts that the same calls draw one after the other."""
+    vocab = build_vocab("ab cd ef gh")
+    # Weights large enough that a step's inputs decide its draws: at the
+    # default scale, texts hardly depend on them.
+    net = Network(tiny_spec(vocab, "hlstm_b", 8), np.random.default_rng(5),
+                  init_scale=1.0)
+    seeds = (0, 1, 2, 3)
+    want = [hrnnlm.sample(net, vocab, 100, seed=s) for s in seeds]
+    turns = threading.Condition()
+    now = {"turn": 0, "done": 0}
+    thread_of = {}
+
+    def taking_turns(*args):
+        k = thread_of[threading.get_ident()]
+        with turns:
+            now["turn"] = 1 - k
+            turns.notify_all()
+            turns.wait_for(lambda: now["turn"] == k or now["done"],
+                           timeout=10)
+        return lstm_step(*args)
+
+    monkeypatch.setattr(hierarchy, "lstm_step", taking_turns)
+    got = {}
+
+    def draw(k):
+        thread_of[threading.get_ident()] = k
+        for s in seeds[k::2]:
+            got[s] = hrnnlm.sample(net, vocab, 100, seed=s)
+        with turns:
+            now["done"] += 1
+            turns.notify_all()
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in range(2)]
+    # One outer BLAS setting, so that the threads' own settings restore
+    # each other's: one_blas_thread's count is process-wide.
+    with one_blas_thread():
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[s] for s in seeds] == want

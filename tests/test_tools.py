@@ -100,12 +100,27 @@ def test_stepab_rejects_block_counts_below_one(blocks):
     assert "--blocks" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_stepab_summary(monkeypatch):
+def _load_stepab(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))  # stepab imports ab
     spec = importlib.util.spec_from_file_location("stepab",
                                                   ROOT / "tools/stepab.py")
     stepab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(stepab)
+    return stepab
+
+
+def test_stepab_cases(monkeypatch):
+    """Each case names its unit and times one block of its work."""
+    import hrnnlm
+    cases = _load_stepab(monkeypatch).cases(hrnnlm)
+    assert {name: unit for name, (unit, _) in cases.items()} == {
+        "step H16": "us/step", "step H64": "us/step", "bpc H64": "ms/call",
+        "sample H64": "us/char"}
+    assert cases["sample H64"][1]() > 0.0
+
+
+def test_stepab_summary(monkeypatch):
+    stepab = _load_stepab(monkeypatch)
     parent = [10.0, 12.0, 11.0, 13.0, 14.0]
     change = [11.0, 11.0, 12.0, 12.0, 15.0]  # faster in blocks 2 and 4
     stats = stepab.summarize(parent, change)

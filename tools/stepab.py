@@ -13,7 +13,9 @@ even blocks and the change first in odd ones:
 
 * ``step H16``, ``step H64``: a one-row ``Network.step`` per token of the
   text, state carried on, in µs per step;
-* ``bpc H64``: one ``bpc`` call over the text's lines, in ms.
+* ``bpc H64``: one ``bpc`` call over the text's lines, in ms;
+* ``sample H64``: one ``evaluation.sample`` call drawing 500 characters,
+  in µs per character.
 
 One line per case is printed: each side's median and 10th percentile, the
 ratio of the medians (change / parent; above 1 is slower) and the blocks
@@ -40,6 +42,7 @@ TEXT = ("the quick brown fox jumps over the lazy dog\n"
         "a clocked word module steps only on word boundaries\n"
         "pack my box with five dozen liquor jugs\n") * 3
 SIZES = (16, 64)
+SAMPLE_CHARS = 500
 
 
 def import_parent(rev: str, into: str):
@@ -77,6 +80,12 @@ def cases(hr) -> dict:
         hr.training.bpc(net, lines)
         return (time.perf_counter() - t0) * 1e3
     out[f"bpc H{SIZES[-1]}"] = ("ms/call", score)
+
+    def draw(net=net):
+        t0 = time.perf_counter()
+        hr.evaluation.sample(net, vocab, SAMPLE_CHARS, seed=0)
+        return (time.perf_counter() - t0) / SAMPLE_CHARS * 1e6
+    out[f"sample H{SIZES[-1]}"] = ("us/char", draw)
     return out
 
 
@@ -96,7 +105,7 @@ def summarize(parent: list, change: list) -> dict:
 
 def format_line(name: str, unit: str, stats: dict) -> str:
     m, p = stats["median"], stats["p10"]
-    return (f"{name:<9} {unit:<8} {m['parent']:>9.2f} {p['parent']:>9.2f} "
+    return (f"{name:<10} {unit:<8} {m['parent']:>9.2f} {p['parent']:>9.2f} "
             f"{m['change']:>9.2f} {p['change']:>9.2f} "
             f"{stats['ratio']:>6.3f} {stats['wins']:>3}/{stats['blocks']}")
 
@@ -126,7 +135,7 @@ def main(argv=None) -> int:
             for name in times:
                 for side in order[::1 if b % 2 == 0 else -1]:
                     times[name][side].append(sides[side][name][1]())
-    print(f"{'case':<9} {'unit':<8} {'parent':>9} {'p10':>9} {'change':>9} "
+    print(f"{'case':<10} {'unit':<8} {'parent':>9} {'p10':>9} {'change':>9} "
           f"{'p10':>9} {'ratio':>6} wins")
     for name, t in times.items():
         unit = sides["change"][name][0]
