@@ -12,8 +12,10 @@ OpenBLAS to one thread for a block (or a decorated function) and
 restores the previous count after it; ``train``, ``sequence_bits``,
 ``sample`` and ``beam_search`` run under it.  It does nothing when numpy's
 BLAS is not an OpenBLAS this module can find (it looks in
-/proc/self/maps, so only on Linux).  The count is process-wide while the
-block runs.
+/proc/self/maps, so only on Linux).  The count is process-wide, so the
+blocks of all threads share one setting: the first block to enter saves
+the count and sets 1, and the last to leave restores it, however the
+blocks of different threads overlap.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import threading
 from typing import Optional
 
 import numpy  # noqa: F401  (loads the BLAS this module looks for)
@@ -60,6 +63,8 @@ def _find_controls() -> Optional[tuple]:
 
 
 _CONTROLS = _find_controls()
+_LOCK = threading.Lock()
+_held = {"blocks": 0, "saved": None}   # open blocks, the count they saved
 
 
 @contextlib.contextmanager
@@ -70,9 +75,15 @@ def one_blas_thread():
         yield
         return
     get, set_ = _CONTROLS
-    previous = get()
-    set_(1)
+    with _LOCK:
+        if not _held["blocks"]:
+            _held["saved"] = get()
+            set_(1)
+        _held["blocks"] += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _LOCK:
+            _held["blocks"] -= 1
+            if not _held["blocks"]:
+                set_(_held["saved"])

@@ -28,13 +28,15 @@ which they are added.
 A new prefix's LM term needs only its parent's next-character
 distribution, so candidates are scored without running the network.  The
 beam's LM states live in one stacked NetworkState (row k serves survivor
-k) with the matching log distributions; after each frame's pruning, the
-survivors that end in a new label and can still grow are advanced together
-by one batched Network.step over their ids, so the LM runs at most
-beam_width rows per frame.  With the benchmark's ``decode`` LM (hlstm_b,
-H=64) on its utterances, one thread of a 2-CPU x86-64 machine decodes about 3,000
-frames/s at beam 16, 1,500 at beam 64 and 400 at beam 512; 10 ms frames
-arrive at 100 per second.
+k) with the matching log distributions.  Every frame starts the same way:
+the survivors that end in a label the LM has not read yet (on the first
+frame, the empty prefix with its pending word boundary) advance together
+by one batched Network.step through one workspace made per search, so
+the LM runs at most beam_width rows per frame and never after the last.
+With the benchmark's ``decode`` LM (hlstm_b, H=64) on its utterances, one
+thread of a 2-CPU x86-64 machine decodes about 3,000 frames/s at beam 16,
+1,500 at beam 64 and 400 at beam 512; 10 ms frames arrive at 100 per
+second.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .corpus import Vocabulary, detokenize, escape_symbol, unescape_symbol
 from .errors import (ConfigError, DataError, PosteriorFormatError,
                      check_count, check_real)
 from .files import read_exact, read_text
-from .hierarchy import Network, NetworkState
+from .hierarchy import Network
 
 BLANK_LABEL = "<blank>"
 
@@ -228,19 +230,6 @@ class DecodeResult:
         return "text,score,ctc_logp,lm_logp,length"
 
 
-def _lm_start(net: Network, vocab: Vocabulary) -> tuple[NetworkState, np.ndarray]:
-    """Initial LM attachment: zero state advanced by a word boundary.
-
-    A word boundary is the only sequence-start conditioning training ever
-    exercises (streams reset between sentences), so the first transcript
-    word is scored like any other word start.
-    """
-    state = net.init_state(1)
-    probs, state = net.step(state, vocab.word_boundary_id)
-    with np.errstate(divide="ignore"):
-        return state, np.log(probs)
-
-
 def map_labels(labels: list[str], vocab: Vocabulary) -> list[Optional[int]]:
     """Posterior column -> vocabulary id; blank maps to None."""
     out: list[Optional[int]] = []
@@ -253,13 +242,6 @@ def map_labels(labels: list[str], vocab: Vocabulary) -> list[Optional[int]]:
             raise ConfigError(
                 f"posterior label {sym!r} is not in the model vocabulary")
     return out
-
-
-def _set_rows(state: NetworkState, rows, src: NetworkState):
-    """Overwrite the given batch rows of state in place with src's rows."""
-    for name, cell in src.layers.items():
-        state.layers[name].m[rows] = cell.m
-        state.layers[name].h[rows] = cell.h
 
 
 def _select(neg: np.ndarray, width: int, prefix_of) -> np.ndarray:
@@ -295,12 +277,18 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
     cols = [col for col, i in enumerate(label_ids) if i is not None]
     col_ids = np.array([label_ids[col] for col in cols], dtype=np.int64)
     blank_col = post.blank_index
-    depth = config.depth_prune
+    depth = math.inf if config.depth_prune is None else config.depth_prune
     lm_weight, bonus = config.lm_weight, config.insertion_bonus
     # The LM arena: row k of state/logprobs serves survivor k.  A new prefix
-    # is scored from its parent's row and stepped only if it survives.
-    state, start_logp = _lm_start(net, vocab)
-    logprobs = start_logp[None, :]
+    # is scored from its parent's row; rows e, the survivors that end in a
+    # label the LM has not read, step on these pending labels at the next
+    # frame's start.  The empty prefix starts on the zero state with a word
+    # boundary pending, the only sequence start training exercises (streams
+    # reset between sentences): the first word is scored like any other.
+    workspace = net.workspace(config.beam_width)
+    state, logprobs = net.init_state(1), np.zeros((1, vocab.size))
+    src = e = np.zeros(1, dtype=np.int64)
+    pending = np.full(1, vocab.word_boundary_id)
     # The beam, one entry per survivor; last is -1 for the empty prefix.
     prefixes: list[tuple[int, ...]] = [()]
     p_blank = np.zeros(1)                  # log mass ending in blank
@@ -314,6 +302,16 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
     ext_col = np.empty(vocab.size + 1, dtype=np.int64)
 
     for t in range(post.frames):
+        # Gather the survivors' rows, then step any pending ones in one batch.
+        state, logprobs = state.take(src), logprobs[src]
+        if pending.size:
+            probs, stepped = net.step(state.take(e), pending, workspace)
+            for name, cell in stepped.layers.items():  # write them back
+                state.layers[name].m[e] = cell.m
+                state.layers[name].h[e] = cell.h
+            with np.errstate(divide="ignore"):
+                logprobs[e] = np.log(probs)
+
         row = post.probs[t]
         log_blank = math.log(row[blank_col]) if row[blank_col] > 0 else NEG_INF
         frame = row[cols]
@@ -329,9 +327,7 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
         # Extensions, (K, L): the last label again needs a blank in between.
         total = np.logaddexp(p_blank, p_nonblank)
         mass = np.where(last[:, None] == ids, p_blank[:, None], total[:, None])
-        ext_ok = mass != NEG_INF
-        if depth is not None:
-            ext_ok &= (length < depth)[:, None]
+        ext_ok = (mass != NEG_INF) & (length < depth)[:, None]
         ext_pnb = mass + log_p
         ext_lm = lm_logp[:, None] + logprobs[:, ids]
         # Keeps, (K,): a blank, or the last label repeated.
@@ -340,22 +336,18 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
         merged = np.full(p_blank.size, NEG_INF)
         # An extension whose prefix survives merges into that keep.
         index = {prefix: k for k, prefix in enumerate(prefixes)}
-        kids, parents = [], []
-        for k, prefix in enumerate(prefixes):
-            parent = index.get(prefix[:-1]) if prefix else None
-            if parent is not None:
-                kids.append(k)
-                parents.append(parent)
-        if kids:
-            kids, parents = np.array(kids), np.array(parents)
-            j = ext_col[last[kids]]
-            hit = j >= 0
-            kids, parents, j = kids[hit], parents[hit], j[hit]
-            hit = ext_ok[parents, j]
-            kids, parents, j = kids[hit], parents[hit], j[hit]
-            merged[kids] = ext_pnb[parents, j]
-            ext_ok[parents, j] = False
-            keep_ok[kids] = True
+        parents = np.array([index.get(prefix[:-1], -1) if prefix else -1
+                            for prefix in prefixes], dtype=np.int64)
+        kids = np.flatnonzero(parents >= 0)
+        parents = parents[kids]
+        j = ext_col[last[kids]]
+        hit = j >= 0
+        kids, parents, j = kids[hit], parents[hit], j[hit]
+        hit = ext_ok[parents, j]
+        kids, parents, j = kids[hit], parents[hit], j[hit]
+        merged[kids] = ext_pnb[parents, j]
+        ext_ok[parents, j] = False
+        keep_ok[kids] = True
         keep_pnb = np.logaddexp(p_nonblank + log_label[last], merged)
 
         # Candidates: the keeps, then the extensions; neg is -score.
@@ -383,25 +375,15 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
         lm_logp, length = lm_logp[src], length[src]
         last = last[src]
         e = np.flatnonzero(col >= 0)
-        if e.size:
-            ek, ej = src[e], col[e]
-            p_blank[e] = NEG_INF
-            p_nonblank[e] = ext_pnb[ek, ej]
-            lm_logp[e] = ext_lm[ek, ej]
-            length[e] += 1
-            last[e] = ids[ej]
-        if t == post.frames - 1:
-            break
-        # Gather the survivors' rows, then step the ones that will be read:
-        # this frame's extensions that may still grow, in one batch.
-        state, logprobs = state.take(src), logprobs[src]
-        if depth is not None:
-            e = e[length[e] < depth]
-        if e.size:
-            probs, stepped = net.step(state.take(e), last[e])
-            _set_rows(state, e, stepped)
-            with np.errstate(divide="ignore"):
-                logprobs[e] = np.log(probs)
+        ek, ej = src[e], col[e]
+        p_blank[e] = NEG_INF
+        p_nonblank[e] = ext_pnb[ek, ej]
+        lm_logp[e] = ext_lm[ek, ej]
+        length[e] += 1
+        last[e] = ids[ej]
+        # Only the extensions that may still grow will read their LM row.
+        e = e[length[e] < depth]
+        pending = last[e]
 
     ctc = np.logaddexp(p_blank, p_nonblank)
     score = ctc + lm_weight * lm_logp + bonus * length

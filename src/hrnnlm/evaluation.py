@@ -107,12 +107,14 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
     a line, and generation continues from there.  Without a prime the zero
     state is bootstrapped with one word-boundary token to obtain a first
     distribution.  Tokens are drawn from softmax(log p / temperature),
-    which must be finite and positive (else ConfigError), one
-    ``Network.step`` per token, every step through one one-row workspace;
-    each draw is the one ``Generator.choice(len(p), p=p)`` would make,
-    from the same stream of ``default_rng(seed)``.  Clocks fall out of the
-    emitted tokens themselves, so word/sentence boundaries drive the
-    word-level module exactly as during scoring.  ``length``, the number
+    which must be finite and positive (else ConfigError).  A token is
+    stepped only when a draw needs its distribution, so n tokens fed and
+    ``length`` draws take n - 1 + ``length`` ``Network.step`` calls, all
+    through one one-row workspace; each draw is the one
+    ``Generator.choice(len(p), p=p)`` would make, from the same stream of
+    ``default_rng(seed)``.  Clocks fall out of the emitted tokens
+    themselves, so word/sentence boundaries drive the word-level module
+    exactly as during scoring.  ``length``, the number
     of tokens drawn after the prime, and ``seed`` must be integers of at
     least 0 (else ConfigError).
     """
@@ -124,14 +126,13 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
     rng = np.random.default_rng(seed)
     state, workspace = net.init_state(1), net.workspace(1)
     echo_ids = tokenize_fragment(prime, vocab) if prime else []
-    feed = echo_ids if echo_ids else [vocab.word_boundary_id]
-    probs = None
-    for tok in feed:
-        probs, state = net.step(state, tok, workspace)
+    *fed, tok = echo_ids if echo_ids else [vocab.word_boundary_id]
+    for fed_tok in fed:
+        _, state = net.step(state, fed_tok, workspace)
     out: list[int] = []
     for _ in range(length):
+        probs, state = net.step(state, tok, workspace)
         tok = _draw(_distribution(probs, temperature), rng)
         out.append(tok)
-        probs, state = net.step(state, tok, workspace)
     # echo the prime as tokenized, so its whitespace matches what was fed
     return detokenize(echo_ids + out, vocab)

@@ -683,4 +683,5 @@ class Network:
 
 def build_network(spec: NetworkSpec, rng_seed: int = 0) -> Network:
     """Allocate and initialize all parameters for a spec (uniform, seeded)."""
+    check_count("rng_seed", rng_seed, 0)
     return Network(spec, rng=np.random.default_rng(rng_seed))

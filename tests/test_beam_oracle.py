@@ -185,8 +185,9 @@ def test_merges_under_pruning_match_eager_reference(beam_width):
 @pytest.mark.parametrize("beam_width", [1, 3, 8])
 @pytest.mark.parametrize("depth_prune", [None, 2])
 def test_lm_rows_bounded_by_beam(monkeypatch, beam_width, depth_prune):
-    """The LM runs the start <w> once, then at most beam_width rows in one
-    batched Network.step per frame, and never after the last frame."""
+    """The LM runs only batched steps through the search's workspace: the
+    start <w> first, then at most beam_width rows per frame at the start of
+    every later frame, and never after the last frame."""
     rng = np.random.default_rng(40 + beam_width)
     labels = REGULAR[:6] + ["<w>", BLANK_LABEL]
     frames = 8
@@ -195,30 +196,30 @@ def test_lm_rows_bounded_by_beam(monkeypatch, beam_width, depth_prune):
                                                size=frames))
     net = build_network(NetworkSpec.for_vocab("hlstm_b", VOCAB, 4),
                         rng_seed=3)
-    calls = {"forward": 0, "step": 0, "batched": 0, "batched_rows": 0}
+    calls = {"forward": 0, "step": 0, "batched": []}
     forward, step = net.forward, net.step
 
     def counting_forward(ids, *args, **kw):
         calls["forward"] += 1
         return forward(ids, *args, **kw)
 
-    def counting_step(state, ids):
+    def counting_step(state, ids, *args):
         if np.ndim(ids):
-            calls["batched"] += 1
-            calls["batched_rows"] += np.size(ids)
+            calls["batched"].append(np.asarray(ids).tolist())
         else:
             calls["step"] += 1
-        return step(state, ids)
+        return step(state, ids, *args)
 
     monkeypatch.setattr(net, "forward", counting_forward)
     monkeypatch.setattr(net, "step", counting_step)
     config = DecodeConfig(beam_width=beam_width, width_prune=0.0,
                           depth_prune=depth_prune)
     results = beam_search(post, net, VOCAB, config)
-    assert calls["step"] == 1
+    assert calls["step"] == 0
     assert calls["forward"] == 0
-    assert calls["batched"] <= frames - 1
-    rows = calls["step"] + calls["batched_rows"]
-    assert calls["batched_rows"] > 0
-    assert rows <= 1 + beam_width * (frames - 1)
+    first, *rest = calls["batched"]
+    assert first == [VOCAB.word_boundary_id]
+    assert 1 <= len(rest) <= frames - 1
+    assert sum(len(ids) for ids in rest) > 0
+    assert 1 + sum(len(ids) for ids in rest) <= 1 + beam_width * (frames - 1)
     assert len(results) == beam_width

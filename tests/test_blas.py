@@ -2,6 +2,8 @@
 count restored after it, and every public entry point that runs the
 recurrence runs inside it."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,40 @@ def test_the_recurrence_runs_on_one_thread(run):
     assert _threads() == before
     if before is not None:
         assert set(seen) == {1}
+
+
+@pytest.mark.skipif(blas._CONTROLS is None, reason="no OpenBLAS found")
+def test_overlapping_blocks_of_two_threads_restore_the_count():
+    """Thread A enters, B enters, A leaves, B leaves: B's block still runs
+    on one thread after A's has left, and the count ends where it
+    started."""
+    get, set_ = blas._CONTROLS
+    original = get()
+    set_(2)  # a count that one thread's block changes
+    a_in, b_in, a_out = (threading.Event() for _ in range(3))
+    seen = {}
+
+    def a():
+        with blas.one_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with blas.one_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen["b after a left"] = get()
+
+    try:
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert seen["b after a left"] == 1
+        assert get() == 2
+    finally:
+        set_(original)

@@ -289,6 +289,15 @@ class TestGradcheck:
                      "--tolerance", "1e-15"])
         assert code == 3
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("ab cd\n")
+        code = main(["gradcheck", "--corpus", str(corpus),
+                     "--variant", "hlstm_b", "--hidden", "3", "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rng_seed" in err
+
     def test_refuses_large_network(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("ab cd\n")
@@ -307,6 +316,50 @@ class TestUsage:
     def test_bad_value_type(self, corpus_file):
         assert main(["train", "--corpus", str(corpus_file),
                      "--epochs", "soon"]) == 1
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_boolean_keys(self, tmp_path, corpus_file, monkeypatch, source):
+        """--timing and --uppercase, as flags or in a config file, reach
+        train() and the corpus."""
+        seen = {}
+        real_train = cli.train
+
+        def recording_train(*args, **kwargs):
+            seen["timing"] = kwargs["record_timing"]
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        out = tmp_path / "run"
+        argv = ["train", "--hidden", "2", "--epochs", "1", "--bptt", "8",
+                "--batch", "2", "--output-dir", str(out)]
+        if source == "flags":
+            argv += ["--corpus", str(corpus_file), "--timing", "yes",
+                     "--uppercase", "On"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"corpus={corpus_file}\ntiming = true\n"
+                           "uppercase=1\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        assert seen["timing"] is True
+        symbols = (out / "vocab.txt").read_text().split("\n")
+        assert "A" in symbols and "a" not in symbols
+
+    def test_bad_boolean_is_config_error(self, corpus_file, capsys):
+        assert main(["train", "--corpus", str(corpus_file),
+                     "--timing", "maybe"]) == 1
+        assert "expected a boolean" in capsys.readouterr().err
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path / "no.cfg")]) == 1
+        assert "config file not found" in capsys.readouterr().err
+
+    def test_config_line_without_equals_is_config_error(self, tmp_path,
+                                                        corpus_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus={corpus_file}\nepochs 2\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "run.cfg:2: expected key=value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--hidden", "4,x"), ("--hidden", "4,,4"), ("--eps", "nan"),

@@ -439,6 +439,17 @@ class TestBeamProperties:
         for r in beam_search(post, net, vocab, config):
             assert len(r.prefix) <= 2
 
+    def test_nothing_left_to_keep_is_data_error(self):
+        """At depth_prune 0 no prefix grows, so a frame without blank mass
+        leaves the empty prefix no candidate."""
+        vocab = build_vocab("ab")
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4))
+        post = PosteriorMatrix(labels=["a", "b", BLANK_LABEL],
+                               probs=[[0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
+        config = DecodeConfig(beam_width=4, depth_prune=0)
+        with pytest.raises(DataError, match="beam emptied"):
+            beam_search(post, net, vocab, config)
+
     def test_width_prune_drops_rare_labels(self):
         vocab = build_vocab("ab")
         net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4))

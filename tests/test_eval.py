@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hrnnlm.corpus import build_vocab, byte_vocab, tokenize, tokenize_lines
+from hrnnlm.corpus import (build_vocab, byte_vocab, detokenize, tokenize,
+                           tokenize_fragment, tokenize_lines)
 from hrnnlm.errors import ConfigError
 from hrnnlm.evaluation import (_distribution, _draw, bpc, evaluate,
                                format_report_table, ppl_from_bpc, sample,
@@ -246,6 +247,36 @@ class TestSampling:
                             rng_seed=9)
         out = sample(net, vocab4, length=10, prime="ab a", seed=5)
         assert out.startswith("ab a")
+
+    @pytest.mark.parametrize("prime", ["", "ab a"])
+    @pytest.mark.parametrize("length", [0, 1, 7])
+    def test_steps_only_what_it_draws_from(self, vocab4, monkeypatch, prime,
+                                           length):
+        """n tokens fed and length draws take n - 1 + length steps, and
+        the text is the one drawn when every fed and every drawn token is
+        stepped, the last draw included."""
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab4, 4),
+                            rng_seed=9)
+        echo = tokenize_fragment(prime, vocab4) if prime else []
+        feed = echo or [vocab4.word_boundary_id]
+        rng, state = np.random.default_rng(5), net.init_state(1)
+        for tok in feed:
+            probs, state = net.step(state, tok)
+        drawn = []
+        for _ in range(length):
+            drawn.append(_draw(_distribution(probs, 1.0), rng))
+            probs, state = net.step(state, drawn[-1])
+        calls = []
+        step = net.step
+
+        def counting_step(*args):
+            calls.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(net, "step", counting_step)
+        text = sample(net, vocab4, length, prime=prime, seed=5)
+        assert len(calls) == len(feed) - 1 + length
+        assert text == detokenize(echo + drawn, vocab4)
 
 
 @st.composite

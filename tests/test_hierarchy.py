@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import hrnnlm
 from hrnnlm import hierarchy
-from hrnnlm.blas import one_blas_thread
 from hrnnlm.cells import LstmState, lstm_step, softmax
 from hrnnlm.corpus import build_vocab
 from hrnnlm.errors import ConfigError, DimensionError, NumericError
@@ -527,7 +526,8 @@ def test_forward_rejects_bad_ids(variant, batch, steps, data):
     """forward's counterpart of the step checks: ids that are not integers,
     or lie outside the vocabulary (negative ones included, which a table
     gather would wrap), raise ConfigError, and a state of another batch
-    size DimensionError; an empty id list still runs."""
+    size, 3-D ids or an active mask of another shape DimensionError; an
+    empty id list still runs."""
     net = STEP_NETS[variant]
     V = VOCAB_ABC.size
     ids = np.array(data.draw(st.lists(
@@ -544,9 +544,20 @@ def test_forward_rejects_bad_ids(variant, batch, steps, data):
     with pytest.raises(DimensionError, match=f"{batch} id rows .* "
                        f"{batch + 1} rows"):
         net.forward(ids, state=net.init_state(batch + 1))
+    with pytest.raises(DimensionError, match="1-D or 2-D"):
+        net.forward(ids[None])
+    for active in (np.ones((batch, steps + 1)), np.ones(steps)):
+        with pytest.raises(DimensionError, match="active mask"):
+            net.forward(ids, active=active)
     probs, _, _ = net.forward(ids)
     assert probs.shape == (batch, steps, V)
     assert net.forward([])[0].shape == (0, V)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+def test_build_network_rejects_a_seed_that_is_not_a_count(seed):
+    with pytest.raises(ConfigError, match="rng_seed"):
+        build_network(tiny_spec(VOCAB_ABC), rng_seed=seed)
 
 
 def _row_mask(rows, batch: int) -> np.ndarray:
@@ -760,12 +771,9 @@ def test_threads_with_their_own_workspaces_sample_alike(monkeypatch):
             turns.notify_all()
 
     threads = [threading.Thread(target=draw, args=(k,)) for k in range(2)]
-    # One outer BLAS setting, so that the threads' own settings restore
-    # each other's: one_blas_thread's count is process-wide.
-    with one_blas_thread():
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
     assert [got[s] for s in seeds] == want

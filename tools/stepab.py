@@ -15,7 +15,11 @@ even blocks and the change first in odd ones:
   text, state carried on, in µs per step;
 * ``bpc H64``: one ``bpc`` call over the text's lines, in ms;
 * ``sample H64``: one ``evaluation.sample`` call drawing 500 characters,
-  in µs per character.
+  in µs per character;
+* ``beam16 H64``, ``beam512 H64``: one ``decoding.beam_search`` call at
+  beam 16 or 512 over a fixed 8-word utterance of the text's words, whose
+  posteriors ``bench/inputs.py`` makes as it makes the ``decode``
+  workload's, in ms per frame.
 
 One line per case is printed: each side's median and 10th percentile, the
 ratio of the medians (change / parent; above 1 is slower) and the blocks
@@ -27,6 +31,7 @@ before it shows in ``bench/run.py``'s end-to-end rates.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import sys
 import tarfile
@@ -43,6 +48,24 @@ TEXT = ("the quick brown fox jumps over the lazy dog\n"
         "pack my box with five dozen liquor jugs\n") * 3
 SIZES = (16, 64)
 SAMPLE_CHARS = 500
+BEAMS = (16, 512)
+
+
+def utterance():
+    """(labels, probs) of a fixed 8-word utterance of TEXT's words, from
+    the benchmark's posterior generator (no bytecode is written there)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        sys.dont_write_bytecode = write
+    chars = sorted(set(TEXT) - set(" \n"))
+    utt = inputs.make_utterance(np.random.default_rng(0),
+                                sorted(set(TEXT.split())), 8, chars)
+    return utt.labels, utt.probs
 
 
 def import_parent(rev: str, into: str):
@@ -86,6 +109,14 @@ def cases(hr) -> dict:
         hr.evaluation.sample(net, vocab, SAMPLE_CHARS, seed=0)
         return (time.perf_counter() - t0) / SAMPLE_CHARS * 1e6
     out[f"sample H{SIZES[-1]}"] = ("us/char", draw)
+
+    post = hr.decoding.PosteriorMatrix(*utterance())
+    for beam in BEAMS:
+        def decode(net=net, config=hr.decoding.DecodeConfig(beam_width=beam)):
+            t0 = time.perf_counter()
+            hr.decoding.beam_search(post, net, vocab, config)
+            return (time.perf_counter() - t0) / post.frames * 1e3
+        out[f"beam{beam} H{SIZES[-1]}"] = ("ms/frame", decode)
     return out
 
 
