@@ -6,8 +6,8 @@ A subcommand accepts only the keys its handler reads: any other key, as a
 flag or in the file, is rejected.  All randomness flows from the single
 ``seed`` key.
 
-Exit codes: 0 success, 1 usage/config error, 2 data/format error,
-3 numeric failure.
+Exit codes: 0 success, 1 usage/config error, 2 data/format or file-system
+error, 3 numeric failure (``_EXIT_CODES``).
 """
 
 from __future__ import annotations
@@ -27,25 +27,28 @@ from .hierarchy import NetworkSpec, build_network
 from .training import TrainConfig, gradient_check, load_checkpoint, \
     train
 
-# key -> (type, default, help); shared across config files and flags
+# key -> (type, default, help); shared across config files and flags.  A
+# default that a config class or the spec defines is read from there.
 _KEYS = {
-    "seed": (int, 0, "seed for all randomness"),
+    "seed": (int, TrainConfig.seed, "seed for all randomness"),
     "output_dir": (str, ".", "directory for produced artifacts"),
     "corpus": (str, None, "path to a UTF-8 text file, one sentence per line"),
     "mode": (str, "char", "vocabulary mode: char or byte"),
     "uppercase": (bool, False, "uppercase the corpus before tokenizing"),
     "variant": (str, "hlstm_b", "mono | hlstm_a | hlstm_b"),
     "hidden": (str, "16", "hidden units per layer (int or comma list)"),
-    "layers_per_module": (int, 2, "LSTM layers per module"),
+    "layers_per_module": (int, NetworkSpec.layers_per_module,
+                          "LSTM layers per module"),
     "heldout_fraction": (float, 0.01, "fraction of lines held out, in "
                                       "[0, 1); 0 holds none out"),
-    "bptt": (int, 128, "truncation window length"),
-    "batch": (int, 64, "parallel sequence streams"),
-    "rho": (float, 0.95, "squared-average decay"),
-    "eps": (float, 1e-6, "rms stabilizer"),
-    "momentum": (float, 0.9, "Nesterov momentum"),
-    "clip": (float, 5.0, "global gradient-norm clip; 0 disables"),
-    "epochs": (int, 10, "training epochs"),
+    "bptt": (int, TrainConfig.bptt_length, "truncation window length"),
+    "batch": (int, TrainConfig.batch_size, "parallel sequence streams"),
+    "rho": (float, TrainConfig.adadelta_rho, "squared-average decay"),
+    "eps": (float, TrainConfig.adadelta_eps, "rms stabilizer"),
+    "momentum": (float, TrainConfig.momentum, "Nesterov momentum"),
+    "clip": (float, TrainConfig.clip_norm,
+             "global gradient-norm clip; 0 disables"),
+    "epochs": (int, TrainConfig.max_epochs, "training epochs"),
     "timing": (bool, False, "record wall time in the metrics CSV (makes "
                             "reruns non-identical)"),
     "checkpoint": (str, None, "model checkpoint path"),
@@ -54,10 +57,12 @@ _KEYS = {
     "prime": (str, "", "prompt text"),
     "temperature": (float, 1.0, "sampling temperature"),
     "posterior": (str, None, "frame-posterior file (text or binary)"),
-    "beam": (int, 512, "beam width"),
-    "lm_weight": (float, 2.0, "language-model weight"),
-    "insertion_bonus": (float, 1.6, "per-character insertion bonus"),
-    "width_prune": (float, 1e-4, "drop labels below this frame posterior"),
+    "beam": (int, DecodeConfig.beam_width, "beam width"),
+    "lm_weight": (float, DecodeConfig.lm_weight, "language-model weight"),
+    "insertion_bonus": (float, DecodeConfig.insertion_bonus,
+                        "per-character insertion bonus"),
+    "width_prune": (float, DecodeConfig.width_prune,
+                    "drop labels below this frame posterior"),
     "depth_prune": (int, 0, "max transcript length; 0 = unlimited"),
     "nbest": (int, 0, "write an n-best CSV with this many rows"),
     "tolerance": (float, 1e-4, "max relative error allowed"),
@@ -292,6 +297,10 @@ def _cmd_gradcheck(values: dict) -> int:
     return 0
 
 
+# The exit code of an error: the first entry whose type it is.
+_EXIT_CODES = ((NumericError, 3), (DataError, 2), (OSError, 2),
+               (HrnnlmError, 1))
+
 _HANDLERS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
@@ -310,21 +319,9 @@ def main(argv=None) -> int:
     try:
         values = _resolve(args, args.command)
         return _HANDLERS[args.command](values)
-    except ConfigError as e:
+    except (HrnnlmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except HrnnlmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for typ, code in _EXIT_CODES if isinstance(e, typ))
 
 
 def console_main() -> None:

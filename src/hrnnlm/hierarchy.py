@@ -12,8 +12,10 @@ clocks are a function of the token alone, read from one per-token table
 ``derive_clocks``; ``forward`` (per window column) and ``step`` (per id
 array) get each clock's rows from the kernels' one rule, ``clock_rows``,
 and an int id, a one-row batch, reads its flag from the table.  The
-builders cover the single-module stack ("mono") and the two-level
-variants:
+wiring is one table, ``_layer_defs``, that the network reads everywhere:
+per layer its clock level, width, input width and sources, each source with
+the columns of the input it fills.  It covers the single-module stack
+("mono") and the two-level variants:
 
 * ``hlstm_a``: both character layers read the one-hot input; layer 2 is a
   generative layer conditioned on the word context, layer 1 produces the
@@ -22,10 +24,10 @@ variants:
   that feeds layer 2 (together with the context); layer 2's activation
   feeds the word module.
 
-The softmax layer always reads the top character layer.  It feeds nothing
-back into the recurrence, so it runs outside the time loop: ``forward``
-keeps the output layer's activation at every step and computes the
-distributions of a window's active positions in one call of
+The softmax layer reads the output layer, the table's last character
+layer.  It feeds nothing back into the recurrence, so it runs outside the
+time loop: ``forward`` keeps the output layer's activation at every step
+and computes the distributions of a window's active positions in one call of
 ``Network._probs``, which ``step`` calls on its rows.  ``_probs`` computes
 the logits row by row, since BLAS rounds a row of a GEMM differently
 depending on how many rows the product has; so a row gets the same bits
@@ -164,37 +166,44 @@ class NetworkSpec:
 
 @dataclass
 class _LayerDef:
+    """One layer of the wiring table: its clock level (1 character, 2 word),
+    width and input width, and its sources as (kind, referenced layer, cols)
+    triples, cols the columns of the layer's input that the source fills."""
     name: str
     level: int
     hidden: int
-    sources: list[tuple[str, Optional[str]]]  # (kind, referenced layer)
+    sources: list[tuple[str, Optional[str], slice]]
+    input_dim: int
 
 
 def _layer_defs(spec: NetworkSpec) -> list[_LayerDef]:
-    dims = spec.hidden_dim
+    """The wiring table of a spec, in step and parameter order.  The
+    output layer, which feeds the softmax, is its last level-1 layer."""
     if spec.variant == "mono":
-        defs = []
-        for k in range(spec.layers_per_module):
-            src = [("onehot", None)] if k == 0 else [("hidden", f"layer{k}")]
-            defs.append(_LayerDef(f"layer{k + 1}", 1, dims[k], src))
-        return defs
-    # The layer that feeds the word module: the word embedding.
-    if spec.variant == "hlstm_a":
-        feedup, char2_in = "char1", ("onehot", None)
+        wiring = [(f"layer{k + 1}", 1, [("onehot", None)] if k == 0
+                   else [("hidden", f"layer{k}")])
+                  for k in range(spec.layers_per_module)]
     else:
-        feedup, char2_in = "char2", ("hidden", "char1")
-    return [
-        _LayerDef("char1", 1, dims[0], [("onehot", None)]),
-        _LayerDef("char2", 1, dims[1], [char2_in, ("hidden", "word2")]),
-        _LayerDef("word1", 2, dims[2],
-                  [("delay", feedup), ("indicator", None)]),
-        _LayerDef("word2", 2, dims[3], [("hidden", "word1")]),
-    ]
-
-
-def _output_layer(spec: NetworkSpec) -> str:
-    return (f"layer{spec.layers_per_module}" if spec.variant == "mono"
-            else "char2")
+        # The layer that feeds the word module: the word embedding.
+        if spec.variant == "hlstm_a":
+            feedup, char2_in = "char1", ("onehot", None)
+        else:
+            feedup, char2_in = "char2", ("hidden", "char1")
+        wiring = [("char1", 1, [("onehot", None)]),
+                  ("char2", 1, [char2_in, ("hidden", "word2")]),
+                  ("word1", 2, [("delay", feedup), ("indicator", None)]),
+                  ("word2", 2, [("hidden", "word1")])]
+    width = dict(zip((name for name, _, _ in wiring), spec.hidden_dim),
+                 onehot=spec.vocab_size, indicator=2)
+    defs = []
+    for name, level, sources in wiring:
+        start, triples = 0, []
+        for kind, ref in sources:
+            end = start + width[ref or kind]
+            triples.append((kind, ref, slice(start, end)))
+            start = end
+        defs.append(_LayerDef(name, level, width[name], triples, start))
+    return defs
 
 
 def derive_clocks(ids, vocab: Vocabulary) -> np.ndarray:
@@ -284,11 +293,11 @@ class StepWorkspace:
     columns that the layer's input sources fill.  A scratch tape keeps
     no new memory cell, so the states that steps return never alias these
     buffers: one workspace serves every step of its caller, one step at a
-    time.  ``layout`` is the network's layer shapes and input slices.
+    time.  ``defs`` is the network's wiring table, by layer name.
     """
 
-    def __init__(self, layout: dict, batch: int):
-        self.layout, self.batch = layout, batch
+    def __init__(self, defs: dict[str, _LayerDef], batch: int):
+        self.defs, self.batch = defs, batch
         self._slots: dict = {}
 
     def slot(self, name: str, n: int):
@@ -296,12 +305,12 @@ class StepWorkspace:
         rows, n <= batch."""
         s = self._slots.get((name, n))
         if s is None:
-            input_dim, hidden, sources = self.layout[name]
+            d = self.defs[name]
             if n == self.batch:
-                tape = scratch_tape(input_dim, hidden, n)
+                tape = scratch_tape(d.input_dim, d.hidden, n)
             else:
                 tape = self.slot(name, self.batch)[0].head(n)
-            s = self._slots[name, n] = (tape, _input_views(tape, sources))
+            s = self._slots[name, n] = (tape, _input_views(tape, d.sources))
         return s
 
 
@@ -330,35 +339,23 @@ class Network:
                  init_scale: float = 0.08):
         self.spec = spec
         self.layer_defs = _layer_defs(spec)
-        self.output_layer = _output_layer(spec)
+        self.defs = {d.name: d for d in self.layer_defs}
+        self.output_layer = [d.name for d in self.layer_defs
+                             if d.level == 1][-1]
         # Per-step processing order: the word module steps first, so the
         # character module reads this step's context.  (A delayed source
         # reads the step's input state, so its order does not matter.)
-        self.step_order = sorted(
-            self.layer_defs, key=lambda d: -d.level)
-        # Where each input source sits in a layer's input vector.
-        self.input_slices = {}
-        for d in self.layer_defs:
-            start, slices = 0, []
-            for kind, ref in d.sources:
-                width = self._source_width(kind, ref)
-                slices.append((kind, ref, slice(start, start + width)))
-                start += width
-            self.input_slices[d.name] = slices
+        self.step_order = sorted(self.layer_defs, key=lambda d: -d.level)
         self._onehot = np.eye(spec.vocab_size)  # row i: token i's one-hot
         self._onehot.flags.writeable = False
         self._table = _boundary_table(
             spec.vocab_size, (spec.word_boundary_id, spec.sentence_boundary_id)
             if spec.levels > 1 else None)
         self._ticks = self._table.any(axis=1)
-        # What a StepWorkspace is built from, and must match to be used.
-        self._layout = {d.name: (self._input_dim(d), d.hidden,
-                                 self.input_slices[d.name])
-                        for d in self.layer_defs}
         self.flat = np.zeros(
-            sum(LstmParams.size(self._input_dim(d), d.hidden)
+            sum(LstmParams.size(d.input_dim, d.hidden)
                 for d in self.layer_defs)
-            + spec.vocab_size * (self._hidden_of(self.output_layer) + 1))
+            + spec.vocab_size * (self.defs[self.output_layer].hidden + 1))
         self.layers, self.softmax_W, self.softmax_b = self._views(self.flat)
         if init_scale:
             rng = np.random.default_rng(0) if rng is None else rng
@@ -374,11 +371,11 @@ class Network:
         layers: dict[str, LstmParams] = {}
         start = 0
         for d in self.layer_defs:
-            D = self._input_dim(d)
-            n = LstmParams.size(D, d.hidden)
-            layers[d.name] = LstmParams(D, d.hidden, flat[start:start + n])
+            n = LstmParams.size(d.input_dim, d.hidden)
+            layers[d.name] = LstmParams(d.input_dim, d.hidden,
+                                        flat[start:start + n])
             start += n
-        V, H = self.spec.vocab_size, self._hidden_of(self.output_layer)
+        V, H = self.spec.vocab_size, self.defs[self.output_layer].hidden
         W = flat[start:start + V * H].reshape(V, H)
         return layers, W, flat[start + V * H:]
 
@@ -394,25 +391,10 @@ class Network:
 
     # -- structure ---------------------------------------------------------
 
-    def _hidden_of(self, name: str) -> int:
-        return next(d.hidden for d in self.layer_defs if d.name == name)
-
-    def _source_width(self, kind: str, ref: Optional[str]) -> int:
-        if kind == "onehot":
-            return self.spec.vocab_size
-        if kind in ("hidden", "delay"):
-            return self._hidden_of(ref)
-        if kind == "indicator":
-            return 2
-        raise ConfigError(f"unknown input source {kind!r}")
-
-    def _input_dim(self, d: _LayerDef) -> int:
-        return sum(self._source_width(k, r) for k, r in d.sources)
-
     def connections(self) -> list[tuple[str, str, int]]:
         """Wiring table as (source, target, delay) triples."""
         table = [(ref or kind, d.name, int(kind == "delay"))
-                 for d in self.layer_defs for kind, ref in d.sources]
+                 for d in self.layer_defs for kind, ref, _ in d.sources]
         table.append((self.output_layer, "softmax", 0))
         return table
 
@@ -435,7 +417,7 @@ class Network:
         ``step`` (see ``StepWorkspace``).  The caller owns it: each thread
         stepping this network needs its own."""
         check_count("batch", batch, 0)
-        return StepWorkspace(self._layout, int(batch))
+        return StepWorkspace(self.defs, int(batch))
 
     def _run_step(self, states: dict, tokens: dict, char, word, slot):
         """Advance every layer one step; returns updated (states, tapes).
@@ -531,7 +513,7 @@ class Network:
                   2: [clock_rows(c, (B,))
                       for c in (self._ticks[ids] & active).T]}
         onehot, indicator = self._onehot[ids], self._table[ids]
-        top_h = np.empty((B, T, self._hidden_of(self.output_layer)))
+        top_h = np.empty((B, T, self.defs[self.output_layer].hidden))
         tape = None
         if collect_tape:
             windows = {}
@@ -549,7 +531,7 @@ class Network:
                 k = filled[name]
                 filled[name] = k + 1
                 tape = windows[name].slot(k)
-                return tape, _input_views(tape, self.input_slices[name])
+                return tape, _input_views(tape, self.defs[name].sources)
         else:
             slot = self.workspace(B).slot
         for t in range(T):
@@ -616,8 +598,7 @@ class Network:
         elif workspace.batch < B:
             raise DimensionError(f"a workspace of {workspace.batch} rows for "
                                  f"a step of {B}")
-        elif (workspace.layout is not self._layout
-              and workspace.layout != self._layout):
+        elif workspace.defs is not self.defs and workspace.defs != self.defs:
             raise DimensionError("a workspace of another network's layers")
         states, _ = self._run_step(dict(state.layers), tokens, (True, True),
                                    word, workspace.slot)
@@ -671,7 +652,7 @@ class Network:
                 d_x, running[d.name] = lstm_backward_step(
                     self.layers[d.name], st, running[d.name])
                 rows = slice(None) if st.rows is True else st.rows
-                for kind, ref, cols in self.input_slices[d.name]:
+                for kind, ref, cols in d.sources:
                     if ref is not None and d_x is not None:
                         running[ref].h[rows] += d_x[:, cols]
                     # onehot / indicator inputs are not trainable

@@ -339,8 +339,9 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
 
     Emits one metrics row per epoch (appended to ``metrics_path`` as CSV if
     given) and keeps the checkpoint of the best held-out BPC (or the latest
-    epoch when there is no held-out set) at ``checkpoint_path``.  A
-    non-finite loss aborts training; the last saved checkpoint is retained.
+    epoch when there is no held-out set) at ``checkpoint_path``.  A window
+    whose loss is not finite raises DivergenceError before its update: the
+    epoch writes no metrics row, and the last saved checkpoint is retained.
     Passing ``network`` continues training existing parameters instead of
     initializing fresh ones from the seed.  Raises ConfigError up front
     when no training sequence, or no sequence of a given held-out set,
@@ -358,7 +359,6 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
     opt = OptimizerState.for_params(params)
     metrics: list[EpochMetrics] = []
     best: Optional[float] = None
-    diverged = False
 
     if metrics_path is not None:
         with open(metrics_path, "w") as f:
@@ -374,8 +374,8 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
             loss, n, d_logits = cross_entropy(probs, batch.targets,
                                               batch.active)
             if not math.isfinite(loss):
-                diverged = True
-                break
+                raise DivergenceError("training loss became non-finite; "
+                                      "last good checkpoint retained")
             grads = net.backward(tape, d_logits / max(n, 1))
             if config.clip_norm is not None:
                 clip_gradients(grads, config.clip_norm)
@@ -385,8 +385,6 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
             # One window's tape at a time: free this one before the next
             # forward pass builds its own.
             del probs, tape, d_logits, grads
-        if diverged:
-            break
         train_bpc = epoch_nats / LN2 / max(epoch_preds, 1)
         heldout_bpc = bpc(net, heldout) if heldout else None
         seconds = time.perf_counter() - t0 if record_timing else 0.0
@@ -404,9 +402,6 @@ def train(spec: NetworkSpec, sequences: list[TokenSequence],
             best = heldout_bpc
         if checkpoint_path is not None and improved:
             save_checkpoint(checkpoint_path, net, vocab)
-    if diverged:
-        raise DivergenceError(
-            "training loss became non-finite; last good checkpoint retained")
     return TrainResult(network=net, metrics=metrics, best_heldout_bpc=best)
 
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from hrnnlm.cells import (LstmCell, LstmParams, LstmState, LstmWindow,
                           clock_rows, clocked_reset_step, clocked_step,
-                          init_lstm_params, lstm_step, lstm_window_grads,
-                          softmax)
-from hrnnlm.errors import DimensionError, NumericError
+                          init_lstm_params, lstm_backward_step, lstm_step,
+                          lstm_window_grads, scratch_tape, softmax)
+from hrnnlm.errors import ConfigError, DimensionError, NumericError
 
 
 def random_lstm(rng, input_dim=4, hidden_dim=3):
@@ -317,6 +317,30 @@ class TestBackward:
         cell.backward_step(tape, LstmState(np.zeros(3), np.ones(3)))
         with pytest.raises(DimensionError):
             lstm_window_grads(window, LstmParams(4, 3))
+
+
+class TestKernelErrors:
+    def test_flat_buffer_of_another_size(self):
+        with pytest.raises(DimensionError, match="buffer of 105 numbers"):
+            LstmParams(4, 3, np.zeros(LstmParams.size(4, 3) + 1))
+
+    @pytest.mark.parametrize("x, state, tape, match", [
+        (np.ones((2, 4)), LstmState.zeros(5, 2), None, "state width 5"),
+        (np.ones((2, 5)), LstmState.zeros(3, 2), None, "input width 5"),
+        (np.ones((3, 4)), LstmState.zeros(3, 2), None, "input rows"),
+        (np.ones((2, 4)), LstmState.zeros(3, 2), scratch_tape(4, 3, 3),
+         "a tape of 3 rows"),
+    ])
+    def test_step_of_mismatched_shapes(self, x, state, tape, match):
+        with pytest.raises(DimensionError, match=match):
+            lstm_step(LstmParams(4, 3), x, state, tape=tape)
+
+    def test_scratch_tape_cannot_be_reversed(self):
+        p = LstmParams(4, 3)
+        _, tape = lstm_step(p, np.ones((2, 4)), LstmState.zeros(3, 2),
+                            tape=scratch_tape(4, 3, 2))
+        with pytest.raises(ConfigError, match="scratch tape"):
+            lstm_backward_step(p, tape, LstmState.zeros(3, 2))
 
 
 class TestBatchedKernels:

@@ -67,6 +67,17 @@ class TestTrain:
         lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert len(lines) == 3  # header + the overridden 2 epochs
 
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, corpus_file,
+                                               capsys):
+        """An OSError, here from making the output directory, exits 2."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["train", "--corpus", str(corpus_file),
+                     "--output-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert taken.read_text() == ""
+
     def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "latin1.txt"
         corpus.write_bytes(b"ab cd\ncaf\xe9 ab\n")
@@ -140,6 +151,11 @@ class TestEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "2.0000" in out
+
+    def test_missing_checkpoint_is_config_error(self, corpus_file, capsys):
+        assert main(["eval", "--corpus", str(corpus_file)]) == 1
+        assert "missing required option 'checkpoint'" in \
+            capsys.readouterr().err
 
     def test_csv_row(self, trained_dir, tmp_path, corpus_file):
         csv = tmp_path / "results.csv"

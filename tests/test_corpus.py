@@ -46,6 +46,14 @@ class TestBuildVocab:
         with pytest.raises(EmptyCorpusError):
             build_vocab("", mode="byte")
 
+    def test_unknown_mode_is_config_error(self):
+        with pytest.raises(ConfigError, match="'word'"):
+            build_vocab("ab cd", mode="word")
+
+    def test_unknown_symbol_is_oov_error(self):
+        with pytest.raises(OovError, match="'z'"):
+            build_vocab("ab cd").id_of("z")
+
     def test_bijective_ids(self):
         v = build_vocab("hello world")
         for i, s in enumerate(v.symbols):
@@ -354,6 +362,12 @@ class TestCounts:
         assert tokenize("a b c", v).n_words == 4  # three words plus <s>
         assert tokenize("abc", v).n_words == 2
         assert tokenize("", v).n_words == 1  # boundary-only line
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_id_out_of_range_is_data_error(self, bad):
+        v = build_vocab("a b c")  # 5 symbols
+        with pytest.raises(DataError, match="outside vocabulary"):
+            corpus.TokenSequence.from_ids([0, bad, 1], v)
 
     def test_n_chars_is_length(self):
         v = build_vocab("some words go here")

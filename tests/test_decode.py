@@ -133,6 +133,17 @@ class TestPosteriorFiles:
             PosteriorMatrix(labels=["a", BLANK_LABEL],
                             probs=[[0.5, 0.4]])
 
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], [0.5, 0.2, 0.3]])
+    def test_columns_must_match_labels(self, probs):
+        with pytest.raises(PosteriorFormatError, match="shape"):
+            PosteriorMatrix(labels=["a", "b", BLANK_LABEL], probs=probs)
+
+    def test_binary_reader_rejects_a_text_file(self, tmp_path):
+        p = tmp_path / "post.txt"
+        write_posteriors_text(p, self._post())
+        with pytest.raises(PosteriorFormatError, match="magic"):
+            read_posteriors_binary(p)
+
     def test_blank_required(self):
         with pytest.raises(PosteriorFormatError):
             PosteriorMatrix(labels=["a", "b"], probs=[[0.5, 0.5]])

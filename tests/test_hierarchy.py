@@ -88,6 +88,15 @@ class TestSpecValidation:
                         word_boundary_id=vocab.word_boundary_id,
                         sentence_boundary_id=vocab.sentence_boundary_id)
 
+    def test_mono_has_one_level(self):
+        with pytest.raises(ConfigError, match="exactly one level"):
+            NetworkSpec(variant="mono", vocab_size=5, hidden_dim=3, levels=2)
+
+    @pytest.mark.parametrize("variant", ["hlstm_a", "hlstm_b"])
+    def test_hlstm_has_two_layers_per_module(self, vocab, variant):
+        with pytest.raises(ConfigError, match="two layers per module"):
+            NetworkSpec.for_vocab(variant, vocab, 4, layers_per_module=3)
+
     def test_hidden_dim_list_length(self, vocab):
         with pytest.raises(ConfigError):
             NetworkSpec.for_vocab("hlstm_b", vocab, [4, 4, 4])

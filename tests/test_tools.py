@@ -133,3 +133,17 @@ def test_stepab_summary(monkeypatch):
     line = stepab.format_line("step H16", "us/step", stats)
     assert line.split() == ["step", "H16", "us/step", "12.00", "10.40",
                             "12.00", "11.00", "1.000", "2/5"]
+
+
+def test_untested_lists_the_lines_a_run_never_reaches():
+    proc = subprocess.run(
+        [sys.executable, "tools/untested.py", "-q", "tests/test_blas.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("  cli.main: ") for line in lines)
+    # The run reached blas.py, so only some of its lines are listed.
+    missed, total = next(line for line in lines
+                         if line.startswith("src/hrnnlm/blas.py: ")
+                         ).split()[1:4:2]
+    assert 0 < int(missed) < int(total)

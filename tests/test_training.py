@@ -39,6 +39,11 @@ class TestBatcher:
         assert np.array_equal(joined_tg, seq.ids[1:])
         assert windows[0].reset[0] and not windows[1].reset[0]
 
+    def test_no_sequences_is_config_error(self):
+        windows = batch_sequences([], batch_size=2, bptt_length=4)
+        with pytest.raises(ConfigError, match="empty corpus"):
+            next(windows)
+
     def test_streams_do_not_interleave(self, vocab):
         s1 = tokenize("ab cd", vocab)
         s2 = tokenize("ef gh", vocab)

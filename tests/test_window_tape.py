@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hrnnlm.cells import sigmoid
 from hrnnlm.corpus import build_vocab
-from hrnnlm.errors import ConfigError
+from hrnnlm.errors import ConfigError, DimensionError
 from hrnnlm.hierarchy import VARIANTS, NetworkSpec, build_network
 
 VOCAB = build_vocab("abc def gh")
@@ -93,7 +93,7 @@ def _ref_backward(net, tape, d_logits):
     # The gradient of the one-step-delayed feed-up input is held back and
     # added to the feed-up layer's output at the step before.
     feedup = next((src for src, _, lag in net.connections() if lag), None)
-    d_delay = (np.zeros((B, net._hidden_of(feedup))) if feedup else None)
+    d_delay = (np.zeros((B, net.layers[feedup].hidden_dim)) if feedup else None)
     for t in range(T - 1, -1, -1):
         running[net.output_layer][1] = running[net.output_layer][1] \
             + d_top[:, t]
@@ -105,7 +105,7 @@ def _ref_backward(net, tape, d_logits):
             d_x, d_m, d_h = _ref_backward_step(
                 net.layers[d.name], st, d_m, d_h, layer_grads[d.name])
             running[d.name] = [d_m, d_h]
-            for kind, ref, cols in net.input_slices[d.name]:
+            for kind, ref, cols in d.sources:
                 if kind == "hidden" and d_x is not None:
                     d_ref = running[ref][1].copy()
                     d_ref[_sel(st.rows)] += d_x[:, cols]
@@ -178,6 +178,15 @@ def test_a_tape_is_reversed_once():
     net.backward(tape, probs)
     with pytest.raises(ConfigError):
         net.backward(tape, probs)
+
+
+@pytest.mark.parametrize("steps", [3, 5])
+def test_gradients_of_another_length_are_rejected(steps):
+    net = build_network(_spec("hlstm_b"), rng_seed=1)
+    ids = np.array([[1, 2, VOCAB.word_boundary_id, 3]])
+    probs, _, tape = net.forward(ids, collect_tape=True)
+    with pytest.raises(DimensionError, match="4 taped steps"):
+        net.backward(tape, np.zeros((1, steps, VOCAB.size)))
 
 
 def test_taped_and_untaped_forward_agree_bit_for_bit():
