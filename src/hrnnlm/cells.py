@@ -36,12 +36,18 @@ through a block changes the layer; the blocks' names, shapes and order
 Window tapes.  An ``LstmWindow`` preallocates what backward needs of one
 layer over a window of computed steps: per computed row of each step, the
 GEMM input [x, h'], the gates, the reset-masked previous memory, the fresh
-memory and its tanh.  A step holds only the rows it computed, so the slots
-of a window are ragged.  Each computed ``lstm_step`` writes one slot of it
-(an ``LstmTape``) in place; a caller may write the computed rows' inputs
-straight into the slot's x columns.  ``lstm_backward_step`` reverses one
-step: it computes dz, the gradient of the gate pre-activations, stores it
-as (k, 4h) rows over the gates it has just read, and runs the one
+memory and its tanh, and one more row for backward.  A step holds only the
+rows it computed, so the slots of a window are ragged.  Each computed
+``lstm_step`` writes one slot of it (an ``LstmTape``) in place; a caller
+may write the computed rows' inputs straight into the slot's x columns.
+Backward splits in two.  The window's first ``lstm_backward_step`` runs a
+factor pass (``_factor``): per computed row, the local derivatives that do
+not depend on the incoming gradient, P_i, P_f, P_g and P_o over the gates,
+R over tanh(m) and S into the extra row, over runs of equal slots in
+cache-sized chunks (a slot of a chunk's size is factored at its own
+reversal).  Each reversed step is then a short recurrence of 7 numpy
+calls: d_m = dh R + dm, dz = (d_m P_i, d_m P_f, d_m P_g, dh P_o) stored as
+(k, 4h) rows over the slot's factors, d_m_in = d_m S, and the one
 per-step GEMM, ``dz @ W``.  Once every step of the window is reversed,
 ``lstm_window_grads`` forms the parameter gradient of the whole window
 with one ``dz.T @ [x, h']`` GEMM over every computed row, plus the
@@ -235,33 +241,35 @@ class LstmWindow:
     step: a slot holds only the rows its step computed.  Per row, over
     every slot in order: ``xh`` (D + H), the GEMM input [x, h']; ``gates``
     (4h), the i, f, g, o activations, gate-major within a slot of k rows
-    ((4, k, h)) until backward overwrites them with the slot's dz as
-    (k, 4h) rows; ``m_in``, ``m_new`` and ``tanh_m`` (h).  ``reversed``
-    counts the slots backward has reversed.
+    ((4, k, h)), which backward's factor pass turns into P_i, P_f, P_g,
+    P_o and each reversed step into the slot's dz, as (k, 4h) rows;
+    ``m_in``, ``m_new`` and ``tanh_m`` (h), the last turned into R; and
+    ``s`` (h), backward's S.  ``reversed`` counts the slots backward has
+    reversed; ``scratch`` is backward's, made by the factor pass.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, counts):
         D, H = input_dim, hidden_dim
-        counts = [int(k) for k in counts]
-        self.offsets = [0, *accumulate(counts)]
+        self.counts = [int(k) for k in counts]
+        self.offsets = [0, *accumulate(self.counts)]
         n = self.offsets[-1]
-        buf = np.empty(n * (D + 8 * H))
+        buf = np.empty(n * (D + 9 * H))
         self.input_dim, self.hidden_dim = D, H
-        self.slots, self.rows = len(counts), n
+        self.slots, self.rows = len(self.counts), n
         self.xh = buf[:n * (D + H)].reshape(n, D + H)
         self.gates = buf[n * (D + H):n * (D + 5 * H)].reshape(n, 4 * H)
-        self.m_in, self.m_new, self.tanh_m = (
-            buf[n * (D + 5 * H):].reshape(3, n, H))
-        # backward's (4, k, h) scratch, as long as the largest slot
-        self.dz = np.empty(4 * max(counts, default=0) * H)
+        self.m_in, self.m_new, self.tanh_m, self.s = (
+            buf[n * (D + 5 * H):].reshape(4, n, H))
         self.reversed = 0
+        self.scratch = None  # backward's, made at the first reversal
 
     def slot(self, k: int, single: bool = False) -> "LstmTape":
         """The tape of step slot k, as views into the window."""
         lo, hi = self.offsets[k], self.offsets[k + 1]
         return LstmTape(self, self.xh[lo:hi], self.m_in[lo:hi],
                         self.gates[lo:hi].reshape(4, hi - lo, -1),
-                        self.m_new[lo:hi], self.tanh_m[lo:hi], single=single)
+                        self.m_new[lo:hi], self.tanh_m[lo:hi], single=single,
+                        s=self.s[lo:hi])
 
 
 class LstmTape:
@@ -274,22 +282,22 @@ class LstmTape:
     ``x`` and ``h_in`` are the input and recurrent columns of ``xh``: a
     caller may write the computed rows' inputs into ``x`` and pass
     ``tape.x`` itself to ``lstm_step``.  ``i``, ``f``, ``g`` and ``o`` are
-    the gate activations until backward has reversed the step.  A tape
-    without a window (``scratch_tape``) cannot be reversed.
+    the gate activations until backward starts to reverse the window.  A
+    tape without a window (``scratch_tape``) cannot be reversed.
     """
 
     __slots__ = ("window", "xh", "x", "h_in", "m_in", "gates", "m_new",
-                 "tanh_m", "rows", "reset", "skipped", "single")
+                 "tanh_m", "s", "rows", "reset", "skipped", "single")
 
     def __init__(self, window, xh=None, m_in=None, gates=None, m_new=None,
                  tanh_m=None, rows=True, reset=False, skipped=False,
-                 single=False):
+                 single=False, s=None):
         self.window, self.xh, self.m_in = window, xh, m_in
         self.x = self.h_in = None
         if xh is not None:
             D = xh.shape[1] - m_in.shape[1]
             self.x, self.h_in = xh[:, :D], xh[:, D:]
-        self.gates, self.m_new, self.tanh_m = gates, m_new, tanh_m
+        self.gates, self.m_new, self.tanh_m, self.s = gates, m_new, tanh_m, s
         self.rows, self.reset = rows, reset
         self.skipped, self.single = skipped, single
 
@@ -418,6 +426,75 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     return LstmState(m_new, h_new), tape
 
 
+# The factor pass takes a run of equal slots in chunks of at most this many
+# numbers per (rows, h) block, so a chunk's blocks stay in cache.  A slot of
+# a chunk's size or more is factored at its own reversal instead, while the
+# step reads it.
+_FACTOR_CHUNK = 4096
+
+
+def _factor(params: LstmParams, gates, m_in, t, s, a) -> None:
+    """Turn the taped activations of n slots of k rows into the factors of
+    backward that do not depend on the incoming gradient, in place: with
+    i, f, g, o the gates, an (n, 4, k, h) gate-major view, and m_in,
+    t = tanh(m_new), s and the scratch a (n, k, h) views,
+
+        P_i = g i(1 - i),  P_f = m_in f(1 - f),  P_g = i(1 - g^2),
+        P_o = t o(1 - o)   over the gates, gate-major as they were;
+        R = o(1 - t^2) + w_om P_o   over t;
+        S = f + w_im P_i + w_fm P_f   into s."""
+    w_im, w_fm, w_om = params.peep
+    i, f, g, o = gates.swapaxes(0, 1)
+    # P_g and P_i each read the other's gate: P_g waits in the scratch.
+    np.multiply(g, g, out=a)
+    np.subtract(1.0, a, out=a)
+    a *= i
+    g *= i
+    np.subtract(1.0, i, out=i)
+    i *= g
+    np.copyto(g, a)
+    np.multiply(i, w_im, out=s)
+    s += f
+    np.subtract(1.0, f, out=a)
+    f *= a
+    f *= m_in
+    np.multiply(f, w_fm, out=a)
+    s += a
+    np.multiply(t, t, out=a)
+    np.subtract(1.0, a, out=a)
+    a *= o
+    t *= o
+    np.subtract(1.0, o, out=o)
+    o *= t
+    np.multiply(o, w_om, out=t)
+    t += a
+
+
+def _factor_window(params: LstmParams, window: LstmWindow) -> None:
+    """Make the window's backward scratch, then run ``_factor`` over every
+    slot smaller than a chunk.  A run of consecutive slots with one row
+    count k is one (n, 4, k, h) view of the gates, taken in chunks of up to
+    ``_FACTOR_CHUNK`` numbers per (n, k, h) block."""
+    H, counts, offsets = window.hidden_dim, window.counts, window.offsets
+    largest = max(counts, default=0) * H
+    scratch = window.scratch = np.empty(
+        max(4 * largest, min(_FACTOR_CHUNK, window.rows * H)))
+    j = 0
+    while j < window.slots:
+        k, first = counts[j], j
+        end = min(window.slots, j + _FACTOR_CHUNK // max(k * H, 1))
+        j += 1
+        if k * H >= _FACTOR_CHUNK:
+            continue
+        while j < end and counts[j] == k:
+            j += 1
+        lo, hi, n = offsets[first], offsets[j], j - first
+        _factor(params, window.gates[lo:hi].reshape(n, 4, k, H),
+                *(a[lo:hi].reshape(n, k, H)
+                  for a in (window.m_in, window.tanh_m, window.s)),
+                scratch[:(hi - lo) * H].reshape(n, k, H))
+
+
 def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState
                        ) -> tuple[Optional[np.ndarray], LstmState]:
     """Reverse one LSTM step.
@@ -427,52 +504,47 @@ def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState
     gradient w.r.t. the inputs of the rows the step computed, or None when
     it skipped the step.  Rows the step did not compute pass their state
     gradient through unchanged and reach no parameter; a high reset cuts
-    the gradient path to the pre-reset state.  The step's dz replaces its
-    gates in the window (as (k, 4h) rows), where ``lstm_window_grads``
-    turns the dz of every step into the parameter gradient.
+    the gradient path to the pre-reset state.
+
+    The first reversal in a window turns every slot's activations into the
+    step-independent factors P, R and S of ``_factor``.  A step is then,
+    on its computed rows, d_m = dh R + dm, dz_{i,f,g} = d_m P_{i,f,g},
+    dz_o = dh P_o and d_m_in = d_m S, plus the one GEMM dz @ W: 7 numpy
+    calls.  Its dz replaces its factors in the window, as (k, 4h) rows,
+    where ``lstm_window_grads`` turns the dz of every step into the
+    parameter gradient.
     """
     rows, rm = tape.rows, tape.reset
     if tape.skipped:
         return None, _zero_where(rm, d_state)
 
+    window = tape.window
+    if window is None:
+        raise ConfigError("a scratch tape cannot be reversed")
+    if window.scratch is None:  # the window's first reversal
+        _factor_window(params, window)
     H, D = params.hidden_dim, params.input_dim
+    p, s = tape.gates, tape.s
+    if s.size >= _FACTOR_CHUNK:  # a large slot, left to its own reversal
+        _factor(params, p[None], tape.m_in[None], tape.tanh_m[None], s[None],
+                window.scratch[:s.size].reshape(1, *s.shape))
     d_m_out, d_h_out = d_state.m, d_state.h
     if tape.single:
         d_m_out, d_h_out = d_m_out[None], d_h_out[None]
     d_m_new, d_h_new = take_rows(d_m_out, rows), take_rows(d_h_out, rows)
-    window, gates, tanh_m = tape.window, tape.gates, tape.tanh_m
-    if window is None:
-        raise ConfigError("a scratch tape cannot be reversed")
-    dz = window.dz[:gates.size].reshape(gates.shape)
-    i, f, g, o = gates
-    dz_i, dz_f, dz_g, dz_o = dz
-    np.subtract(1.0, gates, out=dz)
-    dz *= gates  # sigmoid' in the i, f and o blocks
-
-    # h = o * tanh(m);  the output-gate peephole sees the fresh m
-    dz_o *= d_h_new
-    dz_o *= tanh_m
-    d_m = d_h_new * o
-    d_m *= 1.0 - tanh_m * tanh_m
+    # One row is the same in gate-major and row order: dz takes its
+    # factors' place directly.
+    dz = p if p.shape[1] == 1 else window.scratch[:p.size].reshape(p.shape)
+    d_m = np.multiply(d_h_new, tape.tanh_m)  # tanh_m holds R
     d_m += d_m_new
-    d_m += dz_o * params.w_om
-
-    # m = f * m_in + i * g, with i, f sigmoid and g tanh
-    dz_i *= d_m
-    dz_i *= g
-    dz_f *= d_m
-    dz_f *= tape.m_in
-    np.multiply(d_m, i, out=dz_g)
-    dz_g *= 1.0 - g * g
-
-    d_m_in = d_m * f
-    d_m_in += dz_i * params.w_im
-    d_m_in += dz_f * params.w_fm
-    # The gates are read: their slot takes the dz rows.
-    dz_rows = gates.reshape(-1, 4 * H)
-    np.copyto(dz_rows.reshape(-1, 4, H), dz.transpose(1, 0, 2))
+    np.multiply(p[:3], d_m, out=dz[:3])
+    np.multiply(p[3], d_h_new, out=dz[3])
+    dz_rows = p.reshape(-1, 4 * H)
+    if dz is not p:  # the factors are read: their slot takes the dz rows
+        np.copyto(dz_rows.reshape(-1, 4, H), dz.transpose(1, 0, 2))
     window.reversed += 1
     d_xh = dz_rows @ params.W
+    d_m_in = np.multiply(d_m, s, out=d_m)
     d_x, d_h_in = d_xh[:, :D], d_xh[:, D:]
     if rows is not True:
         d_m_prev, d_h_prev = d_m_out.copy(), d_h_out.copy()

@@ -375,14 +375,15 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
         lm_logp, length = lm_logp[src], length[src]
         last = last[src]
         e = np.flatnonzero(col >= 0)
-        ek, ej = src[e], col[e]
-        p_blank[e] = NEG_INF
-        p_nonblank[e] = ext_pnb[ek, ej]
-        lm_logp[e] = ext_lm[ek, ej]
-        length[e] += 1
-        last[e] = ids[ej]
-        # Only the extensions that may still grow will read their LM row.
-        e = e[length[e] < depth]
+        if e.size:  # most frames of a peaked utterance extend nothing
+            ek, ej = src[e], col[e]
+            p_blank[e] = NEG_INF
+            p_nonblank[e] = ext_pnb[ek, ej]
+            lm_logp[e] = ext_lm[ek, ej]
+            length[e] += 1
+            last[e] = ids[ej]
+            # Only the extensions that may still grow will read their LM row.
+            e = e[length[e] < depth]
         pending = last[e]
 
     ctc = np.logaddexp(p_blank, p_nonblank)

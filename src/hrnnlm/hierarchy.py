@@ -613,10 +613,11 @@ class Network:
         where forward computed no logits, are ignored.  State gradients are
         truncated at the window start.  The time loop mirrors forward's:
         each layer reverses only the rows it computed at a step, and the
-        others pass their state gradient through.  Returns the gradient of
+        others pass their state gradient through; a layer that computed no
+        row (``IDLE_TAPE``) is not reversed at all.  Returns the gradient of
         every named block, as views into one fresh flat buffer laid out
-        like ``flat``.  Backward consumes the tape (dz replaces the gates),
-        so a tape is reversed once.
+        like ``flat``.  Backward consumes the tape (its gates turn into
+        backward's factors, then into dz), so a tape is reversed once.
         """
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.ndim == 2:
@@ -644,18 +645,23 @@ class Network:
                    for d in self.layer_defs}
         # Reversed, a step runs the word layers last: a delayed source's
         # gradient then lands on the step's input state, as a hidden one's
-        # on its output state.
+        # on its output state.  Onehot and indicator inputs are not
+        # trainable: only the sources that are layers take a gradient.
+        order = [(d.name, self.layers[d.name], tape.steps[d.name],
+                  [(ref, cols) for _, ref, cols in d.sources
+                   if ref is not None])
+                 for d in reversed(self.step_order)]
         for t in range(T - 1, -1, -1):
             running[self.output_layer].h += d_top[:, t]
-            for d in reversed(self.step_order):
-                st = tape.steps[d.name][t]
-                d_x, running[d.name] = lstm_backward_step(
-                    self.layers[d.name], st, running[d.name])
+            for name, params, steps, sources in order:
+                st = steps[t]
+                if st is IDLE_TAPE:  # its state gradient passes through
+                    continue
+                d_x, running[name] = lstm_backward_step(params, st,
+                                                        running[name])
                 rows = slice(None) if st.rows is True else st.rows
-                for kind, ref, cols in d.sources:
-                    if ref is not None and d_x is not None:
-                        running[ref].h[rows] += d_x[:, cols]
-                    # onehot / indicator inputs are not trainable
+                for ref, cols in sources:
+                    running[ref].h[rows] += d_x[:, cols]
         # One weight-gradient GEMM per layer for the whole window.
         for name, window in tape.windows.items():
             lstm_window_grads(window, layer_grads[name])

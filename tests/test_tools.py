@@ -114,9 +114,11 @@ def test_stepab_cases(monkeypatch):
     import hrnnlm
     cases = _load_stepab(monkeypatch).cases(hrnnlm)
     assert {name: unit for name, (unit, _) in cases.items()} == {
-        "step H16": "us/step", "step H64": "us/step", "bpc H64": "ms/call",
+        "step H16": "us/step", "step H64": "us/step", "train H16": "ms/call",
+        "train H64": "ms/call", "bpc H64": "ms/call",
         "sample H64": "us/char", "beam16 H64": "ms/frame",
         "beam512 H64": "ms/frame"}
+    assert cases["train H16"][1]() > 0.0
     assert cases["sample H64"][1]() > 0.0
     assert cases["beam16 H64"][1]() > 0.0
 

@@ -1,19 +1,25 @@
 """Property tests for the window tape and the sigmoid it runs on.
 
 The reference backward below is the per-step one that the window tape
-replaced: every step of every layer reverses its own tape and adds its own
-weight gradient, one ``dz.T @ [x, h']`` GEMM per step.  ``Network.backward``
-takes the weight gradient once per layer per window instead, so only the
-order of the sums differs: the two must agree within 1e-12 relative.  A
-tape holds only the rows its step computed (``tape.rows`` of the batch),
-which the reference reads.
+replaced: every step of every layer reverses its own tape from its gate
+activations and adds its own weight gradient, one ``dz.T @ [x, h']`` GEMM
+per step.  ``Network.backward`` takes the weight gradient once per layer
+per window instead, and ``lstm_backward_step`` multiplies the incoming
+gradient by factors that a pass over the window formed from the
+activations beforehand; so the sums run in another order and the products
+are reassociated: the two must agree within 1e-12 relative.  A tape holds
+only the rows its step computed (``tape.rows`` of the batch), which the
+reference reads.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hrnnlm.cells import sigmoid
+from hrnnlm import cells, hierarchy
+from hrnnlm.cells import (LstmParams, LstmState, LstmWindow, init_lstm_params,
+                          lstm_backward_step, lstm_step, lstm_window_grads,
+                          sigmoid)
 from hrnnlm.corpus import build_vocab
 from hrnnlm.errors import ConfigError, DimensionError
 from hrnnlm.hierarchy import VARIANTS, NetworkSpec, build_network
@@ -169,6 +175,89 @@ def test_window_backward_equals_per_step_backward(variant, B, T, active,
     assert got.keys() == want.keys()
     for name in want:
         _close(got[name], want[name])
+
+
+def test_backward_reverses_only_the_steps_a_layer_computed(monkeypatch):
+    net = build_network(_spec("hlstm_b"), rng_seed=3)
+    rng = np.random.default_rng(3)
+    ids = rng.choice(LETTERS, size=(3, 12))
+    ids[:, [2, 7]] = VOCAB.word_boundary_id
+    ids[1, 4] = VOCAB.sentence_boundary_id
+    mask = _active("random", 3, 12, rng)
+    mask[:, 9] = False  # a step that no layer computes
+    probs, _, tape = net.forward(ids, active=mask, collect_tape=True)
+    calls = []
+    kernel = hierarchy.lstm_backward_step
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(hierarchy, "lstm_backward_step", counted)
+    net.backward(tape, probs)
+    assert len(calls) == sum(w.slots for w in tape.windows.values())
+    assert len(calls) < 4 * 12 and not any(t.skipped for t in calls)
+
+
+def _kernel_steps(D, H, B, sizes, rng):
+    """Steps of one layer into one window: per entry of ``sizes``, "single"
+    for an unbatched step, else the number of rows the batched step
+    computes.  Each step starts from its own random state.  Returns the
+    layer's parameters, the window, and per step its tape and its
+    output-state gradient (m, h)."""
+    p = init_lstm_params(D, H, rng, scale=1.5)
+    window = LstmWindow(D, H, [1 if k == "single" else k for k in sizes])
+    steps = []
+    for j, k in enumerate(sizes):
+        if k == "single":
+            shape, clock = (H,), True
+            reset = bool(rng.integers(2))
+            x = rng.normal(size=D)
+        else:
+            shape = (B, H)
+            clock = np.zeros(B, dtype=bool)
+            clock[rng.choice(B, size=k, replace=False)] = True
+            reset = rng.random(B) < 0.3
+            x = rng.normal(size=(B, D))
+        state = LstmState(rng.normal(size=shape), rng.normal(size=shape))
+        _, tape = lstm_step(p, x, state, clock, reset,
+                            window.slot(j, single=k == "single"))
+        steps.append((tape, rng.normal(size=shape), rng.normal(size=shape)))
+    return p, window, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.integers(1, 5), H=st.integers(1, 5), B=st.integers(1, 4),
+       sizes=st.lists(st.one_of(st.just("single"), st.integers(1, 4)),
+                      max_size=8),
+       run=st.integers(0, 9), chunk_slots=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1))
+@example(D=2, H=3, B=3, sizes=[2, "single", 1, 3, 3, "single"], run=7,
+         chunk_slots=2, seed=0)
+def test_kernel_backward_equals_per_step_reference(D, H, B, sizes, run,
+                                                   chunk_slots, seed):
+    """Every slot of a window reversed through ``lstm_backward_step``, then
+    ``lstm_window_grads``: ragged slots, partial resets, single slots, and
+    a run of full slots that spans several chunks of the factor pass."""
+    rng = np.random.default_rng(seed)
+    sizes = [k if k == "single" else min(k, B) for k in sizes]
+    sizes[len(sizes) // 2:len(sizes) // 2] = [B] * run
+    p, window, steps = _kernel_steps(D, H, B, sizes, rng)
+    want_grads = LstmParams(D, H)
+    want = [_ref_backward_step(p, tape, d_m, d_h, want_grads)
+            for tape, d_m, d_h in steps]
+    got_grads = LstmParams(D, H)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cells, "_FACTOR_CHUNK", chunk_slots * B * H)
+        for (tape, d_m, d_h), (d_x, d_m_prev, d_h_prev) in zip(
+                reversed(steps), reversed(want)):
+            got_x, got = lstm_backward_step(p, tape, LstmState(d_m, d_h))
+            _close(got_x, d_x.reshape(got_x.shape))
+            _close(got.m, d_m_prev)
+            _close(got.h, d_h_prev)
+    lstm_window_grads(window, got_grads)
+    for (_, g), (_, w) in zip(got_grads.blocks(), want_grads.blocks()):
+        _close(g, w)
 
 
 def test_a_tape_is_reversed_once():

@@ -13,6 +13,10 @@ even blocks and the change first in odd ones:
 
 * ``step H16``, ``step H64``: a one-row ``Network.step`` per token of the
   text, state carried on, in µs per step;
+* ``train H16``, ``train H64``: one taped pass over the text's lines in
+  windows of 64, 2 streams at H 16 and 1 at H 64 (the batch sizes of the
+  ``train_small`` and ``decode`` workloads), with ``cross_entropy`` and
+  ``Network.backward`` per window, in ms per pass;
 * ``bpc H64``: one ``bpc`` call over the text's lines, in ms;
 * ``sample H64``: one ``evaluation.sample`` call drawing 500 characters,
   in µs per character;
@@ -49,6 +53,8 @@ TEXT = ("the quick brown fox jumps over the lazy dog\n"
 SIZES = (16, 64)
 SAMPLE_CHARS = 500
 BEAMS = (16, 512)
+TRAIN_BATCH = {16: 2, 64: 1}
+TRAIN_WINDOW = 64
 
 
 def utterance():
@@ -97,6 +103,16 @@ def cases(hr) -> dict:
                 _, state = net.step(state, tok)
             return (time.perf_counter() - t0) / len(ids) * 1e6
         out[f"step H{H}"] = ("us/step", steps)
+
+        def train(net=net, batch=TRAIN_BATCH[H]):
+            tr = hr.training
+            t0 = time.perf_counter()
+            for b, probs, tape in tr._forward_windows(
+                    net, lines, batch, TRAIN_WINDOW, collect_tape=True):
+                _, n, d_logits = tr.cross_entropy(probs, b.targets, b.active)
+                net.backward(tape, d_logits / max(n, 1))
+            return (time.perf_counter() - t0) * 1e3
+        out[f"train H{H}"] = ("ms/call", train)
 
     def score(net=net):
         t0 = time.perf_counter()
