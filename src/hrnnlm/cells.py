@@ -28,10 +28,19 @@ float64 buffer, ``LstmParams.flat``, of 4H(D + H) + 3H + 4H numbers:
 
 One step is one GEMM of [x, h'] against W for all four gates.  In between,
 the gates are held gate-major, (4, b, h), so that each gate's elementwise
-work runs over one contiguous block.  The 15 named blocks (``W_ix``,
-``W_ih``, ``w_im``, ``b_i``, ...) are views into the buffer, so a write
-through a block changes the layer; the blocks' names, shapes and order
-(``LstmParams.blocks``) are those of checkpoint format v1.
+work runs over one contiguous block.  The gates take the tanh form of the
+sigmoid, sigmoid(z) = 0.5 tanh(z / 2) + 0.5: the i and f pre-activations
+are halved in place once their peepholes are added, one tanh over the
+contiguous i, f, g block gives all three, and ``*= 0.5; += 0.5`` turns i
+and f into gates; o likewise.  No finite pre-activation overflows or
+raises a floating-point warning; a gate is exactly 0 below about z = -38
+and exactly 1 above about 38, and never subnormal.  The public
+``sigmoid`` keeps its exp form and floor; the kernel does not call it.
+
+The 15 named blocks (``W_ix``, ``W_ih``, ``w_im``, ``b_i``, ...) are views
+into the buffer, so a write through a block changes the layer; the blocks'
+names, shapes and order (``LstmParams.blocks``) are those of checkpoint
+format v1.
 
 Window tapes.  An ``LstmWindow`` preallocates what backward needs of one
 layer over a window of computed steps: per computed row of each step, the
@@ -40,6 +49,8 @@ memory and its tanh, and one more row for backward.  A step holds only the
 rows it computed, so the slots of a window are ragged.  Each computed
 ``lstm_step`` writes one slot of it (an ``LstmTape``) in place; a caller
 may write the computed rows' inputs straight into the slot's x columns.
+``LstmWindow.tapes`` makes every slot's tape at once, one reshape per run
+of slots of one row count.
 Backward splits in two.  The window's first ``lstm_backward_step`` runs a
 factor pass (``_factor``): per computed row, the local derivatives that do
 not depend on the incoming gradient, P_i, P_f, P_g and P_o over the gates,
@@ -265,11 +276,40 @@ class LstmWindow:
 
     def slot(self, k: int, single: bool = False) -> "LstmTape":
         """The tape of step slot k, as views into the window."""
-        lo, hi = self.offsets[k], self.offsets[k + 1]
-        return LstmTape(self, self.xh[lo:hi], self.m_in[lo:hi],
+        lo, hi, D = self.offsets[k], self.offsets[k + 1], self.input_dim
+        xh = self.xh[lo:hi]
+        return LstmTape(self, xh, xh[:, :D], xh[:, D:], self.m_in[lo:hi],
                         self.gates[lo:hi].reshape(4, hi - lo, -1),
-                        self.m_new[lo:hi], self.tanh_m[lo:hi], single=single,
-                        s=self.s[lo:hi])
+                        self.m_new[lo:hi], self.tanh_m[lo:hi], self.s[lo:hi],
+                        single=single)
+
+    def runs(self):
+        """(first slot, end slot, rows per slot) of each run of consecutive
+        slots that compute one number of rows."""
+        counts, j = self.counts, 0
+        while j < self.slots:
+            first, k = j, counts[j]
+            while j < self.slots and counts[j] == k:
+                j += 1
+            yield first, j, k
+
+    def tapes(self, cols=()) -> list:
+        """(tape, views) of every slot, in order: the tape ``slot`` gives,
+        and the views of its x columns under each slice of ``cols``.  Each
+        buffer is reshaped once per run of equal slots (``runs``), and a
+        slot's views are the run's views along its first axis."""
+        D, H, offsets = self.input_dim, self.hidden_dim, self.offsets
+        out = []
+        for first, end, k in self.runs():
+            lo, hi, n = offsets[first], offsets[end], end - first
+            xh = self.xh[lo:hi].reshape(n, k, D + H)
+            m_in, m_new, tanh_m, s = (a[lo:hi].reshape(n, k, H) for a in (
+                self.m_in, self.m_new, self.tanh_m, self.s))
+            for v in zip(xh, xh[:, :, :D], xh[:, :, D:], m_in,
+                         self.gates[lo:hi].reshape(n, 4, k, H), m_new,
+                         tanh_m, s, *(xh[:, :, c] for c in cols)):
+                out.append((LstmTape(self, *v[:8]), v[8:]))
+        return out
 
 
 class LstmTape:
@@ -289,15 +329,12 @@ class LstmTape:
     __slots__ = ("window", "xh", "x", "h_in", "m_in", "gates", "m_new",
                  "tanh_m", "s", "rows", "reset", "skipped", "single")
 
-    def __init__(self, window, xh=None, m_in=None, gates=None, m_new=None,
-                 tanh_m=None, rows=True, reset=False, skipped=False,
-                 single=False, s=None):
-        self.window, self.xh, self.m_in = window, xh, m_in
-        self.x = self.h_in = None
-        if xh is not None:
-            D = xh.shape[1] - m_in.shape[1]
-            self.x, self.h_in = xh[:, :D], xh[:, D:]
-        self.gates, self.m_new, self.tanh_m, self.s = gates, m_new, tanh_m, s
+    def __init__(self, window, xh=None, x=None, h_in=None, m_in=None,
+                 gates=None, m_new=None, tanh_m=None, s=None, rows=True,
+                 reset=False, skipped=False, single=False):
+        self.window, self.xh, self.x, self.h_in = window, xh, x, h_in
+        self.m_in, self.gates, self.m_new = m_in, gates, m_new
+        self.tanh_m, self.s = tanh_m, s
         self.rows, self.reset = rows, reset
         self.skipped, self.single = skipped, single
 
@@ -317,8 +354,8 @@ class LstmTape:
         this tape's (contiguous) gates, so each gate stays one block."""
         H = self.m_in.shape[1]
         gates = self.gates.reshape(-1)[:4 * rows * H].reshape(4, rows, H)
-        return LstmTape(None, self.xh[:rows], self.m_in[:rows], gates,
-                        None, self.tanh_m[:rows])
+        return LstmTape(None, self.xh[:rows], self.x[:rows], self.h_in[:rows],
+                        self.m_in[:rows], gates, None, self.tanh_m[:rows])
 
 
 # The tape of a step whose clock and reset are low on every row: no slot,
@@ -333,7 +370,8 @@ def scratch_tape(input_dim: int, hidden_dim: int, batch: int) -> LstmTape:
     a step through it returns a state of fresh arrays."""
     xh = np.empty((batch, input_dim + hidden_dim))
     buf = np.empty((6, batch, hidden_dim))  # gates, m_in, tanh_m
-    return LstmTape(None, xh, buf[4], buf[:4], None, buf[5])
+    return LstmTape(None, xh, xh[:, :input_dim], xh[:, input_dim:], buf[4],
+                    buf[:4], None, buf[5])
 
 
 def lstm_step(params: LstmParams, x, state: LstmState,
@@ -349,10 +387,11 @@ def lstm_step(params: LstmParams, x, state: LstmState,
         o = sigmoid(W_ox x + W_oh h' + w_om * m + b_o)
         h = o * tanh(m)
 
-    where (m', h') is the previous state zeroed wherever the reset is high.
-    Only the rows whose clock is high are computed (``clock_rows`` gives
-    them, and the reset mask): all four pre-activations come from one GEMM
-    of their [x, h'] against the packed W.  Every other row keeps its
+    where (m', h') is the previous state zeroed wherever the reset is high,
+    and each sigmoid is computed as 0.5 tanh(z / 2) + 0.5.  Only the rows
+    whose clock is high are computed (``clock_rows`` gives them, and the
+    reset mask): all four pre-activations come from one GEMM of their
+    [x, h'] against the packed W.  Every other row keeps its
     (reset-masked) previous state untouched, and its x is not read (x may
     be None when the clock is low on every row).
 
@@ -406,15 +445,23 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     # over strided column slices at small sizes.
     np.add((xh @ params.W_t).reshape(-1, 4, H).transpose(1, 0, 2),
            params.b4, out=z)
-    z_if = z[:2]
+    # sigmoid(z) = 0.5 tanh(z / 2) + 0.5: one tanh over the contiguous
+    # i, f, g block gives all three, i and f from their halved
+    # pre-activations (halving is exact).
+    z_if, z_ifg = z[:2], z[:3]
     z_if += m_in * params.peep_if4
-    sigmoid(z_if, out=z_if)
+    z_if *= 0.5
+    np.tanh(z_ifg, out=z_ifg)
+    z_if *= 0.5
+    z_if += 0.5
     i, f, g, o = z
-    np.tanh(g, out=g)
     m_new = np.multiply(f, m_in, out=tape.m_new)
     m_new += i * g
     o += m_new * params.w_om
-    sigmoid(o, out=o)
+    o *= 0.5
+    np.tanh(o, out=o)
+    o *= 0.5
+    o += 0.5
     tanh_m = np.tanh(m_new, out=tape.tanh_m)
     h_new = o * tanh_m
 
@@ -475,24 +522,21 @@ def _factor_window(params: LstmParams, window: LstmWindow) -> None:
     slot smaller than a chunk.  A run of consecutive slots with one row
     count k is one (n, 4, k, h) view of the gates, taken in chunks of up to
     ``_FACTOR_CHUNK`` numbers per (n, k, h) block."""
-    H, counts, offsets = window.hidden_dim, window.counts, window.offsets
-    largest = max(counts, default=0) * H
+    H, offsets = window.hidden_dim, window.offsets
+    largest = max(window.counts, default=0) * H
     scratch = window.scratch = np.empty(
         max(4 * largest, min(_FACTOR_CHUNK, window.rows * H)))
-    j = 0
-    while j < window.slots:
-        k, first = counts[j], j
-        end = min(window.slots, j + _FACTOR_CHUNK // max(k * H, 1))
-        j += 1
+    for run, end, k in window.runs():
         if k * H >= _FACTOR_CHUNK:
             continue
-        while j < end and counts[j] == k:
-            j += 1
-        lo, hi, n = offsets[first], offsets[j], j - first
-        _factor(params, window.gates[lo:hi].reshape(n, 4, k, H),
-                *(a[lo:hi].reshape(n, k, H)
-                  for a in (window.m_in, window.tanh_m, window.s)),
-                scratch[:(hi - lo) * H].reshape(n, k, H))
+        per = _FACTOR_CHUNK // max(k * H, 1)
+        for first in range(run, end, per):
+            last = min(end, first + per)
+            lo, hi, n = offsets[first], offsets[last], last - first
+            _factor(params, window.gates[lo:hi].reshape(n, 4, k, H),
+                    *(a[lo:hi].reshape(n, k, H)
+                      for a in (window.m_in, window.tanh_m, window.s)),
+                    scratch[:(hi - lo) * H].reshape(n, k, H))
 
 
 def lstm_backward_step(params: LstmParams, tape: LstmTape, d_state: LstmState

@@ -303,9 +303,10 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
 
     for t in range(post.frames):
         # Gather the survivors' rows, then step any pending ones in one batch.
-        state, logprobs = state.take(src), logprobs[src]
+        # The decoder builds src and e itself: its gathers skip take's checks.
+        state, logprobs = state._take(src), logprobs[src]
         if pending.size:
-            probs, stepped = net.step(state.take(e), pending, workspace)
+            probs, stepped = net.step(state._take(e), pending, workspace)
             for name, cell in stepped.layers.items():  # write them back
                 state.layers[name].m[e] = cell.m
                 state.layers[name].h[e] = cell.h

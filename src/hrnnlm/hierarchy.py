@@ -33,9 +33,15 @@ the logits row by row, since BLAS rounds a row of a GEMM differently
 depending on how many rows the product has; so a row gets the same bits
 from a window as from a step, and ``forward`` stays a fold of ``step``.
 
-Steps that are not reversed run through a ``StepWorkspace``: per layer,
-one step's scratch buffers, made once and written again by every step.
-A caller that streams, such as ``evaluation.sample``, makes one with
+A taped ``forward`` plans its window once, before the time loop
+(``Network._plan``): every layer's slot tapes are made in bulk, and its
+per-token inputs (one-hot, indicator) written with one gather per
+source, so the loop only copies the "hidden" and "delay" sources and
+calls ``lstm_step``.  Steps that are not reversed run through a
+``StepWorkspace`` instead: per layer, one step's scratch buffers, made
+once and written again by every step.  Taped forward, untaped forward and
+``step`` share that loop body, ``Network._run_step``.  A caller that
+streams, such as ``evaluation.sample``, makes a workspace with
 ``Network.workspace`` and passes it to every ``step``; untaped ``forward``
 makes one per call.  The workspace belongs to its caller, not to the
 network, so two threads may step one network, each through its own.
@@ -246,13 +252,21 @@ class NetworkState:
                              for k, v in self.layers.items()})
 
     def take(self, rows) -> "NetworkState":
-        """A new state of the given batch rows, in order (copies); rows
-        other than 1-D integers in [0, batch) raise DimensionError."""
+        """A new state of the given batch rows, in order (copies); no rows
+        give a state of zero rows.  Rows other than 1-D integers in
+        [0, batch) raise DimensionError."""
         rows = np.asarray(rows)
+        if rows.shape == (0,):  # [] reads as float64, yet selects no row
+            rows = rows.astype(np.int64)
         if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
                 rows.min() < 0 or rows.max() >= self.batch):
             raise DimensionError(f"take needs a 1-D sequence of integer "
                                  f"rows in [0, {self.batch}), got {rows!r}")
+        return self._take(rows)
+
+    def _take(self, rows: np.ndarray) -> "NetworkState":
+        """``take`` without its checks, for rows a caller built itself: a
+        1-D integer array of rows in [0, batch)."""
         return NetworkState({k: LstmState(v.m[rows], v.h[rows])
                              for k, v in self.layers.items()})
 
@@ -352,6 +366,8 @@ class Network:
             spec.vocab_size, (spec.word_boundary_id, spec.sentence_boundary_id)
             if spec.levels > 1 else None)
         self._ticks = self._table.any(axis=1)
+        # The per-token sources' tables, by source kind.
+        self._tokens = {"onehot": self._onehot, "indicator": self._table}
         self.flat = np.zeros(
             sum(LstmParams.size(d.input_dim, d.hidden)
                 for d in self.layer_defs)
@@ -419,31 +435,30 @@ class Network:
         check_count("batch", batch, 0)
         return StepWorkspace(self.defs, int(batch))
 
-    def _run_step(self, states: dict, tokens: dict, char, word, slot):
-        """Advance every layer one step; returns updated (states, tapes).
-        Character layers tick with ``char`` and reset under ``word``'s
-        flag, word layers tick with ``word``: (flag, rows) pairs from
-        ``clock_rows``.  A layer computes only its clock's rows, into the
-        tape that ``slot(name, n)`` gives for its n rows, with the views of
-        the tape's x columns that the layer's input sources fill (a
-        ``StepWorkspace`` slot, or a window slot): the inputs are written
-        there directly.  A layer that computes no row (the word layers on
-        a character) passes its state through with ``IDLE_TAPE``, without
-        a call to ``lstm_step``.  A "hidden" source reads its layer's new
-        state, a "delay" source its layer's state in ``states``, the state
-        going into the step, and a "onehot" or "indicator" source its
-        per-token table rows of the step's tokens, ``tokens[kind]``.  No
-        probabilities are computed here: the callers pass the output
-        layer's new ``h`` to ``_probs``."""
+    def _run_step(self, states: dict, batch: int, char, word, slot,
+                  tokens: Optional[dict] = None) -> dict:
+        """Advance every layer one step of ``batch`` rows; returns the new
+        states.  Character layers tick with ``char`` and reset under
+        ``word``'s flag, word layers tick with ``word``: (flag, rows) pairs
+        from ``clock_rows``.  A layer computes only its clock's rows, into
+        the tape that ``slot(name, n)`` gives for its n rows, with the views
+        of the tape's x columns still to be filled: a ``StepWorkspace``
+        slot, whose views cover every input source, or the next slot of a
+        taped window's plan (``_plan``), whose per-token sources are
+        already written.  The inputs are written there directly.  A layer
+        that computes no row (the word layers on a character) passes its
+        state through, without a call to ``lstm_step``.  A "hidden" source
+        reads its layer's new state, a "delay" source its layer's state in
+        ``states``, the state going into the step, and a "onehot" or
+        "indicator" source its per-token table rows of the step's tokens,
+        ``tokens[kind]``.  No probabilities are computed here: the callers
+        pass the output layer's new ``h`` to ``_probs``."""
         new_states = dict(states)
-        tapes = {}
-        batch = tokens["onehot"].shape[0]
         for d in self.step_order:
             (c, rows), r = (char, word[0]) if d.level == 1 else (word, False)
             # A layer that computes no row is never reset: the word clock
             # ticks only on rows the character clock computes.
             if rows is False:
-                tapes[d.name] = IDLE_TAPE
                 continue
             tape, inputs = slot(d.name, batch if rows is True else rows.size)
             for kind, ref, x in inputs:
@@ -453,9 +468,47 @@ class Network:
                     x[...] = take_rows(states[ref].h, rows)
                 else:
                     x[...] = take_rows(tokens[kind], rows)
-            new_states[d.name], tapes[d.name] = lstm_step(
+            new_states[d.name], _ = lstm_step(
                 self.layers[d.name], tape.x, states[d.name], c, r, tape)
-        return new_states, tapes
+        return new_states
+
+    def _plan(self, ids: np.ndarray, masks: dict, clocks: dict,
+              top_h: np.ndarray):
+        """The plan of a taped window: (its ``WindowTape``, ``slot``).
+
+        Per layer, a window with a slot per step and a row per row that its
+        clock level computes (``masks[level]``, (B, T), and its per-step
+        ``clock_rows`` pairs ``clocks[level]``), its slot tapes made in
+        bulk (``LstmWindow.tapes``), and its per-token sources written
+        with one gather per source: the window's rows are the clock's
+        positions step by step, rows ascending.  ``slot(name, n)`` hands
+        out a layer's slots in order, each with the views its layer
+        sources fill.
+        """
+        B = ids.shape[0]
+        windows, steps, plans = {}, {}, {}
+        for d in self.layer_defs:
+            level = clocks[d.level]
+            window = windows[d.name] = LstmWindow(
+                d.input_dim, d.hidden,
+                [B if rows is True else rows.size
+                 for _, rows in level if rows is not False])
+            layer_sources = [(kind, ref, cols) for kind, ref, cols in d.sources
+                             if ref is not None]
+            slots = window.tapes([cols for _, _, cols in layer_sources])
+            position_ids = ids.T[masks[d.level].T]
+            for kind, ref, cols in d.sources:
+                if ref is None:
+                    window.xh[:, cols] = self._tokens[kind][position_ids]
+            computed = iter(slots)
+            steps[d.name] = [IDLE_TAPE if rows is False else next(computed)[0]
+                             for _, rows in level]
+            plans[d.name] = iter([
+                (tape, [(kind, ref, x) for (kind, ref, _), x
+                        in zip(layer_sources, views)])
+                for tape, views in slots])
+        return (WindowTape(windows, steps, top_h, masks[1]),
+                lambda name, n: next(plans[name]))
 
     def _probs(self, h: np.ndarray) -> np.ndarray:
         """The (N, V) next-token distributions of N output-layer rows.
@@ -485,7 +538,8 @@ class Network:
         one ``_probs`` call computes the distributions of every active
         position.  With ``collect_tape`` the tape is a ``WindowTape``
         for ``backward``; each layer's window holds a slot only for the
-        steps the layer computes, with a row for each row it computes.
+        steps the layer computes, with a row for each row it computes, and
+        is planned before the time loop (``_plan``).
         """
         ids = np.asarray(_check_ids(ids, self.spec.vocab_size))
         single = ids.ndim == 1
@@ -509,39 +563,22 @@ class Network:
         # Per step, the character clock is the active column and the word
         # clock its boundary rows.  The indicator is not masked: the word
         # layers compute only rows whose word clock is high.
-        clocks = {1: [clock_rows(c, (B,)) for c in active.T],
-                  2: [clock_rows(c, (B,))
-                      for c in (self._ticks[ids] & active).T]}
-        onehot, indicator = self._onehot[ids], self._table[ids]
+        masks = {1: active, 2: self._ticks[ids] & active}
+        clocks = {level: [clock_rows(c, (B,)) for c in mask.T]
+                  for level, mask in masks.items()}
         top_h = np.empty((B, T, self.defs[self.output_layer].hidden))
-        tape = None
         if collect_tape:
-            windows = {}
-            for d in self.layer_defs:
-                p = self.layers[d.name]
-                windows[d.name] = LstmWindow(
-                    p.input_dim, p.hidden_dim,
-                    [B if rows is True else rows.size
-                     for _, rows in clocks[d.level] if rows is not False])
-            tape = WindowTape(windows, {name: [] for name in windows},
-                              top_h, active)
-            filled = dict.fromkeys(windows, 0)
-
-            def slot(name: str, n: int):
-                k = filled[name]
-                filled[name] = k + 1
-                tape = windows[name].slot(k)
-                return tape, _input_views(tape, self.defs[name].sources)
+            tape, slot = self._plan(ids, masks, clocks, top_h)
+            tokens = [None] * T
         else:
-            slot = self.workspace(B).slot
+            tape, slot = None, self.workspace(B).slot
+            rows = {kind: table[ids] for kind, table in self._tokens.items()}
+            tokens = [{kind: a[:, t] for kind, a in rows.items()}
+                      for t in range(T)]
         for t in range(T):
-            states, tapes = self._run_step(
-                states, {"onehot": onehot[:, t], "indicator": indicator[:, t]},
-                clocks[1][t], clocks[2][t], slot)
+            states = self._run_step(states, B, clocks[1][t], clocks[2][t],
+                                    slot, tokens[t])
             top_h[:, t] = states[self.output_layer].h
-            if collect_tape:
-                for name, st in tapes.items():
-                    tape.steps[name].append(st)
         # The softmax feeds nothing back into the recurrence: one pass over
         # every active position of the window.
         probs_out = np.zeros((B, T, self.spec.vocab_size))
@@ -588,7 +625,7 @@ class Network:
             raise DimensionError("step takes one id or a (batch,) id array")
         else:
             word = clock_rows(self._ticks[ids], ids.shape)
-        tokens = {"onehot": self._onehot[ids], "indicator": self._table[ids]}
+        tokens = {kind: table[ids] for kind, table in self._tokens.items()}
         B = tokens["onehot"].shape[0]
         if state.batch != B:
             raise DimensionError(f"{B} id rows for a state of {state.batch} "
@@ -600,8 +637,8 @@ class Network:
                                  f"a step of {B}")
         elif workspace.defs is not self.defs and workspace.defs != self.defs:
             raise DimensionError("a workspace of another network's layers")
-        states, _ = self._run_step(dict(state.layers), tokens, (True, True),
-                                   word, workspace.slot)
+        states = self._run_step(dict(state.layers), B, (True, True), word,
+                                workspace.slot, tokens)
         probs = self._probs(states[self.output_layer].h)
         return (probs[0] if one else probs), NetworkState(states)
 

@@ -389,11 +389,16 @@ class TestWiring:
         ids = np.stack([random_sequence(vocab, np.random.default_rng(s), 8)
                         for s in (1, 2, 3)])
         _, state, _ = net.forward(ids)
+        for rows in ([2, 0, 2], []):  # no rows: a state of zero rows
+            taken = state.take(rows)
+            assert taken.batch == len(rows)
+            for name, layer in taken.layers.items():
+                src = state.layers[name]
+                assert layer.m.shape == layer.h.shape == (len(rows),
+                                                          src.h.shape[1])
+                assert np.array_equal(layer.m, src.m[rows])
+                assert np.array_equal(layer.h, src.h[rows])
         taken = state.take([2, 0, 2])
-        for name, layer in taken.layers.items():
-            src = state.layers[name]
-            assert np.array_equal(layer.m, src.m[[2, 0, 2]])
-            assert np.array_equal(layer.h, src.h[[2, 0, 2]])
         taken.layers["char1"].h[...] = 0.0  # a copy, not a view
         assert np.any(state.layers["char1"].h != 0)
 

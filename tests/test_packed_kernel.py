@@ -257,6 +257,72 @@ def test_packed_kernel_equals_per_gate_kernel(D, H, batch, clock, reset,
         assert tape.window is None and not packed.flat.any()
 
 
+# Beyond this pre-activation a gate is 0 or 1 exactly: sigmoid(z) =
+# 0.5 tanh(z / 2) + 0.5 and tanh(z / 2) rounds to +-1 from |z| = 38 or so.
+_SATURATED = 40.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(D=st.integers(1, 4), H=st.integers(1, 4),
+       batch=st.one_of(st.none(), st.integers(1, 4)),
+       clock=st.sampled_from(["high", "mixed"]),
+       reset=st.sampled_from(MODES), weight_exp=st.integers(0, 6),
+       input_exp=st.integers(0, 294), seed=st.integers(0, 2**31 - 1))
+@example(D=3, H=4, batch=3, clock="high", reset="mixed", weight_exp=6,
+         input_exp=294, seed=0)
+@example(D=1, H=2, batch=None, clock="high", reset="low", weight_exp=0,
+         input_exp=2, seed=1)
+def test_kernel_gates_at_extreme_pre_activations(D, H, batch, clock, reset,
+                                                 weight_exp, input_exp,
+                                                 seed):
+    """Weights up to 1e6 and inputs up to 1e294 take the pre-activations to
+    about 1e300 without overflow.  Under np.errstate(all="raise") the
+    kernel's gates lie in [0, 1], are never subnormal, and are exactly 0
+    or 1 wherever the reference pre-activation is saturated; they match
+    ``_ref_sigmoid`` within the per-value tolerance; a NaN input gives NaN
+    gates on its row."""
+    rng = np.random.default_rng(seed)
+    params = init_lstm_params(D, H, rng, scale=10.0 ** weight_exp)
+    ref = SimpleNamespace(**{k: v.copy() for k, v in params.blocks()})
+    shape = (H,) if batch is None else (batch, H)
+    x = rng.uniform(-1.0, 1.0, size=shape[:-1] + (D,)) * 10.0 ** input_exp
+    state = LstmState(rng.uniform(-1.0, 1.0, size=shape),
+                      rng.uniform(-1.0, 1.0, size=shape))
+    c, r = _flags(clock, batch, rng), _flags(reset, batch, rng)
+    if not np.any(c):  # a step that computes at least one row
+        c = _flags("high", batch, rng)
+    with np.errstate(all="raise"):
+        out, tape = lstm_step(params, x, state, clock=c, reset=r)
+        gates = {gate: getattr(tape, gate) for gate in "ifo"}
+    m_want, h_want, ref_tape = _ref_step(ref, x, state.m, state.h, c, r)
+    scale = _ref_step_scale(ref, ref_tape)
+    t = SimpleNamespace(**ref_tape)
+    pre = {"i": x @ ref.W_ix.T + t.h_in @ ref.W_ih.T + t.m_in * ref.w_im
+           + ref.b_i,
+           "f": x @ ref.W_fx.T + t.h_in @ ref.W_fh.T + t.m_in * ref.w_fm
+           + ref.b_f,
+           "o": x @ ref.W_ox.T + t.h_in @ ref.W_oh.T + t.m_new * ref.w_om
+           + ref.b_o}
+    tiny = np.finfo(np.float64).tiny
+    for gate, got in gates.items():
+        assert np.all((got >= 0.0) & (got <= 1.0)), gate
+        assert np.all((got == 0.0) | (got >= tiny)), gate
+        z = _clocked(pre[gate], c, batch)
+        err = _DOT_ULPS * np.finfo(np.float64).eps * _clocked(
+            scale[gate], c, batch)
+        assert np.all(got[z < -_SATURATED - err] == 0.0), gate
+        assert np.all(got[z > _SATURATED + err] == 1.0), gate
+        _close_to_scale(got, _clocked(ref_tape[gate], c, batch),
+                        _clocked(scale[gate], c, batch))
+
+    x_nan = x.copy()
+    x_nan[..., 0] = np.nan
+    with np.errstate(all="raise"):
+        _, tape = lstm_step(params, x_nan, state, clock=c, reset=r)
+        for gate in "ifgo":
+            assert np.isnan(getattr(tape, gate)).all(), gate
+
+
 # ---------------------------------------------------------------------------
 # Flat buffers: views, optimizer, clipping
 # ---------------------------------------------------------------------------

@@ -115,10 +115,12 @@ def test_stepab_cases(monkeypatch):
     cases = _load_stepab(monkeypatch).cases(hrnnlm)
     assert {name: unit for name, (unit, _) in cases.items()} == {
         "step H16": "us/step", "step H64": "us/step", "train H16": "ms/call",
-        "train H64": "ms/call", "bpc H64": "ms/call",
+        "train H64": "ms/call", "fwd H16": "ms/call", "fwd H64": "ms/call",
+        "bpc H64": "ms/call",
         "sample H64": "us/char", "beam16 H64": "ms/frame",
         "beam512 H64": "ms/frame"}
     assert cases["train H16"][1]() > 0.0
+    assert cases["fwd H16"][1]() > 0.0
     assert cases["sample H64"][1]() > 0.0
     assert cases["beam16 H64"][1]() > 0.0
 

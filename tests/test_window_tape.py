@@ -177,6 +177,82 @@ def test_window_backward_equals_per_step_backward(variant, B, T, active,
         _close(got[name], want[name])
 
 
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _same_states(got, want):
+    for name, layer in want.layers.items():
+        _same_bits(got.layers[name].m, layer.m)
+        _same_bits(got.layers[name].h, layer.h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), B=st.integers(1, 4),
+       T=st.integers(0, 9),
+       active=st.sampled_from(["full", "trailing", "random"]),
+       words=st.sampled_from(["none", "some", "many"]),
+       idle_row=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@example(variant="hlstm_b", B=3, T=7, active="random", words="some",
+         idle_row=True, seed=0)
+@example(variant="hlstm_a", B=2, T=0, active="full", words="none",
+         idle_row=False, seed=1)
+@example(variant="mono", B=4, T=5, active="trailing", words="many",
+         idle_row=True, seed=2)
+def test_planned_window_equals_per_step_execution(variant, B, T, active,
+                                                  words, idle_row, seed):
+    """The taped forward runs a plan made once per window: slot tapes made
+    in bulk and the per-token inputs written before the time loop.  It
+    gives the untaped forward's probabilities and final state, and those
+    of a fold of ``Network.step`` over each step's active rows, bit for
+    bit: with partial active masks, a row inactive throughout, streams
+    reset on some rows before the window, and empty windows.  Its tape
+    then reverses to the per-step reference's gradient."""
+    rng = np.random.default_rng(seed)
+    net = build_network(_spec(variant), rng_seed=seed % 1000)
+    for arr in net.named_blocks().values():  # livelier gates than 0.08
+        arr[...] *= 6.0
+    ids = rng.choice(LETTERS, size=(B, T))
+    if words != "none":
+        share = 0.3 if words == "some" else 0.8
+        hit = rng.random((B, T)) < share
+        ids[hit] = rng.choice(sorted(VOCAB.boundary_ids), size=hit.sum())
+    _, state, _ = net.forward(rng.choice(LETTERS + [VOCAB.word_boundary_id],
+                                         size=(B, 3)))
+    state = state.reset_where(rng.random(B) < 0.5)  # stream resets
+    mask = _active(active, B, T, rng)
+    if idle_row:
+        mask[rng.integers(B)] = False
+
+    probs, final, tape = net.forward(ids, state=state, active=mask,
+                                     collect_tape=True)
+    want_probs, want_final, _ = net.forward(ids, state=state, active=mask)
+    _same_bits(probs, want_probs)
+    _same_states(final, want_final)
+
+    fold, fold_probs = state.clone(), np.zeros_like(probs)
+    workspace = net.workspace(B)
+    for t in range(T):
+        rows = np.flatnonzero(mask[:, t])
+        if rows.size:
+            fold_probs[rows, t], stepped = net.step(
+                fold.take(rows), ids[rows, t], workspace)
+            for name, cell in stepped.layers.items():
+                fold.layers[name].m[rows] = cell.m
+                fold.layers[name].h[rows] = cell.h
+    _same_bits(probs, fold_probs)
+    _same_states(final, fold)
+
+    d_logits = probs * rng.uniform(-1.0, 1.0, size=probs.shape)
+    if T == 0:
+        assert not net.backward(tape, d_logits).flat.any()
+        return
+    want = _ref_backward(net, tape, d_logits)
+    got = net.backward(tape, d_logits)
+    for name in want:
+        _close(got[name], want[name])
+
+
 def test_backward_reverses_only_the_steps_a_layer_computed(monkeypatch):
     net = build_network(_spec("hlstm_b"), rng_seed=3)
     rng = np.random.default_rng(3)

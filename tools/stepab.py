@@ -17,6 +17,8 @@ even blocks and the change first in odd ones:
   windows of 64, 2 streams at H 16 and 1 at H 64 (the batch sizes of the
   ``train_small`` and ``decode`` workloads), with ``cross_entropy`` and
   ``Network.backward`` per window, in ms per pass;
+* ``fwd H16``, ``fwd H64``: the same taped pass without ``cross_entropy``
+  and ``backward``, in ms per pass: the forward's share of ``train``;
 * ``bpc H64``: one ``bpc`` call over the text's lines, in ms;
 * ``sample H64``: one ``evaluation.sample`` call drawing 500 characters,
   in µs per character;
@@ -113,6 +115,14 @@ def cases(hr) -> dict:
                 net.backward(tape, d_logits / max(n, 1))
             return (time.perf_counter() - t0) * 1e3
         out[f"train H{H}"] = ("ms/call", train)
+
+        def fwd(net=net, batch=TRAIN_BATCH[H]):
+            t0 = time.perf_counter()
+            for _ in hr.training._forward_windows(
+                    net, lines, batch, TRAIN_WINDOW, collect_tape=True):
+                pass
+            return (time.perf_counter() - t0) * 1e3
+        out[f"fwd H{H}"] = ("ms/call", fwd)
 
     def score(net=net):
         t0 = time.perf_counter()
