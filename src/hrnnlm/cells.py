@@ -67,8 +67,10 @@ once per step (Appleyard et al. 2016, arXiv 1604.01946).  Steps that are
 never reversed (scoring, streaming, decoding) run through a
 ``scratch_tape``: one step's buffers, reused for every step of a
 workspace (``hierarchy.StepWorkspace``).  A scratch tape keeps no new
-memory cell: a step through one writes its new m to a fresh array, so the
-state it returns never aliases the reused buffers.
+memory cell, and the new m and h go to fresh arrays, or into the caller's
+``out`` (say, a layer's views of a network state's buffer): the state a
+step returns never aliases the reused buffers.  A one-row step through
+one reads its previous m where it is, unless a reset zeroes it.
 """
 
 from __future__ import annotations
@@ -142,11 +144,19 @@ def take_rows(a: np.ndarray, rows) -> np.ndarray:
     return a if rows is True else a[rows]
 
 
-def _zero_where(mask, s: "LstmState", copy: bool = False) -> "LstmState":
-    """The state (or state gradient) s with the rows under the mask zeroed;
-    s itself when no row is, unless a copy is asked for."""
+def _zero_where(mask, s: "LstmState", out: Optional["LstmState"] = None
+                ) -> "LstmState":
+    """The state (or state gradient) s with the rows under the mask zeroed:
+    written into ``out`` and returned as ``out`` when one is given, else s
+    itself when no row is zeroed, or new arrays."""
+    if out is not None:
+        for a, o in ((s.m, out.m), (s.h, out.h)):
+            np.copyto(o, a)
+            if mask is not False:
+                np.copyto(o, 0.0, where=mask)
+        return out
     if mask is False:
-        return s.copy() if copy else s
+        return s
     if mask is True:
         return LstmState(np.zeros_like(s.m), np.zeros_like(s.h))
     return LstmState(np.where(mask, 0.0, s.m), np.where(mask, 0.0, s.h))
@@ -228,7 +238,7 @@ def init_lstm_params(input_dim: int, hidden_dim: int,
     return p
 
 
-@dataclass
+@dataclass(slots=True)
 class LstmState:
     """Persistent cell state: memory cells m and output activation h."""
 
@@ -295,7 +305,8 @@ class LstmWindow:
 
     def tapes(self, cols=()) -> list:
         """(tape, views) of every slot, in order: the tape ``slot`` gives,
-        and the views of its x columns under each slice of ``cols``.  Each
+        with its ``gate_views``, and the views of its x columns under each
+        slice of ``cols``.  Each
         buffer is reshaped once per run of equal slots (``runs``), and a
         slot's views are the run's views along its first axis."""
         D, H, offsets = self.input_dim, self.hidden_dim, self.offsets
@@ -305,10 +316,13 @@ class LstmWindow:
             xh = self.xh[lo:hi].reshape(n, k, D + H)
             m_in, m_new, tanh_m, s = (a[lo:hi].reshape(n, k, H) for a in (
                 self.m_in, self.m_new, self.tanh_m, self.s))
-            for v in zip(xh, xh[:, :, :D], xh[:, :, D:], m_in,
-                         self.gates[lo:hi].reshape(n, 4, k, H), m_new,
-                         tanh_m, s, *(xh[:, :, c] for c in cols)):
-                out.append((LstmTape(self, *v[:8]), v[8:]))
+            z = self.gates[lo:hi].reshape(n, 4, k, H)
+            for v in zip(xh, xh[:, :, :D], xh[:, :, D:], m_in, z, m_new,
+                         tanh_m, s, z[:, :2], z[:, :3], *z.swapaxes(0, 1),
+                         *(xh[:, :, c] for c in cols)):
+                tape = LstmTape(self, *v[:8])
+                tape.gate_views = v[8:14]
+                out.append((tape, v[14:]))
         return out
 
 
@@ -324,10 +338,14 @@ class LstmTape:
     ``tape.x`` itself to ``lstm_step``.  ``i``, ``f``, ``g`` and ``o`` are
     the gate activations until backward starts to reverse the window.  A
     tape without a window (``scratch_tape``) cannot be reversed.
+    ``gate_views`` holds the views of the gates that ``lstm_step`` reads:
+    ``LstmWindow.tapes`` makes them with its tapes, and a scratch tape,
+    which serves step after step, keeps those of its first step.
     """
 
     __slots__ = ("window", "xh", "x", "h_in", "m_in", "gates", "m_new",
-                 "tanh_m", "s", "rows", "reset", "skipped", "single")
+                 "tanh_m", "s", "rows", "reset", "skipped", "single",
+                 "gate_views")
 
     def __init__(self, window, xh=None, x=None, h_in=None, m_in=None,
                  gates=None, m_new=None, tanh_m=None, s=None, rows=True,
@@ -337,6 +355,7 @@ class LstmTape:
         self.tanh_m, self.s = tanh_m, s
         self.rows, self.reset = rows, reset
         self.skipped, self.single = skipped, single
+        self.gate_views = None
 
     def _gate(self, k: int):
         if self.skipped:
@@ -375,7 +394,8 @@ def scratch_tape(input_dim: int, hidden_dim: int, batch: int) -> LstmTape:
 
 
 def lstm_step(params: LstmParams, x, state: LstmState,
-              clock=True, reset=False, tape: Optional[LstmTape] = None
+              clock=True, reset=False, tape: Optional[LstmTape] = None,
+              out: Optional[LstmState] = None
               ) -> tuple[LstmState, LstmTape]:
     """One (optionally clock/reset gated) LSTM step.
 
@@ -401,18 +421,28 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     itself, already holding the computed rows' inputs, and is then not
     copied.  When every row is computed the new m is the slot's ``m_new``,
     so a slot must not be rewritten while that state is still to be read;
-    a ``scratch_tape`` has none, and the new m is a fresh array.
+    a ``scratch_tape`` has none, and the new m is a fresh array (or
+    ``out``'s).
+
+    ``out``, an ``LstmState`` of arrays shaped like the state's (say,
+    views into a wider buffer), receives the new state, and the step then
+    returns ``out`` itself: the same bits, in memory the caller owns.  A
+    step of one row computes its new h, and without a window tape its new
+    m, straight into it.
     """
     H, shape = params.hidden_dim, state.h.shape
     if shape[-1] != H:
         raise DimensionError(f"state width {shape[-1]} != expected {H}")
+    if out is not None and (out.m.shape != shape or out.h.shape != shape):
+        raise DimensionError(f"out arrays shaped {out.m.shape} and "
+                             f"{out.h.shape} for a state of {shape}")
     batch = shape[:-1]
     _, rows = clock_rows(clock, batch)
     rm, reset_rows = clock_rows(reset, batch)
     rm = rm if rm is reset_rows else rm[:, None]  # a partial reset, (b, 1)
     if rows is False:
         # Clock low everywhere: nothing to compute, state passes through.
-        return _zero_where(rm, state), (
+        return _zero_where(rm, state, out), (
             IDLE_TAPE if rm is False
             else LstmTape(None, rows=False, reset=rm, skipped=True))
 
@@ -435,11 +465,23 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     tape.rows, tape.reset = rows, rm
     xh, m_in, z = tape.xh, tape.m_in, tape.gates
     _gather_zeroed(state.h, rows, rm, tape.h_in)
-    _gather_zeroed(state.m, rows, rm, m_in)
+    # One row of a state is contiguous: a step of one row reads its m, and
+    # writes the new m and h, where they are.  Several rows of a wider
+    # buffer are strided, and are copied once each way instead.
+    one = rows is True and n == 1
+    if one and tape.window is None and rm is False:
+        m_in = state.m  # nothing is reversed, and nothing reset
+    else:
+        _gather_zeroed(state.m, rows, rm, m_in)
+    m_to = h_to = None  # where the new m and h go: fresh arrays by default
     if rows is not True:
         # The rows that do not compute keep their state, in a copy: the
         # input state is never written.
-        out = _zero_where(rm, state, copy=True)
+        new = _zero_where(rm, state, out or LstmState(np.empty(shape),
+                                                      np.empty(shape)))
+    elif out is not None and one:
+        m_to, h_to = (out.m[None], out.h[None]) if tape.single else (
+            out.m, out.h)
     # One GEMM for all gates, then bias and a gate-major copy in one pass:
     # ufuncs over contiguous (b, h) gate blocks cost about half as much as
     # over strided column slices at small sizes.
@@ -448,14 +490,19 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     # sigmoid(z) = 0.5 tanh(z / 2) + 0.5: one tanh over the contiguous
     # i, f, g block gives all three, i and f from their halved
     # pre-activations (halving is exact).
-    z_if, z_ifg = z[:2], z[:3]
+    views = tape.gate_views
+    if views is None:
+        views = (z[:2], z[:3], *z)
+        if tape.window is None:  # a scratch tape serves step after step
+            tape.gate_views = views
+    z_if, z_ifg, i, f, g, o = views
     z_if += m_in * params.peep_if4
     z_if *= 0.5
     np.tanh(z_ifg, out=z_ifg)
     z_if *= 0.5
     z_if += 0.5
-    i, f, g, o = z
-    m_new = np.multiply(f, m_in, out=tape.m_new)
+    m_new = np.multiply(f, m_in, out=m_to if tape.m_new is None
+                        else tape.m_new)
     m_new += i * g
     o += m_new * params.w_om
     o *= 0.5
@@ -463,10 +510,17 @@ def lstm_step(params: LstmParams, x, state: LstmState,
     o *= 0.5
     o += 0.5
     tanh_m = np.tanh(m_new, out=tape.tanh_m)
-    h_new = o * tanh_m
+    h_new = np.multiply(o, tanh_m, out=h_to)
 
     if rows is not True:
-        out.m[rows], out.h[rows] = m_new, h_new
+        new.m[rows], new.h[rows] = m_new, h_new
+        return new, tape
+    if out is not None:
+        if h_to is None:
+            m_to, h_to = out.m, out.h
+            np.copyto(h_to, h_new)
+        if m_new is not m_to:  # or a window tape keeps m in its slot
+            np.copyto(m_to, m_new)
         return out, tape
     if tape.single:
         m_new, h_new = m_new[0], h_new[0]

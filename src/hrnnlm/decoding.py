@@ -27,15 +27,20 @@ which they are added.
 
 A new prefix's LM term needs only its parent's next-character
 distribution, so candidates are scored without running the network.  The
-beam's LM states live in one stacked NetworkState (row k serves survivor
-k) with the matching log distributions.  Every frame starts the same way:
-the survivors that end in a label the LM has not read yet (on the first
-frame, the empty prefix with its pending word boundary) advance together
-by one batched Network.step through one workspace made per search, so
-the LM runs at most beam_width rows per frame and never after the last.
+beam's LM states are the rows of one NetworkState buffer (row k serves
+survivor k), next to the matching log distributions.  Every frame starts
+the same way: one gather takes the survivors' rows, and the survivors
+that end in a label the LM has not read yet (on the first frame, the
+empty prefix with its pending word boundary) advance together by one
+batched Network.step through one workspace made per search; one scatter
+writes their new rows back.  So the LM runs at most beam_width rows per
+frame and never after the last.  The gathers write into three buffers
+made once per search, two that the survivors' rows alternate between and
+one for the rows to step.  The frames' width pruning and label log
+posteriors are tabulated once per search, before the first frame.
 With the benchmark's ``decode`` LM (hlstm_b, H=64) on its utterances, one
-thread of a 2-CPU x86-64 machine decodes about 3,000 frames/s at beam 16,
-1,500 at beam 64 and 400 at beam 512; 10 ms frames arrive at 100 per
+thread of a 2-CPU x86-64 machine decodes about 4,700 frames/s at beam 16,
+2,400 at beam 64 and 550 at beam 512; 10 ms frames arrive at 100 per
 second.
 """
 
@@ -286,6 +291,9 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
     # boundary pending, the only sequence start training exercises (streams
     # reset between sentences): the first word is scored like any other.
     workspace = net.workspace(config.beam_width)
+    # The arena's rows live in two buffers written in turn, and the rows
+    # to step are gathered into a third: the gathers allocate nothing.
+    arenas = np.empty((3, config.beam_width, net.state_width))
     state, logprobs = net.init_state(1), np.zeros((1, vocab.size))
     src = e = np.zeros(1, dtype=np.int64)
     pending = np.full(1, vocab.word_boundary_id)
@@ -296,39 +304,44 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
     lm_logp = np.zeros(1)                  # LM log prob of the prefix
     length = np.zeros(1, dtype=np.int64)
     last = np.full(1, -1)
-    # Per vocabulary id, the frame's log posterior and extension column; the
-    # extra slot, which last = -1 reads, stays -inf / -1.
-    log_label = np.empty(vocab.size + 1)
-    ext_col = np.empty(vocab.size + 1, dtype=np.int64)
+    # Per frame: the labels that pass width pruning, in column order, and
+    # per vocabulary id the log posterior and extension column (-inf and
+    # -1 for an id that does not pass; the extra slot, which last = -1
+    # reads, stays so).
+    frames = post.probs[:, cols]
+    passing = (frames > 0.0) & (frames >= config.width_prune)
+    logs = np.full(frames.shape, NEG_INF)
+    logs[passing] = [math.log(p) for p in frames[passing].tolist()]
+    log_labels = np.full((post.frames, vocab.size + 1), NEG_INF)
+    log_labels[:, col_ids] = logs
+    ext_cols = np.full((post.frames, vocab.size + 1), -1, dtype=np.int64)
+    ext_cols[:, col_ids] = np.where(passing, passing.cumsum(axis=1) - 1, -1)
+    log_blanks = [math.log(p) if p > 0 else NEG_INF
+                  for p in post.probs[:, blank_col].tolist()]
 
     for t in range(post.frames):
         # Gather the survivors' rows, then step any pending ones in one batch.
         # The decoder builds src and e itself: its gathers skip take's checks.
-        state, logprobs = state._take(src), logprobs[src]
+        state, logprobs = state._take(src, arenas[t % 2]), logprobs[src]
         if pending.size:
-            probs, stepped = net.step(state._take(e), pending, workspace)
-            for name, cell in stepped.layers.items():  # write them back
-                state.layers[name].m[e] = cell.m
-                state.layers[name].h[e] = cell.h
+            probs, stepped = net.step(state._take(e, arenas[2]), pending,
+                                      workspace)
+            state.buf[e] = stepped.buf
             with np.errstate(divide="ignore"):
                 logprobs[e] = np.log(probs)
 
-        row = post.probs[t]
-        log_blank = math.log(row[blank_col]) if row[blank_col] > 0 else NEG_INF
-        frame = row[cols]
-        passing = (frame > 0.0) & (frame >= config.width_prune)
-        ids = col_ids[passing]
+        log_blank, log_label, ext_col = (log_blanks[t], log_labels[t],
+                                         ext_cols[t])
+        ids = col_ids[passing[t]]
         id_list = ids.tolist()
-        log_p = np.array([math.log(p) for p in frame[passing].tolist()])
-        log_label.fill(NEG_INF)
-        log_label[ids] = log_p
-        ext_col.fill(-1)
-        ext_col[ids] = np.arange(ids.size)
+        log_p = logs[t][passing[t]]
 
         # Extensions, (K, L): the last label again needs a blank in between.
         total = np.logaddexp(p_blank, p_nonblank)
         mass = np.where(last[:, None] == ids, p_blank[:, None], total[:, None])
-        ext_ok = (mass != NEG_INF) & (length < depth)[:, None]
+        ext_ok = mass != NEG_INF
+        if config.depth_prune is not None:
+            ext_ok &= (length < depth)[:, None]
         ext_pnb = mass + log_p
         ext_lm = lm_logp[:, None] + logprobs[:, ids]
         # Keeps, (K,): a blank, or the last label repeated.
@@ -339,7 +352,7 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
         index = {prefix: k for k, prefix in enumerate(prefixes)}
         parents = np.array([index.get(prefix[:-1], -1) if prefix else -1
                             for prefix in prefixes], dtype=np.int64)
-        kids = np.flatnonzero(parents >= 0)
+        kids = (parents >= 0).nonzero()[0]
         parents = parents[kids]
         j = ext_col[last[kids]]
         hit = j >= 0
@@ -356,7 +369,7 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
                      + bonus * length)
         ext_neg = -(ext_pnb + lm_weight * ext_lm
                     + bonus * (length + 1)[:, None])
-        keep_k = np.flatnonzero(keep_ok)
+        keep_k = keep_ok.nonzero()[0]
         ext_k, ext_j = np.nonzero(ext_ok)
         src = np.concatenate([keep_k, ext_k])
         col = np.concatenate([np.full(keep_k.size, -1), ext_j])
@@ -375,7 +388,7 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
         p_blank, p_nonblank = keep_pb[src], keep_pnb[src]
         lm_logp, length = lm_logp[src], length[src]
         last = last[src]
-        e = np.flatnonzero(col >= 0)
+        e = (col >= 0).nonzero()[0]
         if e.size:  # most frames of a peaked utterance extend nothing
             ek, ej = src[e], col[e]
             p_blank[e] = NEG_INF

@@ -45,11 +45,23 @@ streams, such as ``evaluation.sample``, makes a workspace with
 ``Network.workspace`` and passes it to every ``step``; untaped ``forward``
 makes one per call.  The workspace belongs to its caller, not to the
 network, so two threads may step one network, each through its own.
+
+A ``NetworkState`` is one (batch, width) float64 buffer with every layer's
+cells, per layer its memory cells m and then its activation h, in
+wiring-table order (``Network.state_layout``); its ``layers`` are a
+read-only mapping of views into it.  Taking rows, cloning and resetting
+rows are one numpy call each, and a decoder gathers its hypotheses' rows,
+and writes stepped rows back, in one call.  ``step`` gives each layer's
+``lstm_step`` its views of a new buffer to write (``out``) and copies the
+word layers' columns when no row ticks; ``forward`` carries per-layer
+states through its time loop and fills the final state's buffer once, at
+the end.  So every state they return owns its buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -224,20 +236,53 @@ def derive_clocks(ids, vocab: Vocabulary) -> np.ndarray:
     return np.stack([np.ones_like(word), word]).astype(np.uint8)
 
 
-@dataclass
-class NetworkState:
-    """Cloneable full-stack runtime state: one cell state per layer.  The
-    word module's delayed input is the feed-up layer's ``h`` here."""
+def _state_layout(defs: list[_LayerDef]) -> tuple:
+    """Where each layer's cells lie in a ``NetworkState`` buffer: per layer,
+    in wiring-table order, (name, m key, h key), the keys indexing its m
+    columns and then its h columns of a (batch, width) buffer."""
+    layout, start = [], 0
+    for d in defs:
+        mid, end = start + d.hidden, start + 2 * d.hidden
+        layout.append((d.name, (slice(None), slice(start, mid)),
+                       (slice(None), slice(mid, end))))
+        start = end
+    return tuple(layout)
 
-    layers: dict[str, LstmState]
+
+class NetworkState:
+    """Cloneable full-stack runtime state: one (batch, width) float64
+    buffer, ``buf``, that holds every layer's cells, per layer its memory
+    cells m and then its activation h, in the order of ``layout``
+    (``Network.state_layout``).  The word module's delayed input is the
+    feed-up layer's ``h`` here.
+
+    ``layers`` maps each layer's name to an ``LstmState`` of views into
+    ``buf``: read-only as a mapping, while writing into its arrays writes
+    the state.  Every state that ``Network`` returns owns its buffer."""
+
+    __slots__ = ("_buf", "layout", "_layers")
+
+    def __init__(self, buf: np.ndarray, layout: tuple):
+        self._buf, self.layout, self._layers = buf, layout, None
+
+    # Read-only, like ``layers``: the views are made of this buffer.
+    buf = property(lambda self: self._buf)
+
+    @property
+    def layers(self) -> MappingProxyType:
+        layers = self._layers
+        if layers is None:  # made on first use, then kept
+            b = self._buf
+            layers = self._layers = MappingProxyType(
+                {name: LstmState(b[m], b[h]) for name, m, h in self.layout})
+        return layers
 
     @property
     def batch(self) -> int:
-        h = next(iter(self.layers.values())).h
-        return h.shape[0]
+        return self._buf.shape[0]
 
     def clone(self) -> "NetworkState":
-        return NetworkState({k: v.copy() for k, v in self.layers.items()})
+        return NetworkState(self._buf.copy(), self.layout)
 
     def reset_where(self, mask) -> "NetworkState":
         """Zero every array on the batch rows where mask is true; a mask
@@ -246,10 +291,7 @@ class NetworkState:
         if m.shape != (self.batch,):
             raise DimensionError(f"a mask of shape {m.shape} for a state of "
                                  f"{self.batch} rows")
-        m = m[:, None]
-        return NetworkState({k: LstmState(np.where(m, 0.0, v.m),
-                                          np.where(m, 0.0, v.h))
-                             for k, v in self.layers.items()})
+        return NetworkState(np.where(m[:, None], 0.0, self._buf), self.layout)
 
     def take(self, rows) -> "NetworkState":
         """A new state of the given batch rows, in order (copies); no rows
@@ -264,11 +306,16 @@ class NetworkState:
                                  f"rows in [0, {self.batch}), got {rows!r}")
         return self._take(rows)
 
-    def _take(self, rows: np.ndarray) -> "NetworkState":
+    def _take(self, rows: np.ndarray, out: Optional[np.ndarray] = None
+              ) -> "NetworkState":
         """``take`` without its checks, for rows a caller built itself: a
-        1-D integer array of rows in [0, batch)."""
-        return NetworkState({k: LstmState(v.m[rows], v.h[rows])
-                             for k, v in self.layers.items()})
+        1-D integer array of rows in [0, batch).  With ``out``, a buffer
+        of at least as many rows and of this state's width that shares no
+        memory with it, the state is gathered into out's leading rows."""
+        if out is None:
+            return NetworkState(self._buf[rows], self.layout)
+        return NetworkState(np.take(self._buf, rows, axis=0, mode="clip",
+                                    out=out[:rows.size]), self.layout)
 
 
 @dataclass
@@ -354,6 +401,13 @@ class Network:
         self.spec = spec
         self.layer_defs = _layer_defs(spec)
         self.defs = {d.name: d for d in self.layer_defs}
+        self.state_layout = _state_layout(self.layer_defs)
+        self.state_width = 2 * sum(d.hidden for d in self.layer_defs)
+        # The state columns of the word layers, which the wiring table
+        # lists after the character layers; None without a word module.
+        chars = 2 * sum(d.hidden for d in self.layer_defs if d.level == 1)
+        self._word_cols = ((slice(None), slice(chars, None))
+                           if chars < self.state_width else None)
         self.output_layer = [d.name for d in self.layer_defs
                              if d.level == 1][-1]
         # Per-step processing order: the word module steps first, so the
@@ -368,6 +422,9 @@ class Network:
         self._ticks = self._table.any(axis=1)
         # The per-token sources' tables, by source kind.
         self._tokens = {"onehot": self._onehot, "indicator": self._table}
+        # Per id stepped alone, its table rows and word clock, made on
+        # first use (``step``).
+        self._one_id: dict[int, tuple] = {}
         self.flat = np.zeros(
             sum(LstmParams.size(d.input_dim, d.hidden)
                 for d in self.layer_defs)
@@ -425,8 +482,8 @@ class Network:
     # -- running -----------------------------------------------------------
 
     def init_state(self, batch: int = 1) -> NetworkState:
-        return NetworkState({d.name: LstmState.zeros(d.hidden, batch)
-                             for d in self.layer_defs})
+        return NetworkState(np.zeros((batch, self.state_width)),
+                            self.state_layout)
 
     def workspace(self, batch: int) -> "StepWorkspace":
         """Scratch buffers for untaped steps of up to ``batch`` rows, for
@@ -435,10 +492,22 @@ class Network:
         check_count("batch", batch, 0)
         return StepWorkspace(self.defs, int(batch))
 
-    def _run_step(self, states: dict, batch: int, char, word, slot,
-                  tokens: Optional[dict] = None) -> dict:
+    def _check_state(self, state: NetworkState, rows: int) -> None:
+        """Raise DimensionError unless the state has ``rows`` rows and this
+        network's width."""
+        if state.batch != rows:
+            raise DimensionError(f"{rows} id rows for a state of "
+                                 f"{state.batch} rows")
+        if state.buf.shape[1:] != (self.state_width,):
+            raise DimensionError("a state of another network's layers")
+
+    def _run_step(self, states, batch: int, char, word, slot,
+                  tokens: Optional[dict] = None, out=None) -> dict:
         """Advance every layer one step of ``batch`` rows; returns the new
-        states.  Character layers tick with ``char`` and reset under
+        states by layer name, written into the arrays of ``out``, a mapping
+        like ``NetworkState.layers``, when it is given (the cells of a
+        layer that computes no row are then the caller's to fill in).
+        Character layers tick with ``char`` and reset under
         ``word``'s flag, word layers tick with ``word``: (flag, rows) pairs
         from ``clock_rows``.  A layer computes only its clock's rows, into
         the tape that ``slot(name, n)`` gives for its n rows, with the views
@@ -453,7 +522,7 @@ class Network:
         "indicator" source its per-token table rows of the step's tokens,
         ``tokens[kind]``.  No probabilities are computed here: the callers
         pass the output layer's new ``h`` to ``_probs``."""
-        new_states = dict(states)
+        new_states = (states if out is None else out).copy()
         for d in self.step_order:
             (c, rows), r = (char, word[0]) if d.level == 1 else (word, False)
             # A layer that computes no row is never reset: the word clock
@@ -469,7 +538,8 @@ class Network:
                 else:
                     x[...] = take_rows(tokens[kind], rows)
             new_states[d.name], _ = lstm_step(
-                self.layers[d.name], tape.x, states[d.name], c, r, tape)
+                self.layers[d.name], tape.x, states[d.name], c, r, tape,
+                None if out is None else out[d.name])
         return new_states
 
     def _plan(self, ids: np.ndarray, masks: dict, clocks: dict,
@@ -556,10 +626,8 @@ class Network:
                 raise DimensionError("active mask shape must match ids")
 
         state = self.init_state(B) if state is None else state
-        if state.batch != B:
-            raise DimensionError(f"{B} id rows for a state of {state.batch} "
-                                 "rows")
-        states = dict(state.layers)
+        self._check_state(state, B)
+        states = state.layers
         # Per step, the character clock is the active column and the word
         # clock its boundary rows.  The indicator is not masked: the word
         # layers compute only rows whose word clock is high.
@@ -583,11 +651,12 @@ class Network:
         # every active position of the window.
         probs_out = np.zeros((B, T, self.spec.vocab_size))
         probs_out[active] = self._probs(top_h[active])
-        if collect_tape:
-            # The memory cells are views into the windows: copy them, so
-            # the state carried on does not keep the tape alive.
-            states = {k: LstmState(v.m.copy(), v.h) for k, v in states.items()}
-        final = NetworkState(states)
+        # One copy into the final state's own buffer: a taped forward's
+        # memory cells are views into its windows, and a layer that never
+        # stepped is still the input state's.
+        final = NetworkState(np.concatenate(
+            [a for cell in states.values() for a in (cell.m, cell.h)],
+            axis=1), self.state_layout)
         if single:
             return probs_out[0], final, tape
         return probs_out, final, tape
@@ -610,7 +679,7 @@ class Network:
         it is omitted: a caller that steps many times passes one and saves
         its allocations.  The given state is never mutated, so callers may
         branch a hypothesis from it, and the returned state owns its
-        arrays: later steps through the same workspace leave it as it is.
+        buffer: later steps through the same workspace leave it as it is.
         An id that is not an integer, or lies outside the vocabulary,
         raises ConfigError; ids of more than one dimension, a state of
         another batch size, or a workspace of fewer rows or of another
@@ -618,18 +687,22 @@ class Network:
         """
         ids = _check_ids(ids, self.spec.vocab_size)
         one = isinstance(ids, int) or ids.ndim == 0
-        if one:  # a slice reads the per-token tables without a gather
-            tick = bool(self._ticks[ids])
-            word, ids = (tick, tick), slice(ids, ids + 1)
+        if one:  # slices read the per-token tables without a gather
+            ids = int(ids)
+            got = self._one_id.get(ids)
+            if got is None:
+                tick = bool(self._ticks[ids])
+                got = self._one_id[ids] = (
+                    {kind: table[ids:ids + 1]
+                     for kind, table in self._tokens.items()}, (tick, tick))
+            tokens, word = got
         elif ids.ndim != 1:
             raise DimensionError("step takes one id or a (batch,) id array")
         else:
             word = clock_rows(self._ticks[ids], ids.shape)
-        tokens = {kind: table[ids] for kind, table in self._tokens.items()}
+            tokens = {kind: table[ids] for kind, table in self._tokens.items()}
         B = tokens["onehot"].shape[0]
-        if state.batch != B:
-            raise DimensionError(f"{B} id rows for a state of {state.batch} "
-                                 "rows")
+        self._check_state(state, B)
         if workspace is None:
             workspace = self.workspace(B)
         elif workspace.batch < B:
@@ -637,10 +710,14 @@ class Network:
                                  f"a step of {B}")
         elif workspace.defs is not self.defs and workspace.defs != self.defs:
             raise DimensionError("a workspace of another network's layers")
-        states = self._run_step(dict(state.layers), B, (True, True), word,
-                                workspace.slot, tokens)
+        new = NetworkState(np.empty((B, self.state_width)), self.state_layout)
+        if word[1] is False and self._word_cols is not None:
+            # No row ticks: the word layers keep their cells.
+            new.buf[self._word_cols] = state.buf[self._word_cols]
+        states = self._run_step(state.layers, B, (True, True), word,
+                                workspace.slot, tokens, new.layers)
         probs = self._probs(states[self.output_layer].h)
-        return (probs[0] if one else probs), NetworkState(states)
+        return (probs[0] if one else probs), new
 
     def backward(self, tape: WindowTape, d_logits) -> Blocks:
         """Reverse-mode gradients of a taped forward run.

@@ -335,10 +335,10 @@ class TestInterWordBottleneck:
         hist2 = random_sequence(vocab, rng, length=9)[:-1]
         _, s1, _ = net.forward(hist1)
         _, s2, _ = net.forward(hist2)
-        s2.layers["word1"] = s1.layers["word1"].copy()
-        s2.layers["word2"] = s1.layers["word2"].copy()
-        s2.layers["char2"] = LstmState(s2.layers["char2"].m.copy(),
-                                       s1.layers["char2"].h.copy())
+        for name in ("word1", "word2"):
+            s2.layers[name].m[...] = s1.layers[name].m
+            s2.layers[name].h[...] = s1.layers[name].h
+        s2.layers["char2"].h[...] = s1.layers["char2"].h
         assert not np.array_equal(s1.layers["char2"].m, s2.layers["char2"].m)
         assert not np.array_equal(s1.layers["char1"].h, s2.layers["char1"].h)
 
@@ -402,6 +402,42 @@ class TestWiring:
         taken.layers["char1"].h[...] = 0.0  # a copy, not a view
         assert np.any(state.layers["char1"].h != 0)
 
+    def test_layers_are_read_only_views_of_the_buffer(self, vocab):
+        state = build_network(tiny_spec(vocab, "hlstm_b")).init_state(2)
+        with pytest.raises(TypeError):
+            state.layers["char1"] = state.layers["char2"]
+        state.layers["word1"].h[1] = 2.5
+        state.layers["word1"].m[0] = -1.0
+        H = state.layers["word1"].h.shape[1]
+        assert state.buf.shape == (2, 8 * H)
+        # word1 is the third layer: its m, then its h, after char1's and
+        # char2's cells
+        assert np.array_equal(state.buf[1, 5 * H:6 * H], np.full(H, 2.5))
+        assert np.array_equal(state.buf[0, 4 * H:5 * H], np.full(H, -1.0))
+        assert np.count_nonzero(state.buf) == 2 * H
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_new_states_own_their_memory(self, vocab, variant):
+        """A step (a character, <w>, or a row of each) and a forward,
+        taped or not and of no or one character, return a state whose
+        buffer shares no memory with the input state's: a character
+        leaves the word layers as they were, in a copy."""
+        net = build_network(tiny_spec(vocab, variant), rng_seed=3)
+        ids = random_sequence(vocab, np.random.default_rng(4), 8)
+        _, old, _ = net.forward(ids)
+        a, w = vocab.id_of("a"), vocab.word_boundary_id
+        for tok in (a, w):
+            _, new = net.step(old, tok)
+            assert not np.shares_memory(new.buf, old.buf)
+        two = old.take([0, 0])
+        _, new = net.step(two, np.array([a, w]))
+        assert not np.shares_memory(new.buf, two.buf)
+        for window in ([a], []):
+            for taped in (False, True):
+                _, new, _ = net.forward(np.array(window, dtype=np.int64),
+                                        state=old, collect_tape=taped)
+                assert not np.shares_memory(new.buf, old.buf)
+
     @pytest.mark.parametrize("rows", [[True, False, True], [-1], [0.5],
                                       [3], [5], [[0, 1]], 1])
     def test_state_take_rejects_rows_it_cannot_take(self, vocab, rows):
@@ -417,10 +453,39 @@ ABC_TOKENS = st.integers(0, VOCAB_ABC.size - 1)
 
 
 def _stack_states(states):
-    return NetworkState(
-        {k: LstmState(np.concatenate([s.layers[k].m for s in states]),
-                      np.concatenate([s.layers[k].h for s in states]))
-         for k in states[0].layers})
+    return NetworkState(np.concatenate([s.buf for s in states]),
+                        states[0].layout)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), batch=st.integers(1, 5),
+       rows=st.lists(st.integers(0, 4), max_size=8), mask=st.lists(
+           st.booleans(), min_size=5, max_size=5),
+       seed=st.integers(0, 2**31 - 1))
+@example(variant="hlstm_b", batch=3, rows=[2, 0, 2, 2], mask=[True] * 5,
+         seed=0)
+@example(variant="mono", batch=1, rows=[], mask=[False] * 5, seed=1)
+def test_state_operations_equal_per_layer_operations(variant, batch, rows,
+                                                     mask, seed):
+    """``take`` (repeated rows and no rows included), ``clone`` and
+    ``reset_where``, one call on the state's buffer each, equal the same
+    operation on every layer's m and h bit for bit, and return states of
+    their own memory."""
+    net = STEP_NETS[variant]
+    state = net.init_state(batch)
+    state.buf[...] = np.random.default_rng(seed).normal(size=state.buf.shape)
+    rows = np.array([k for k in rows if k < batch], dtype=np.int64)
+    mask = np.array(mask[:batch])
+    got = {"take": state.take(rows), "clone": state.clone(),
+           "reset_where": state.reset_where(mask)}
+    want = {"take": lambda a: a[rows], "clone": lambda a: a.copy(),
+            "reset_where": lambda a: np.where(mask[:, None], 0.0, a)}
+    for op, new in got.items():
+        assert new.layout is state.layout
+        assert not np.shares_memory(new.buf, state.buf)
+        for name, cell in state.layers.items():
+            _same_bits(new.layers[name].m, want[op](cell.m))
+            _same_bits(new.layers[name].h, want[op](cell.h))
 
 
 def _assert_close(got, want):
@@ -727,6 +792,18 @@ def test_a_stepped_state_owns_its_arrays(variant, first):
         _, state = net.step(state, tok, workspace)
     for got, want in zip(_cells(kept), _cells(snapshot)):
         _same_bits(got, want)
+
+
+def test_step_and_forward_reject_a_state_of_another_network():
+    net = STEP_NETS["hlstm_b"]
+    wider = build_network(tiny_spec(VOCAB_ABC, "hlstm_b", 4))
+    for other in (STEP_NETS["mono"], wider):
+        state = other.init_state(2)
+        for ids in ([0, 1], [3, 4]):  # characters, then boundaries
+            with pytest.raises(DimensionError, match="another network"):
+                net.step(state, np.array(ids))
+            with pytest.raises(DimensionError, match="another network"):
+                net.forward(np.array([ids]).T, state=state)
 
 
 def test_step_rejects_a_workspace_it_cannot_use():

@@ -20,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hrnnlm.cells import (LstmParams, LstmState, init_lstm_params,
-                          lstm_backward_step, lstm_step, lstm_window_grads)
+from hrnnlm.cells import (LstmParams, LstmState, LstmWindow, init_lstm_params,
+                          lstm_backward_step, lstm_step, lstm_window_grads,
+                          scratch_tape)
 from hrnnlm.corpus import build_vocab, tokenize
-from hrnnlm.errors import NumericError
+from hrnnlm.errors import DimensionError, NumericError
 from hrnnlm.hierarchy import VARIANTS, Network, NetworkSpec, build_network
 from hrnnlm.training import (OptimizerState, TrainConfig,
                              adadelta_nesterov_update, clip_gradients)
@@ -255,6 +256,75 @@ def test_packed_kernel_equals_per_gate_kernel(D, H, batch, clock, reset,
         _close_to_scale(packed_blocks[name], want, g_scale[name])
     if not g_want:
         assert tape.window is None and not packed.flat.any()
+
+
+def _tape(kind, D, H, batch, rows):
+    """A tape of ``kind`` for a step that computes ``rows`` rows: none (the
+    step makes a window), a one-slot window, or a scratch tape."""
+    if kind == "none" or rows == 0:
+        return None
+    if kind == "window":
+        return LstmWindow(D, H, [rows]).slot(0, single=batch is None)
+    return scratch_tape(D, H, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(D=st.integers(1, 5), H=st.integers(1, 5),
+       batch=st.one_of(st.none(), st.integers(1, 5)),
+       clock=st.sampled_from(MODES), reset=st.sampled_from(MODES),
+       tape=st.sampled_from(["none", "window", "scratch"]),
+       seed=st.integers(0, 2**31 - 1))
+@example(D=3, H=4, batch=1, clock="high", reset="low", tape="scratch",
+         seed=0)
+@example(D=3, H=4, batch=1, clock="high", reset="high", tape="window",
+         seed=0)
+@example(D=2, H=3, batch=5, clock="high", reset="mixed", tape="scratch",
+         seed=1)
+@example(D=2, H=3, batch=4, clock="mixed", reset="mixed", tape="window",
+         seed=2)
+@example(D=2, H=3, batch=4, clock="mixed", reset="low", tape="scratch",
+         seed=5)
+@example(D=2, H=3, batch=4, clock="low", reset="high", tape="none", seed=3)
+@example(D=3, H=2, batch=None, clock="high", reset="low", tape="window",
+         seed=4)
+def test_step_into_out_equals_step(D, H, batch, clock, reset, tape, seed):
+    """``lstm_step(..., out=s)`` writes into s, strided views of a wider
+    buffer, the bits that the step without ``out`` returns, and returns s
+    itself: for full and partial clocks, no, partial and full resets,
+    one-row batches and unbatched states, through every kind of tape.
+    The input state and the buffer's other columns are left as they
+    were."""
+    if batch is None and tape == "scratch":
+        tape = "window"  # a scratch tape has batch rows
+    rng = np.random.default_rng(seed)
+    params = init_lstm_params(D, H, rng, scale=0.8)
+    shape = (H,) if batch is None else (batch, H)
+    x = rng.normal(size=shape[:-1] + (D,))
+    state = LstmState(rng.normal(size=shape), rng.normal(size=shape))
+    before = state.copy()
+    c, r = _flags(clock, batch, rng), _flags(reset, batch, rng)
+    rows = int(np.count_nonzero(c)) if batch is not None else int(c)
+    want, _ = lstm_step(params, x, state, c, r, _tape(tape, D, H, batch, rows))
+    wide = rng.normal(size=shape[:-1] + (3 * H + 2,))
+    junk = wide.copy()
+    out = LstmState(wide[..., 1:H + 1], wide[..., 2 * H + 2:])
+    got, _ = lstm_step(params, x, state, c, r, _tape(tape, D, H, batch, rows),
+                       out=out)
+    assert got is out
+    for a, b in ((got.m, want.m), (got.h, want.h), (state.m, before.m),
+                 (state.h, before.h)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    cols = np.r_[0, H + 1:2 * H + 2]
+    assert wide[..., cols].tobytes() == junk[..., cols].tobytes()
+
+
+def test_step_rejects_out_of_another_shape():
+    rng = np.random.default_rng(0)
+    params = init_lstm_params(2, 3, rng)
+    state = LstmState(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match="out arrays"):
+        lstm_step(params, np.zeros((2, 2)), state,
+                  out=LstmState(np.zeros((1, 3)), np.zeros((1, 3))))
 
 
 # Beyond this pre-activation a gate is 0 or 1 exactly: sigmoid(z) =

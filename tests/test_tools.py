@@ -118,8 +118,10 @@ def test_stepab_cases(monkeypatch):
         "train H64": "ms/call", "fwd H16": "ms/call", "fwd H64": "ms/call",
         "bpc H64": "ms/call",
         "sample H64": "us/char", "beam16 H64": "ms/frame",
-        "beam512 H64": "ms/frame"}
+        "beam512 H64": "ms/frame", "take K16": "us/call",
+        "take K512": "us/call"}
     assert cases["train H16"][1]() > 0.0
+    assert cases["take K16"][1]() > 0.0
     assert cases["fwd H16"][1]() > 0.0
     assert cases["sample H64"][1]() > 0.0
     assert cases["beam16 H64"][1]() > 0.0

@@ -25,7 +25,12 @@ even blocks and the change first in odd ones:
 * ``beam16 H64``, ``beam512 H64``: one ``decoding.beam_search`` call at
   beam 16 or 512 over a fixed 8-word utterance of the text's words, whose
   posteriors ``bench/inputs.py`` makes as it makes the ``decode``
-  workload's, in ms per frame.
+  workload's, in ms per frame;
+* ``take K16``, ``take K512``: the state work of a beam frame, without
+  the step: one ``NetworkState.take`` of K rows (seeded, repeats
+  included) of an H 64 state, and the write-back of a K/2-row state into
+  every other row of the result, as the side's decoder writes stepped
+  rows back, in µs per call.
 
 One line per case is printed: each side's median and 10th percentile, the
 ratio of the medians (change / parent; above 1 is slower) and the blocks
@@ -55,6 +60,7 @@ TEXT = ("the quick brown fox jumps over the lazy dog\n"
 SIZES = (16, 64)
 SAMPLE_CHARS = 500
 BEAMS = (16, 512)
+TAKES = {16: 400, 512: 20}  # rows taken: calls per timed block
 TRAIN_BATCH = {16: 2, 64: 1}
 TRAIN_WINDOW = 64
 
@@ -143,7 +149,35 @@ def cases(hr) -> dict:
             hr.decoding.beam_search(post, net, vocab, config)
             return (time.perf_counter() - t0) / post.frames * 1e3
         out[f"beam{beam} H{SIZES[-1]}"] = ("ms/frame", decode)
+
+    for K, calls in TAKES.items():
+        state = net.init_state(K)
+        rng = np.random.default_rng(K)
+        for cell in state.layers.values():
+            cell.m[...] = rng.normal(size=cell.m.shape)
+            cell.h[...] = rng.normal(size=cell.h.shape)
+        rows, half = rng.integers(0, K, K), np.arange(0, K, 2)
+        stepped = state.take(half)
+
+        def take(state=state, rows=rows, half=half, stepped=stepped,
+                 calls=calls):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                write_back(state.take(rows), half, stepped)
+            return (time.perf_counter() - t0) / calls * 1e6
+        out[f"take K{K}"] = ("us/call", take)
     return out
+
+
+def write_back(state, rows, stepped) -> None:
+    """Write the rows of ``stepped`` into ``rows`` of ``state`` as that
+    side's ``beam_search`` does: one buffer, or a layer at a time."""
+    if hasattr(state, "buf"):
+        state.buf[rows] = stepped.buf
+        return
+    for name, cell in stepped.layers.items():
+        state.layers[name].m[rows] = cell.m
+        state.layers[name].h[rows] = cell.h
 
 
 def summarize(parent: list, change: list) -> dict:
