@@ -11,6 +11,27 @@ the symbols alone decide its mode and boundary ids:
 * ``byte``: the fixed layout of the 256 byte values, then ``<s>`` as id
   256; the word boundary is byte 0x20.
 
+Tokenization reads the whole text in a few array passes, not a character
+at a time.  The text is encoded once to code points (UTF-32, with
+``surrogatepass`` so that a lone surrogate is a character like any other),
+and one lookup in the vocabulary's code-point table maps each code point to
+its id or its class: whitespace, ``\n``, past the table, or out of
+vocabulary.  A char table holds the ids; the byte table holds the code
+points themselves.  A table covers Latin-1, and a char table grows to its
+largest symbol below U+10000.  A last slot catches every code point past
+the table; a sorted search over the whitespace and symbols past it
+resolves those, and one that is neither is out of vocabulary (char mode)
+or itself (byte mode, where a surrogate is out of vocabulary: it has no
+UTF-8).  Two masked compactions then lay the text out: the first keeps,
+of each whitespace run, only a last one that precedes a character; the
+second keeps those that also follow one.  What is left holds the
+characters, one ``<w>`` between words and one ``<s>`` per line end (a
+text without a final ``\n`` gets one).  Byte mode writes that layout back
+as text, spaces and newlines for the boundaries, and encodes it to UTF-8
+once.  One id array comes out, cut at its ``<s>`` positions into lines;
+each line's word count is its ``<w>`` count, plus one if it holds a
+character, plus one for its ``<s>``.
+
 Everything here is a pure function over immutable inputs.
 """
 
@@ -20,6 +41,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +53,15 @@ SENTENCE_BOUNDARY = "<s>"
 
 _BYTE_SYMBOLS = tuple(chr(i) for i in range(256)) + (SENTENCE_BOUNDARY,)
 
-_WORD_RE = re.compile(r"\S+")
+# What a code-point table holds besides ids; every class is below every id.
+_WS, _NL, _FAR, _OOV = -1, -2, -3, -4
+# Whitespace as str.isspace (and so str.split) sees it, each code point
+# with its class; Unicode has none from U+3001 on.
+_SPACE_END = 0x3001
+_SPACE_CLASSES = {c: _WS for c in range(_SPACE_END) if chr(c).isspace()}
+_SPACE_CLASSES[0x0A] = _NL
+_TABLE_MIN = 0x100  # every code-point table covers Latin-1
+_TABLE_CAP = 0x10000  # char symbols from here on are found by search
 # A backslash, then a backslash or x/u/U and exactly 2/4/8 hex digits; a
 # backslash followed by anything else matches with group 1 unset.
 _ESCAPE_RE = re.compile(
@@ -96,6 +126,34 @@ class Vocabulary:
     def boundary_ids(self) -> tuple[int, int]:
         return (self.word_boundary_id, self.sentence_boundary_id)
 
+    @cached_property
+    def _code_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(table, far codes, far values): the code-point table of the module
+        docstring, then the code points past it that are whitespace or
+        symbols, sorted, and what each one maps to."""
+        values = {} if self.mode == "byte" else {
+            ord(s): i for i, s in enumerate(self.symbols) if len(s) == 1}
+        end = max([_TABLE_MIN] + [c + 1 for c in values if c < _TABLE_CAP])
+        values.update(_SPACE_CLASSES)
+        if self.mode == "byte":
+            table = np.arange(end + 1, dtype=np.int32)
+        else:
+            table = np.full(end + 1, _OOV, np.int32)
+        near = [c for c in values if c < end]
+        table[near] = [values[c] for c in near]
+        far = sorted(c for c in values if c >= end)
+        table[end] = _FAR if self.mode == "byte" or far else _OOV
+        return (table, np.array(far, dtype=np.int64),
+                np.array([values[c] for c in far], dtype=np.int32))
+
+    @cached_property
+    def _texts(self) -> np.ndarray:
+        """Per id, its text in a char-mode detokenize: the symbol, or a
+        space for <w> and a newline for <s>."""
+        texts = np.array(self.symbols, dtype=object)
+        texts[[self.word_boundary_id, self.sentence_boundary_id]] = [" ", "\n"]
+        return texts
+
 
 @dataclass
 class TokenSequence:
@@ -115,15 +173,12 @@ class TokenSequence:
         if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
             raise DataError("token id outside vocabulary range")
         wb, sb = vocab.boundary_ids
-        n_words = int(np.sum(ids == sb))
-        in_run = False
-        for i in ids:
-            if i == wb or i == sb:
-                in_run = False
-            elif not in_run:
-                n_words += 1
-                in_run = True
-        return cls(ids=ids, n_words=n_words)
+        word = (ids != wb) & (ids != sb)
+        # a word starts where a non-boundary token follows a boundary or
+        # opens the sequence
+        n_words = (np.count_nonzero(ids == sb) + np.count_nonzero(word[:1])
+                   + np.count_nonzero(word[1:] > word[:-1]))
+        return cls(ids=ids, n_words=int(n_words))
 
     @property
     def n_chars(self) -> int:
@@ -151,83 +206,118 @@ def build_vocab(text: str, mode: str = "char") -> Vocabulary:
         return byte_vocab()
     if mode != "char":
         raise ConfigError(f"unknown vocabulary mode {mode!r}")
-    chars = sorted({c for c in text if not c.isspace()})
+    codes = _code_points(text)
+    seen = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
+    seen[codes] = True
+    chars = [c for c in map(chr, np.flatnonzero(seen).tolist())
+             if not c.isspace()]
     if not chars:
         raise EmptyCorpusError("corpus contains no non-whitespace characters")
     return Vocabulary(chars + [WORD_BOUNDARY, SENTENCE_BOUNDARY])
 
 
-def _line_ids(line: str, vocab: Vocabulary, line_no: int) -> list[int]:
+def _code_points(text: str) -> np.ndarray:
+    """The text's code points, a lone surrogate included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
+def _oov_error(codes: np.ndarray, i: int, lines: bool) -> OovError:
+    """The error for the out-of-vocabulary character at index i."""
+    line_no, off = 1, i
+    if lines:
+        breaks = np.flatnonzero(codes[:i] == 0x0A)
+        if breaks.size:
+            line_no, off = breaks.size + 1, i - int(breaks[-1]) - 1
+    return OovError(f"character {chr(codes[i])!r} at line {line_no}, "
+                    f"offset {off} is not in the vocabulary")
+
+
+def _encode(text: str, vocab: Vocabulary, lines: bool = True):
+    """(ids, ends, n_words) of text, in the passes of the module docstring.
+
+    ``ends`` indexes each line's <s> in ``ids`` and ``n_words`` holds each
+    line's word count.  ``lines=False`` reads ``\\n`` as whitespace and
+    ends no line, so ``ids`` holds no <s>.
+    """
+    table, far_codes, far_values = vocab._code_table
+    codes = _code_points(text)
+    n = codes.size
+    close = lines and not text.endswith("\n")
+    vals = np.empty(n + close, dtype=np.int32)
+    vals[n:] = _NL
+    np.take(table, codes, out=vals[:n], mode="clip")
+    if vals.min(initial=0) <= _FAR:  # past the table, or out of vocabulary
+        far = np.flatnonzero(vals[:n] == _FAR)
+        c = codes[far]
+        k = np.searchsorted(far_codes, c).clip(max=far_codes.size - 1)
+        # not found: out of vocabulary, or in byte mode the code point
+        # itself unless it is a surrogate, which has no UTF-8
+        miss = (_OOV if vocab.mode == "char" else
+                np.where(c >> 11 == 0xD800 >> 11, _OOV, c))
+        vals[far] = np.where(far_codes[k] == c, far_values[k], miss)
+        oov = np.flatnonzero(vals == _OOV)
+        if oov.size:
+            raise _oov_error(codes, int(oov[0]), lines)
+    if not lines:
+        vals[vals == _NL] = _WS
+    keep = vals != _WS
+    keep[:-1] |= vals[1:] >= 0  # a run's last whitespace, before a character
+    vals = vals[keep]
+    keep = vals != _WS
+    keep[1:] |= vals[:-1] >= 0  # ... that also follows one: a word boundary
+    vals = vals[keep]
+    wbs = np.flatnonzero(vals == _WS)
+    ends = np.flatnonzero(vals == _NL)
+    filled = np.diff(ends, prepend=-1) > 1
+    n_words = np.diff(np.searchsorted(wbs, ends), prepend=0) + filled + 1
     wb, sb = vocab.boundary_ids
-    ids: list[int] = []
     if vocab.mode == "byte":
-        normalized = " ".join(line.split())
-        ids.extend(normalized.encode("utf-8"))
+        vals[wbs], vals[ends] = 0x20, 0x0A
+        data = np.frombuffer(vals.astype("<u4").tobytes().decode("utf-32-le")
+                             .encode("utf-8"), dtype=np.uint8)
+        ids = data.astype(np.int64)
+        ends = np.flatnonzero(data == 0x0A)
     else:
-        first = True
-        for m in _WORD_RE.finditer(line):
-            if not first:
-                ids.append(wb)
-            first = False
-            for off, ch in enumerate(m.group(), start=m.start()):
-                if ch not in vocab:
-                    raise OovError(
-                        f"character {ch!r} at line {line_no}, offset {off} "
-                        "is not in the vocabulary")
-                ids.append(vocab.id_of(ch))
-    ids.append(sb)
-    return ids
-
-
-def _split_text_lines(text: str) -> list[str]:
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()  # trailing newline, not an empty final line
-    return lines
+        ids = vals.astype(np.int64)
+        ids[wbs] = wb
+    ids[ends] = sb
+    return ids, ends, n_words
 
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Tokenize text (possibly multi-line) into a single id sequence.
 
     Whitespace runs inside a line become one <w>; every line ends with one
-    <s>.  Leading and trailing whitespace on a line is dropped.
+    <s>.  Leading and trailing whitespace on a line is dropped.  A
+    character outside the vocabulary raises OovError naming it, its line
+    and its offset in that line.
     """
-    ids: list[int] = []
-    for n, line in enumerate(_split_text_lines(text), start=1):
-        ids.extend(_line_ids(line, vocab, n))
-    return TokenSequence.from_ids(ids, vocab)
+    ids, _, n_words = _encode(text, vocab)
+    return TokenSequence(ids=ids, n_words=int(n_words.sum()))
 
 
 def tokenize_lines(text: str, vocab: Vocabulary) -> list[TokenSequence]:
-    """Tokenize a corpus into one TokenSequence per line."""
-    return [TokenSequence.from_ids(_line_ids(line, vocab, n), vocab)
-            for n, line in enumerate(_split_text_lines(text), start=1)]
+    """Tokenize a corpus into one TokenSequence per line; each one's ids are
+    a view of one array."""
+    ids, ends, n_words = _encode(text, vocab)
+    stops = (ends + 1).tolist()
+    return [TokenSequence(ids=ids[a:b], n_words=n)
+            for a, b, n in zip([0] + stops, stops, n_words.tolist())]
 
 
 def tokenize_fragment(text: str, vocab: Vocabulary) -> list[int]:
     """Tokenize a prompt fragment: no <s> terminator, no line semantics."""
-    ids = _line_ids(text, vocab, 1)
-    return ids[:-1]
+    return _encode(text, vocab, lines=False)[0].tolist()
 
 
 def detokenize(ids, vocab: Vocabulary) -> str:
     """Inverse of tokenize up to whitespace normalization: <w> -> space,
     <s> -> newline."""
-    wb, sb = vocab.boundary_ids
+    ids = np.asarray(ids, dtype=np.intp)
     if vocab.mode == "byte":
-        out = bytearray()
-        for i in ids:
-            out.extend(b"\n" if i == sb else bytes([int(i)]))
-        return out.decode("utf-8", errors="replace")
-    parts = []
-    for i in ids:
-        if i == wb:
-            parts.append(" ")
-        elif i == sb:
-            parts.append("\n")
-        else:
-            parts.append(vocab.symbol_of(int(i)))
-    return "".join(parts)
+        data = np.where(ids == vocab.sentence_boundary_id, 0x0A, ids)
+        return bytes(data.tolist()).decode("utf-8", errors="replace")
+    return "".join(vocab._texts[ids])
 
 
 def split_heldout(sequences: list[TokenSequence],

@@ -1,3 +1,5 @@
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,10 +14,78 @@ from hrnnlm.corpus import (SENTENCE_BOUNDARY, WORD_BOUNDARY, Vocabulary,
                            split_heldout, tokenize, tokenize_lines,
                            unescape_symbol)
 from hrnnlm.errors import ConfigError, DataError, EmptyCorpusError, OovError
+from hrnnlm.evaluation import sample
 from hrnnlm.hierarchy import NetworkSpec, build_network
 from hrnnlm.training import load_checkpoint, save_checkpoint
 
 BYTE_SYMBOLS = tuple(chr(i) for i in range(256)) + (SENTENCE_BOUNDARY,)
+# Letters, an accent, a euro sign, and whitespace of every kind str.split
+# knows: ASCII, C0 separators, NEL, no-break space, line separator and the
+# ideographic space.
+WHITESPACE_ALPHABET = ("ab\u00e9\u20ac \t\n\r\x0b\x0c\x1c\x85"
+                       "\u00a0\u2028\u3000")
+
+_WORD_RE = re.compile(r"\S+")
+
+
+def reference_line_ids(line: str, vocab: Vocabulary, line_no: int) -> list:
+    """One line's ids, a character at a time: the tokenizer that the array
+    passes replaced, kept as their reference.  A lone surrogate, which has
+    no UTF-8, is out of a byte vocabulary."""
+    wb, sb = vocab.boundary_ids
+    ids = []
+    if vocab.mode == "byte":
+        for off, ch in enumerate(line):
+            if "\ud800" <= ch <= "\udfff":
+                raise OovError(f"character {ch!r} at line {line_no}, offset "
+                               f"{off} is not in the vocabulary")
+        ids.extend(" ".join(line.split()).encode("utf-8"))
+    else:
+        for k, m in enumerate(_WORD_RE.finditer(line)):
+            if k:
+                ids.append(wb)
+            for off, ch in enumerate(m.group(), start=m.start()):
+                if ch not in vocab:
+                    raise OovError(f"character {ch!r} at line {line_no}, "
+                                   f"offset {off} is not in the vocabulary")
+                ids.append(vocab.id_of(ch))
+    ids.append(sb)
+    return ids
+
+
+def reference_n_words(ids, vocab: Vocabulary) -> int:
+    """The counting rule a token at a time: runs of non-boundary tokens,
+    plus one per <s>."""
+    wb, sb = vocab.boundary_ids
+    n_words, in_run = 0, False
+    for i in ids:
+        n_words += i == sb
+        if i == wb or i == sb:
+            in_run = False
+        elif not in_run:
+            n_words += 1
+            in_run = True
+    return n_words
+
+
+def reference_lines(text: str, vocab: Vocabulary) -> list:
+    """(ids, n_words) per line of text, by the references above."""
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    out = []
+    for n, line in enumerate(lines, start=1):
+        ids = reference_line_ids(line, vocab, n)
+        out.append((ids, reference_n_words(ids, vocab)))
+    return out
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the DataError it raised."""
+    try:
+        return f(*args)
+    except DataError as e:
+        return type(e), str(e)
 
 
 class TestBuildVocab:
@@ -125,6 +195,89 @@ class TestTokenize:
         b = tokenize("some text here", v)
         assert np.array_equal(a.ids, b.ids)
 
+    @pytest.mark.parametrize("call", [tokenize, tokenize_lines])
+    def test_byte_mode_lone_surrogate_is_oov_error(self, call):
+        with pytest.raises(OovError, match=r"'\\ud800' at line 2, offset 3 "):
+            call("ok\nab \ud800 c", byte_vocab())
+
+    def test_byte_mode_sample_prime_with_lone_surrogate_is_oov_error(self):
+        v = byte_vocab()
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", v, 2))
+        with pytest.raises(OovError, match=r"'\\ud800' at line 1, offset 1 "):
+            sample(net, v, 3, prime="a\ud800")
+
+    def test_no_whitespace_from_space_end_on(self):
+        assert not any(chr(c).isspace()
+                       for c in range(corpus._SPACE_END, sys.maxunicode + 1))
+
+    def test_symbols_past_the_char_table_are_found(self):
+        v = build_vocab("a \U0001F600\U00010000")
+        assert tokenize("\U00010000 a\U0001F600", v).ids.tolist() == [
+            v.id_of("\U00010000"), v.word_boundary_id, v.id_of("a"),
+            v.id_of("\U0001F600"), v.sentence_boundary_id]
+        with pytest.raises(OovError, match="'\U0001F601' at line 1, offset 2"):
+            tokenize("a \U0001F601", v)
+
+    @pytest.mark.parametrize("vocab", [build_vocab("a\u4e00"), byte_vocab()])
+    def test_whitespace_on_either_side_of_the_table_end(self, vocab):
+        # a char table grown to U+4E00 holds U+3000 itself and leaves
+        # nothing to search past it; the byte table ends at U+00FF
+        text = "\u4e00\u3000a\u2028\u4e00\u0085a"
+        want = "\u4e00 a \u4e00 a\n"
+        assert detokenize(tokenize(text, vocab).ids, vocab) == want
+        if vocab.mode == "char":
+            with pytest.raises(OovError, match="'\U0001F600' at line 1, "
+                                               "offset 1"):
+                tokenize("a\U0001F600", vocab)
+
+
+class TestArrayPasses:
+    """The whole-text array passes equal the per-line reference."""
+
+    @pytest.mark.parametrize("mode", ["char", "byte"])
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.text(st.sampled_from(
+               WHITESPACE_ALPHABET.replace("\n", "") + "z\ud800\U0001F600"),
+               max_size=12), max_size=5),
+           final_newline=st.booleans(), surrogate_in_vocab=st.booleans())
+    @example(lines=[], final_newline=False, surrogate_in_vocab=False)
+    @example(lines=["", " \t", "a b"], final_newline=True,
+             surrogate_in_vocab=False)
+    def test_equals_per_line_reference(self, mode, lines, final_newline,
+                                       surrogate_in_vocab):
+        # "z" is out of the char vocabulary; U+1F600 lies past its table
+        text = "\n".join(lines) + "\n" * final_newline
+        if mode == "byte":
+            vocab = byte_vocab()
+        else:
+            vocab = build_vocab("ab\u00e9\u20ac\U0001F600"
+                                + "\ud800" * surrogate_in_vocab)
+        want = outcome(reference_lines, text, vocab)
+        got = outcome(lambda: [(s.ids.tolist(), s.n_words)
+                               for s in tokenize_lines(text, vocab)])
+        assert got == want
+        whole = outcome(lambda: (lambda s: (s.ids.tolist(), s.n_words))(
+            tokenize(text, vocab)))
+        if isinstance(want, list):
+            assert whole == ([i for ids, _ in want for i in ids],
+                             sum(n for _, n in want))
+        else:
+            assert whole == want
+        assert outcome(corpus.tokenize_fragment, text, vocab) == outcome(
+            lambda: reference_line_ids(text, vocab, 1)[:-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(st.sampled_from(
+        WHITESPACE_ALPHABET + "z\ud800\U0001F600")), st.text()))
+    def test_build_vocab_equals_set_reference(self, text):
+        chars = sorted({c for c in text if not c.isspace()})
+        if not chars:
+            with pytest.raises(EmptyCorpusError):
+                build_vocab(text)
+            return
+        assert build_vocab(text).symbols == (*chars, WORD_BOUNDARY,
+                                             SENTENCE_BOUNDARY)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("mode", ["char", "byte"])
@@ -144,6 +297,15 @@ class TestRoundTrip:
                      else build_vocab(text, mode))
             seq = tokenize(text, vocab)
             assert detokenize(seq.ids, vocab) == text
+
+    def test_byte_mode_boundary_and_invalid_utf8(self):
+        # <s> reads as a newline; a lead byte without its continuation, and
+        # a cut three-byte sequence, each read as U+FFFD
+        ids = [0x68, 0x69, 256, 0xC3, 0x28, 0xE2, 0x82, 256]
+        assert detokenize(ids, byte_vocab()) == "hi\n\ufffd(\ufffd\n"
+        assert detokenize(np.array(ids), byte_vocab()) == \
+            bytes([0x0A if i == 256 else i for i in ids]).decode(
+                "utf-8", errors="replace")
 
     def test_normalizes_extra_whitespace(self):
         v = build_vocab("a b")
@@ -368,6 +530,20 @@ class TestCounts:
         v = build_vocab("a b c")  # 5 symbols
         with pytest.raises(DataError, match="outside vocabulary"):
             corpus.TokenSequence.from_ids([0, bad, 1], v)
+
+    @pytest.mark.parametrize("symbols", [("a", "b", "c", "<w>", "<s>"),
+                                         ("<s>", "a", "<w>", "b")])
+    def test_from_ids_equals_the_loop(self, symbols):
+        v = Vocabulary(symbols)
+        rng = np.random.default_rng(7)
+        for n in range(40):
+            ids = rng.integers(0, v.size, size=n % 13)
+            seq = corpus.TokenSequence.from_ids(ids, v)
+            assert seq.n_words == reference_n_words(ids.tolist(), v)
+            assert seq.ids.dtype == np.int64
+        for ids in ([], [0], [v.size - 1], list(v.boundary_ids)):
+            assert corpus.TokenSequence.from_ids(ids, v).n_words == \
+                reference_n_words(ids, v)
 
     def test_n_chars_is_length(self):
         v = build_vocab("some words go here")

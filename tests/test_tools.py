@@ -119,12 +119,13 @@ def test_stepab_cases(monkeypatch):
         "bpc H64": "ms/call",
         "sample H64": "us/char", "beam16 H64": "ms/frame",
         "beam512 H64": "ms/frame", "take K16": "us/call",
-        "take K512": "us/call"}
+        "take K512": "us/call", "ingest": "ms/call"}
     assert cases["train H16"][1]() > 0.0
     assert cases["take K16"][1]() > 0.0
     assert cases["fwd H16"][1]() > 0.0
     assert cases["sample H64"][1]() > 0.0
     assert cases["beam16 H64"][1]() > 0.0
+    assert cases["ingest"][1]() > 0.0
 
 
 def test_stepab_summary(monkeypatch):

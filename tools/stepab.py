@@ -30,7 +30,10 @@ even blocks and the change first in odd ones:
   the step: one ``NetworkState.take`` of K rows (seeded, repeats
   included) of an H 64 state, and the write-back of a K/2-row state into
   every other row of the result, as the side's decoder writes stepped
-  rows back, in µs per call.
+  rows back, in µs per call;
+* ``ingest``: ``build_vocab`` and ``tokenize_lines`` over a fixed corpus
+  of about 1 MB, 6,000 lines of the overfit words that ``bench/inputs.py``'s
+  ``word_lines`` draws with seed 0, in ms per call.
 
 One line per case is printed: each side's median and 10th percentile, the
 ratio of the medians (change / parent; above 1 is slower) and the blocks
@@ -42,6 +45,7 @@ before it shows in ``bench/run.py``'s end-to-end rates.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import io
 import sys
@@ -63,11 +67,13 @@ BEAMS = (16, 512)
 TAKES = {16: 400, 512: 20}  # rows taken: calls per timed block
 TRAIN_BATCH = {16: 2, 64: 1}
 TRAIN_WINDOW = 64
+INGEST_LINES = 6000
 
 
-def utterance():
-    """(labels, probs) of a fixed 8-word utterance of TEXT's words, from
-    the benchmark's posterior generator (no bytecode is written there)."""
+@functools.cache
+def bench_inputs():
+    """The benchmark's input generators, ``bench/inputs.py`` (no bytecode
+    is written there)."""
     spec = importlib.util.spec_from_file_location(
         "bench_inputs", ROOT / "bench" / "inputs.py")
     inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
@@ -76,10 +82,24 @@ def utterance():
         spec.loader.exec_module(inputs)
     finally:
         sys.dont_write_bytecode = write
+    return inputs
+
+
+def utterance():
+    """(labels, probs) of a fixed 8-word utterance of TEXT's words, from
+    the benchmark's posterior generator."""
     chars = sorted(set(TEXT) - set(" \n"))
-    utt = inputs.make_utterance(np.random.default_rng(0),
-                                sorted(set(TEXT.split())), 8, chars)
+    utt = bench_inputs().make_utterance(np.random.default_rng(0),
+                                        sorted(set(TEXT.split())), 8, chars)
     return utt.labels, utt.probs
+
+
+@functools.cache
+def ingest_text() -> str:
+    """The ``ingest`` case's corpus: INGEST_LINES lines, about 1 MB."""
+    inputs = bench_inputs()
+    return inputs.word_lines(np.random.default_rng(0), inputs.OVERFIT_WORDS,
+                             inputs.uneven_lengths(INGEST_LINES, 4, 30))
 
 
 def import_parent(rev: str, into: str):
@@ -166,6 +186,12 @@ def cases(hr) -> dict:
                 write_back(state.take(rows), half, stepped)
             return (time.perf_counter() - t0) / calls * 1e6
         out[f"take K{K}"] = ("us/call", take)
+
+    def ingest(text=ingest_text()):
+        t0 = time.perf_counter()
+        hr.corpus.tokenize_lines(text, hr.corpus.build_vocab(text))
+        return (time.perf_counter() - t0) * 1e3
+    out["ingest"] = ("ms/call", ingest)
     return out
 
 
