@@ -32,12 +32,12 @@ survivor k), next to the matching log distributions.  Every frame starts
 the same way: one gather takes the survivors' rows, and the survivors
 that end in a label the LM has not read yet (on the first frame, the
 empty prefix with its pending word boundary) advance together by one
-batched Network.step through one workspace made per search; one scatter
-writes their new rows back.  So the LM runs at most beam_width rows per
-frame and never after the last.  The gathers write into three buffers
-made once per search, two that the survivors' rows alternate between and
-one for the rows to step.  The frames' width pruning and label log
-posteriors are tabulated once per search, before the first frame.
+batched Network.step; one scatter writes their new rows back.  So the LM
+runs at most beam_width rows per frame and never after the last.  The
+gathers write into three buffers made once per search, two that the
+survivors' rows alternate between and one for the rows to step.  The
+frames' width pruning and label log posteriors are tabulated once per
+search, before the first frame.
 With the benchmark's ``decode`` LM (hlstm_b, H=64) on its utterances, one
 thread of a 2-CPU x86-64 machine decodes about 4,700 frames/s at beam 16,
 2,400 at beam 64 and 550 at beam 512; 10 ms frames arrive at 100 per
@@ -276,6 +276,7 @@ def _select(neg: np.ndarray, width: int, prefix_of) -> np.ndarray:
 def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
                 config: Optional[DecodeConfig] = None) -> list[DecodeResult]:
     """Decode frame posteriors into a ranked transcript list."""
+    net.spec.check_vocab(vocab)
     if config is None:
         config = DecodeConfig()
     label_ids = map_labels(post.labels, vocab)
@@ -290,7 +291,6 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
     # frame's start.  The empty prefix starts on the zero state with a word
     # boundary pending, the only sequence start training exercises (streams
     # reset between sentences): the first word is scored like any other.
-    workspace = net.workspace(config.beam_width)
     # The arena's rows live in two buffers written in turn, and the rows
     # to step are gathered into a third: the gathers allocate nothing.
     arenas = np.empty((3, config.beam_width, net.state_width))
@@ -324,8 +324,7 @@ def beam_search(post: PosteriorMatrix, net: Network, vocab: Vocabulary,
         # The decoder builds src and e itself: its gathers skip take's checks.
         state, logprobs = state._take(src, arenas[t % 2]), logprobs[src]
         if pending.size:
-            probs, stepped = net.step(state._take(e, arenas[2]), pending,
-                                      workspace)
+            probs, stepped = net.step(state._take(e, arenas[2]), pending)
             state.buf[e] = stepped.buf
             with np.errstate(divide="ignore"):
                 logprobs[e] = np.log(probs)

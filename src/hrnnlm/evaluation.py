@@ -109,29 +109,30 @@ def sample(net: Network, vocab: Vocabulary, length: int, prime: str = "",
     distribution.  Tokens are drawn from softmax(log p / temperature),
     which must be finite and positive (else ConfigError).  A token is
     stepped only when a draw needs its distribution, so n tokens fed and
-    ``length`` draws take n - 1 + ``length`` ``Network.step`` calls, all
-    through one one-row workspace; each draw is the one
-    ``Generator.choice(len(p), p=p)`` would make, from the same stream of
-    ``default_rng(seed)``.  Clocks fall out of the emitted tokens
-    themselves, so word/sentence boundaries drive the word-level module
-    exactly as during scoring.  ``length``, the number
-    of tokens drawn after the prime, and ``seed`` must be integers of at
-    least 0 (else ConfigError).
+    ``length`` draws take n - 1 + ``length`` ``Network.step`` calls; each
+    draw is the one ``Generator.choice(len(p), p=p)`` would make, from the
+    same stream of ``default_rng(seed)``.  Clocks fall out of the emitted
+    tokens themselves, so word/sentence boundaries drive the word-level
+    module exactly as during scoring.  ``length``, the number of tokens
+    drawn after the prime, and ``seed`` must be integers of at least 0
+    (else ConfigError), and ``vocab`` must be the network's
+    (``NetworkSpec.check_vocab``).
     """
+    net.spec.check_vocab(vocab)
     check_count("length", length, 0)
     check_count("seed", seed, 0)
     check_real("temperature", temperature)
     if not 0.0 < temperature < math.inf:  # NaN too
         raise ConfigError("temperature must be finite and positive")
     rng = np.random.default_rng(seed)
-    state, workspace = net.init_state(1), net.workspace(1)
+    state = net.init_state(1)
     echo_ids = tokenize_fragment(prime, vocab) if prime else []
     *fed, tok = echo_ids if echo_ids else [vocab.word_boundary_id]
     for fed_tok in fed:
-        _, state = net.step(state, fed_tok, workspace)
+        _, state = net.step(state, fed_tok)
     out: list[int] = []
     for _ in range(length):
-        probs, state = net.step(state, tok, workspace)
+        probs, state = net.step(state, tok)
         tok = _draw(_distribution(probs, temperature), rng)
         out.append(tok)
     # echo the prime as tokenized, so its whitespace matches what was fed

@@ -40,11 +40,10 @@ source, so the loop only copies the "hidden" and "delay" sources and
 calls ``lstm_step``.  Steps that are not reversed run through a
 ``StepWorkspace`` instead: per layer, one step's scratch buffers, made
 once and written again by every step.  Taped forward, untaped forward and
-``step`` share that loop body, ``Network._run_step``.  A caller that
-streams, such as ``evaluation.sample``, makes a workspace with
-``Network.workspace`` and passes it to every ``step``; untaped ``forward``
-makes one per call.  The workspace belongs to its caller, not to the
-network, so two threads may step one network, each through its own.
+``step`` share that loop body, ``Network._run_step``.  The network keeps
+one workspace per thread for ``step`` (``Network._workspace``), of as
+many rows as the thread's largest step so far, so two threads may step
+one network at once; untaped ``forward`` makes one per call.
 
 A ``NetworkState`` is one (batch, width) float64 buffer with every layer's
 cells, per layer its memory cells m and then its activation h, in
@@ -60,6 +59,7 @@ the end.  So every state they return owns its buffer.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, asdict
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -173,6 +173,17 @@ class NetworkSpec:
                    hidden_dim=hidden_dim, layers_per_module=layers_per_module,
                    word_boundary_id=vocab.word_boundary_id,
                    sentence_boundary_id=vocab.sentence_boundary_id)
+
+    def check_vocab(self, vocab: Vocabulary) -> None:
+        """Raise ConfigError unless ``vocab`` fits this spec: its size and,
+        for a two-level variant, its boundary ids."""
+        if vocab.size != self.vocab_size:
+            raise ConfigError(f"a vocabulary of {vocab.size} symbols for a "
+                              f"network of {self.vocab_size}")
+        if self.variant != "mono" and vocab.boundary_ids != (
+                self.word_boundary_id, self.sentence_boundary_id):
+            raise ConfigError("the network and the vocabulary disagree on "
+                              "the boundary ids")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -345,16 +356,15 @@ def _input_views(tape: LstmTape, sources) -> list:
 
 
 class StepWorkspace:
-    """The scratch buffers of untaped steps of up to ``batch`` rows, owned
-    by the caller (``Network.workspace``).
+    """The scratch buffers of untaped steps of up to ``batch`` rows.
 
     Per layer it holds one ``scratch_tape`` of ``batch`` rows and, per
     smaller number of rows a step computes, a head of it, each made on
     first use and then kept, together with the views of the tape's x
     columns that the layer's input sources fill.  A scratch tape keeps
     no new memory cell, so the states that steps return never alias these
-    buffers: one workspace serves every step of its caller, one step at a
-    time.  ``defs`` is the network's wiring table, by layer name.
+    buffers: one workspace serves any number of steps, one at a time.
+    ``defs`` is the network's wiring table, by layer name.
     """
 
     def __init__(self, defs: dict[str, _LayerDef], batch: int):
@@ -425,6 +435,7 @@ class Network:
         # Per id stepped alone, its table rows and word clock, made on
         # first use (``step``).
         self._one_id: dict[int, tuple] = {}
+        self._local = threading.local()  # per thread, ``step``'s workspace
         self.flat = np.zeros(
             sum(LstmParams.size(d.input_dim, d.hidden)
                 for d in self.layer_defs)
@@ -485,12 +496,13 @@ class Network:
         return NetworkState(np.zeros((batch, self.state_width)),
                             self.state_layout)
 
-    def workspace(self, batch: int) -> "StepWorkspace":
-        """Scratch buffers for untaped steps of up to ``batch`` rows, for
-        ``step`` (see ``StepWorkspace``).  The caller owns it: each thread
-        stepping this network needs its own."""
-        check_count("batch", batch, 0)
-        return StepWorkspace(self.defs, int(batch))
+    def _workspace(self, rows: int) -> StepWorkspace:
+        """The calling thread's step workspace, replaced by one of exactly
+        ``rows`` rows when it has fewer (see the module docstring)."""
+        ws = getattr(self._local, "workspace", None)
+        if ws is None or ws.batch < rows:
+            ws = self._local.workspace = StepWorkspace(self.defs, rows)
+        return ws
 
     def _check_state(self, state: NetworkState, rows: int) -> None:
         """Raise DimensionError unless the state has ``rows`` rows and this
@@ -639,7 +651,7 @@ class Network:
             tape, slot = self._plan(ids, masks, clocks, top_h)
             tokens = [None] * T
         else:
-            tape, slot = None, self.workspace(B).slot
+            tape, slot = None, StepWorkspace(self.defs, B).slot
             rows = {kind: table[ids] for kind, table in self._tokens.items()}
             tokens = [{kind: a[:, t] for kind, a in rows.items()}
                       for t in range(T)]
@@ -661,8 +673,7 @@ class Network:
             return probs_out[0], final, tape
         return probs_out, final, tape
 
-    def step(self, state: NetworkState, ids,
-             workspace: Optional["StepWorkspace"] = None):
+    def step(self, state: NetworkState, ids):
         """One streaming step: (next-token probs, new state).
 
         With a (B,) id array, the state has B rows, each advanced by its
@@ -674,16 +685,13 @@ class Network:
         The word layers run only the boundary rows, and not at all when no
         id is a boundary.
 
-        The step runs through ``workspace``, a ``StepWorkspace`` of at
-        least B rows from ``workspace(batch)``, or through a new one when
-        it is omitted: a caller that steps many times passes one and saves
-        its allocations.  The given state is never mutated, so callers may
-        branch a hypothesis from it, and the returned state owns its
-        buffer: later steps through the same workspace leave it as it is.
-        An id that is not an integer, or lies outside the vocabulary,
-        raises ConfigError; ids of more than one dimension, a state of
-        another batch size, or a workspace of fewer rows or of another
-        network's layer shapes raise DimensionError.
+        The step runs through the calling thread's workspace (see the
+        module docstring).  The given state is never mutated, so callers
+        may branch a hypothesis from it, and the returned state owns its
+        buffer: later steps leave it as it is.  An id that is not an
+        integer, or lies outside the vocabulary, raises ConfigError; ids
+        of more than one dimension, or a state of another batch size or
+        of another network's layers, raise DimensionError.
         """
         ids = _check_ids(ids, self.spec.vocab_size)
         one = isinstance(ids, int) or ids.ndim == 0
@@ -703,19 +711,12 @@ class Network:
             tokens = {kind: table[ids] for kind, table in self._tokens.items()}
         B = tokens["onehot"].shape[0]
         self._check_state(state, B)
-        if workspace is None:
-            workspace = self.workspace(B)
-        elif workspace.batch < B:
-            raise DimensionError(f"a workspace of {workspace.batch} rows for "
-                                 f"a step of {B}")
-        elif workspace.defs is not self.defs and workspace.defs != self.defs:
-            raise DimensionError("a workspace of another network's layers")
         new = NetworkState(np.empty((B, self.state_width)), self.state_layout)
         if word[1] is False and self._word_cols is not None:
             # No row ticks: the word layers keep their cells.
             new.buf[self._word_cols] = state.buf[self._word_cols]
         states = self._run_step(state.layers, B, (True, True), word,
-                                workspace.slot, tokens, new.layers)
+                                self._workspace(B).slot, tokens, new.layers)
         probs = self._probs(states[self.output_layer].h)
         return (probs[0] if one else probs), new
 

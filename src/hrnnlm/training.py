@@ -527,17 +527,10 @@ def load_checkpoint(path) -> tuple[Network, Optional[Vocabulary]]:
                 if vocab.mode != v["mode"]:
                     raise DataError(f"mode {v['mode']!r} but the symbols "
                                     f"make a {vocab.mode} vocabulary")
+                spec.check_vocab(vocab)
             except (ConfigError, DataError, KeyError, TypeError) as e:
                 raise CheckpointError(
                     f"bad checkpoint vocabulary: {e}") from None
-            if vocab.size != spec.vocab_size:
-                raise CheckpointError(
-                    f"checkpoint vocabulary has {vocab.size} symbols, "
-                    f"network needs {spec.vocab_size}")
-            if spec.variant != "mono" and vocab.boundary_ids != (
-                    spec.word_boundary_id, spec.sentence_boundary_id):
-                raise CheckpointError("checkpoint network and vocabulary "
-                                      "disagree on the boundary ids")
         net = Network(spec, init_scale=0.0)  # zeroed; every block is read
         blocks = net.named_blocks()
         (n_blocks,) = struct.unpack("<I", read(4))

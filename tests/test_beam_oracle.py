@@ -185,9 +185,9 @@ def test_merges_under_pruning_match_eager_reference(beam_width):
 @pytest.mark.parametrize("beam_width", [1, 3, 8])
 @pytest.mark.parametrize("depth_prune", [None, 2])
 def test_lm_rows_bounded_by_beam(monkeypatch, beam_width, depth_prune):
-    """The LM runs only batched steps through the search's workspace: the
-    start <w> first, then at most beam_width rows per frame at the start of
-    every later frame, and never after the last frame."""
+    """The LM runs only batched steps: the start <w> first, then at most
+    beam_width rows per frame at the start of every later frame, and
+    never after the last frame."""
     rng = np.random.default_rng(40 + beam_width)
     labels = REGULAR[:6] + ["<w>", BLANK_LABEL]
     frames = 8
@@ -203,12 +203,12 @@ def test_lm_rows_bounded_by_beam(monkeypatch, beam_width, depth_prune):
         calls["forward"] += 1
         return forward(ids, *args, **kw)
 
-    def counting_step(state, ids, *args):
+    def counting_step(state, ids):
         if np.ndim(ids):
             calls["batched"].append(np.asarray(ids).tolist())
         else:
             calls["step"] += 1
-        return step(state, ids, *args)
+        return step(state, ids)
 
     monkeypatch.setattr(net, "forward", counting_forward)
     monkeypatch.setattr(net, "step", counting_step)

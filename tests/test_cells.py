@@ -293,6 +293,7 @@ class TestBackward:
         assert np.array_equal(d_prev.h, d_out.h)  # passes straight through
         # no window slot, so nothing reaches a parameter gradient
         assert tape.skipped and tape.window is None
+        assert (tape.i, tape.f, tape.g, tape.o) == (None,) * 4
 
     def test_reset_cuts_state_gradient(self):
         rng = np.random.default_rng(25)

@@ -361,6 +361,12 @@ class TestUsage:
         symbols = (out / "vocab.txt").read_text().split("\n")
         assert "A" in symbols and "a" not in symbols
 
+    def test_false_boolean_in_a_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timing = no\n")
+        assert cli.load_config_file(str(cfg), cli._KEYSETS["train"]) == {
+            "timing": False}
+
     def test_bad_boolean_is_config_error(self, corpus_file, capsys):
         assert main(["train", "--corpus", str(corpus_file),
                      "--timing", "maybe"]) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import corrupt
-from hrnnlm.corpus import build_vocab, tokenize_lines
+from hrnnlm.corpus import Vocabulary, build_vocab, tokenize_lines
 from hrnnlm.decoding import (BLANK_LABEL, DecodeConfig, PosteriorMatrix,
                              beam_search, read_posteriors,
                              read_posteriors_binary, read_posteriors_text,
@@ -174,6 +174,13 @@ class TestPosteriorFiles:
         with pytest.raises(PosteriorFormatError):
             read_posteriors_text(p)
 
+    @pytest.mark.parametrize("text", ["", "3\n0.5\n"])
+    def test_header_of_fewer_than_two_fields(self, tmp_path, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(PosteriorFormatError, match="bad posterior header"):
+            read_posteriors_text(p)
+
     def test_binary_cut_inside_header(self, tmp_path):
         p = tmp_path / "post.bin"
         write_posteriors_binary(p, self._post())
@@ -293,6 +300,32 @@ class TestBeamSearchBasics:
                                probs=[[0.9, 0.1]])
         with pytest.raises(ConfigError):
             beam_search(post, net, vocab, DecodeConfig())
+
+    def test_default_config(self):
+        vocab = build_vocab("ab")
+        net = build_network(NetworkSpec.for_vocab("hlstm_b", vocab, 4))
+        post = PosteriorMatrix(labels=["a", "b", BLANK_LABEL],
+                               probs=[[0.5, 0.2, 0.3], [0.1, 0.6, 0.3]])
+        assert (beam_search(post, net, vocab)
+                == beam_search(post, net, vocab, DecodeConfig()))
+
+    @pytest.mark.parametrize("call", ["sample", "beam_search"])
+    @pytest.mark.parametrize("net_text, vocab", [
+        ("abcdefgh", build_vocab("abcd")),  # 10 symbols, 6 given
+        ("abcd", build_vocab("abcdefgh")),  # 6 symbols, 10 given
+        ("ab", Vocabulary(["<w>", "<s>", "a", "b"]))],  # boundary ids
+        ids=["fewer", "more", "boundaries"])
+    def test_rejects_a_vocabulary_not_the_networks(self, call, net_text,
+                                                   vocab):
+        net = build_network(NetworkSpec.for_vocab(
+            "hlstm_b", build_vocab(net_text), 4))
+        post = PosteriorMatrix(labels=["a", "b", BLANK_LABEL],
+                               probs=[[0.5, 0.2, 0.3]])
+        with pytest.raises(ConfigError, match="network"):
+            if call == "sample":
+                sample(net, vocab, 5, prime="ab")
+            else:
+                beam_search(post, net, vocab)
 
     @pytest.mark.parametrize("key, value", [
         ("lm_weight", math.nan), ("lm_weight", math.inf),

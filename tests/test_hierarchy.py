@@ -751,6 +751,13 @@ def _cells(state):
     return [a for cell in state.layers.values() for a in (cell.m, cell.h)]
 
 
+def _twin(net):
+    """A new network, with no workspace yet, of net's spec and ``flat``."""
+    twin = Network(net.spec, init_scale=0.0)
+    twin.flat[...] = net.flat
+    return twin
+
+
 @settings(max_examples=60, deadline=None)
 @given(variant=st.sampled_from(VARIANTS),
        calls=st.lists(STEP_CALLS, min_size=1, max_size=12))
@@ -760,19 +767,18 @@ def _cells(state):
 @example(variant="hlstm_b", calls=[("rows", [0, 1, 2, 3]),
                                    ("rows", [3, 3, 1, 4]), ("0-d", 3)])
 def test_steps_through_one_workspace_equal_steps_without(variant, calls):
-    """One workspace, reused for every call at every batch size up to its
-    rows, gives the probs and every layer's m and h, bit for bit, that
-    steps without a workspace give; each batch size carries its own
-    state on, and ids 3 and 4 are <w> and <s>."""
-    net = STEP_NETS[variant]
-    workspace = net.workspace(WORKSPACE_ROWS)
+    """Steps of mixed batch sizes on one network, whose workspace grows
+    and is reused, give the probs and every layer's m and h, bit for bit,
+    that a fresh network of the same ``flat`` gives; each batch size
+    carries its own state on, and ids 3 and 4 are <w> and <s>."""
+    net = _twin(STEP_NETS[variant])
     states = {}
     for kind, ids in calls:
         ids = ids if kind == "int" else np.array(ids)
         B = np.size(ids)
         state = states[B] if B in states else net.init_state(B)
-        want_probs, want = net.step(state, ids)
-        probs, states[B] = net.step(state, ids, workspace)
+        want_probs, want = _twin(net).step(state, ids)
+        probs, states[B] = net.step(state, ids)
         _same_bits(probs, want_probs)
         for got, cell in zip(_cells(states[B]), _cells(want)):
             _same_bits(got, cell)
@@ -784,14 +790,36 @@ def test_a_stepped_state_owns_its_arrays(variant, first):
     """Five more steps through the workspace that made a state, boundaries
     among them, leave that state as it was."""
     net = STEP_NETS[variant]
-    workspace = net.workspace(1)
-    _, kept = net.step(net.init_state(1), first, workspace)
+    _, kept = net.step(net.init_state(1), first)
     snapshot = kept.clone()
     state = kept
     for tok in (1, 3, 2, 4, 0):
-        _, state = net.step(state, tok, workspace)
+        _, state = net.step(state, tok)
     for got, want in zip(_cells(kept), _cells(snapshot)):
         _same_bits(got, want)
+
+
+def test_a_threads_workspace_has_the_rows_of_its_largest_step():
+    """A thread's workspace grows to exactly the rows of its largest step
+    so far and is kept through smaller steps; another thread's is its
+    own, and untaped forward leaves it as it is."""
+    net = _twin(STEP_NETS["hlstm_b"])
+    for B, want in ((2, 2), (5, 5), (3, 5), (1, 5)):
+        net.step(net.init_state(B), np.arange(B) % VOCAB_ABC.size)
+        assert net._workspace(0).batch == want
+    kept = net._workspace(0)
+    net.forward(np.zeros((7, 2), dtype=np.int64))
+    assert net._workspace(0) is kept
+    other = {}
+
+    def step_one_row():
+        net.step(net.init_state(1), 3)
+        other["rows"] = net._workspace(0).batch
+
+    thread = threading.Thread(target=step_one_row)
+    thread.start()
+    thread.join(timeout=60)
+    assert other == {"rows": 1} and net._workspace(0) is kept
 
 
 def test_step_and_forward_reject_a_state_of_another_network():
@@ -806,30 +834,12 @@ def test_step_and_forward_reject_a_state_of_another_network():
                 net.forward(np.array([ids]).T, state=state)
 
 
-def test_step_rejects_a_workspace_it_cannot_use():
-    net = STEP_NETS["hlstm_b"]
-    ids = np.array([0, 3, 1])
-    with pytest.raises(DimensionError, match="2 rows for a step of 3"):
-        net.step(net.init_state(3), ids, net.workspace(2))
-    with pytest.raises(DimensionError):
-        net.step(net.init_state(1), 0, net.workspace(0))
-    wider = build_network(tiny_spec(VOCAB_ABC, "hlstm_b", 4))
-    for other in (STEP_NETS["hlstm_a"], STEP_NETS["mono"], wider):
-        with pytest.raises(DimensionError, match="another network"):
-            net.step(net.init_state(3), ids, other.workspace(3))
-    # A network of the same layers may share one.
-    twin = build_network(tiny_spec(VOCAB_ABC, "hlstm_b", 3), rng_seed=1)
-    net.step(net.init_state(3), ids, twin.workspace(3))
-    for rows in (-1, 1.5, True):
-        with pytest.raises(ConfigError, match="batch"):
-            net.workspace(rows)
-
-
 def test_threads_with_their_own_workspaces_sample_alike(monkeypatch):
-    """A network keeps no scratch state: two threads sampling from one
-    network, each through its own workspace and made to take turns at
-    every kernel call (after a layer's inputs are written, before they are
-    read), draw the texts that the same calls draw one after the other."""
+    """A network's step scratch is per thread: two threads sampling from
+    one network, each stepping through the workspace the network keeps
+    for it, and made to take turns at every kernel call (after a layer's
+    inputs are written, before they are read), draw the texts that the
+    same calls draw one after the other."""
     vocab = build_vocab("ab cd ef gh")
     # Weights large enough that a step's inputs decide its draws: at the
     # default scale, texts hardly depend on them.

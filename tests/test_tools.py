@@ -83,6 +83,17 @@ def test_digest_reruns_print_the_same_line():
     assert [len(d) for d in digests] == [64, 64]
 
 
+def test_digest_demo_line():
+    spec = importlib.util.spec_from_file_location("digest",
+                                                  ROOT / "tools/digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    line = digest.demo_line(ROOT, ROOT / "demos" / "01_clocked_cells.py")
+    kind, name, sha = line.split(" ")
+    assert (kind, name) == ("demo", "01_clocked_cells.py")
+    assert len(sha) == 64 and int(sha, 16) >= 0
+
+
 def test_digest_rejects_an_unknown_workload():
     proc = subprocess.run(
         [sys.executable, "tools/digest.py", "--workload", "nope"], cwd=ROOT,

@@ -231,12 +231,11 @@ def test_planned_window_equals_per_step_execution(variant, B, T, active,
     _same_states(final, want_final)
 
     fold, fold_probs = state.clone(), np.zeros_like(probs)
-    workspace = net.workspace(B)
     for t in range(T):
         rows = np.flatnonzero(mask[:, t])
         if rows.size:
             fold_probs[rows, t], stepped = net.step(
-                fold.take(rows), ids[rows, t], workspace)
+                fold.take(rows), ids[rows, t])
             for name, cell in stepped.layers.items():
                 fold.layers[name].m[rows] = cell.m
                 fold.layers[name].h[rows] = cell.h

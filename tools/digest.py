@@ -13,17 +13,24 @@ line is printed:
 
 ``fingerprint`` is ``bench/run.py``'s: every output value of the round
 (training metrics, evaluation, the sample, the decoder's n-best lists).
-``flat`` is the trained network's parameter buffer.  ``bench/`` and
-``src/`` are imported from ``--checkout`` (this checkout when omitted), and
-nothing is written there.  To show that a change keeps every output bit for
-bit, diff the lines of the parent and of the change:
+``flat`` is the trained network's parameter buffer.  Without
+``--workload``, each demo under ``demos/`` then runs in a subprocess, from
+the checkout and with its ``src/`` on ``PYTHONPATH``, and one more line is
+printed per demo:
+
+    demo <file> <sha256 of its stdout>
+
+``bench/``, ``src/`` and ``demos/`` are taken from ``--checkout`` (this
+checkout when omitted), and nothing is written there.  To show that a
+change keeps every output bit for bit, diff the lines of the parent and of
+the change:
 
     git archive REV | tar -x -C DIR
     python3 tools/digest.py --checkout DIR --seed 1 --seed 2 > parent.txt
     python3 tools/digest.py --seed 1 --seed 2 > change.txt
     diff parent.txt change.txt
 
-A round that fails prints its traceback and exits 1.
+A round or demo that fails prints its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -70,6 +79,18 @@ def digest(run, hr, workload: str, seed: int) -> str:
             f"{sha256(flat.tobytes())}")
 
 
+def demo_line(checkout: Path, demo: Path) -> str:
+    """The line of one demo of ``checkout``, run with its ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(demo)], cwd=checkout, env=env,
+                          capture_output=True)
+    if proc.returncode:
+        sys.stderr.buffer.write(proc.stderr)
+        raise SystemExit(f"digest: the demo {demo.name} failed")
+    return f"demo {demo.name} {sha256(proc.stdout)}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--checkout", type=Path, default=ROOT)
@@ -78,7 +99,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not (args.checkout / "bench" / "run.py").is_file():
         ap.error(f"--checkout: no bench/run.py under {args.checkout}")
-    run, hr = load_bench(args.checkout.resolve())
+    checkout = args.checkout.resolve()
+    run, hr = load_bench(checkout)
     workloads = args.workload or sorted(run.WORKLOADS)
     unknown = sorted(set(workloads) - set(run.WORKLOADS))
     if unknown:
@@ -87,6 +109,9 @@ def main(argv=None) -> int:
     for workload in workloads:
         for seed in args.seed or [1]:
             print(digest(run, hr, workload, seed), flush=True)
+    if not args.workload:
+        for demo in sorted((checkout / "demos").glob("*.py")):
+            print(demo_line(checkout, demo), flush=True)
     return 0
 
 
